@@ -16,7 +16,8 @@ from .errors import SearchBudgetExceeded, SizeLimitExceeded
 from .iso import DEFAULT_BUDGET, IsoWitness, element_invariants, find_isomorphism
 from .monoid import FiniteMonoid
 from .powerset import reduced_power_monoid
-from .verify import cardinality_profile, extract_pullback, pullback_report
+from .verify import (CheckResult, Pullback, PullbackReport, cardinality_profile,
+                     check_two_to_two, extract_pullback, pullback_report)
 
 ENUMERATION_LIMIT = 5
 
@@ -156,31 +157,59 @@ def groups_catalog(max_order, validate=True):
 
 @dataclass
 class PowerIsoResult:
-    """Outcome of searching for an isomorphism of reduced power monoids."""
+    """Whether P_fin,1(H) ~ P_fin,1(K); the facts after pm_dst, about the
+    witness and its pullback g: H -> K, are None unless status is "iso"."""
     status: str                 # "iso" | "absent" | "budget-exceeded"
     witness: IsoWitness = None
     pm_src: object = None
     pm_dst: object = None
+    two_to_two: CheckResult = None
+    pullback: Pullback = None
+    report: PullbackReport = None
+    cardinality_preserving: bool = None
+
+    @property
+    def subject(self):
+        return f"{self.pm_src.base.name} vs {self.pm_dst.base.name}"
 
 
-def find_power_isomorphism(h, k, budget=DEFAULT_BUDGET):
-    """Search P_fin,1(h) ~ P_fin,1(k); absence requires an exhausted search.
+def base_iso_status(h, k, budget=DEFAULT_BUDGET):
+    """Base-level status: "yes", "no" (search exhausted) or "budget-exceeded"."""
+    try:
+        return "no" if find_isomorphism(h, k, budget=budget) is None else "yes"
+    except SearchBudgetExceeded:
+        return "budget-exceeded"
+
+
+def power_isomorphism(pm_src, pm_dst, budget=DEFAULT_BUDGET):
+    """Search carrier(pm_src) ~ carrier(pm_dst); absence requires an exhausted search.
 
     Subset cardinality is deliberately not used as a search invariant
     (whether it is preserved is open); element order, idempotency and
     divisibility profiles of the carriers are.
     """
-    pm_src = reduced_power_monoid(h)
-    pm_dst = reduced_power_monoid(k)
-    if pm_src.carrier is None or pm_dst.carrier is None:
-        raise SizeLimitExceeded("power isomorphism search needs materialized carriers")
     try:
-        w = find_isomorphism(pm_src.carrier, pm_dst.carrier, budget=budget)
+        w = find_isomorphism(pm_src.materialized(), pm_dst.materialized(), budget=budget)
     except SearchBudgetExceeded:
         return PowerIsoResult("budget-exceeded", pm_src=pm_src, pm_dst=pm_dst)
     if w is None:
         return PowerIsoResult("absent", pm_src=pm_src, pm_dst=pm_dst)
-    return PowerIsoResult("iso", witness=w, pm_src=pm_src, pm_dst=pm_dst)
+    return power_iso_facts(pm_src, pm_dst, w)
+
+
+def power_iso_facts(pm_src, pm_dst, witness):
+    """The "iso" result for a known carrier isomorphism: its two-to-two
+    check, pullback, pullback report and cardinality profile."""
+    two_to_two = check_two_to_two(pm_src, pm_dst, witness)
+    pullback = extract_pullback(pm_src, pm_dst, witness)
+    return PowerIsoResult(
+        "iso", witness, pm_src, pm_dst, two_to_two, pullback, pullback_report(pullback),
+        cardinality_profile(pm_src, pm_dst, witness)[0])
+
+
+def find_power_isomorphism(h, k, budget=DEFAULT_BUDGET):
+    """power_isomorphism between the reduced power monoids of h and k."""
+    return power_isomorphism(reduced_power_monoid(h), reduced_power_monoid(k), budget)
 
 
 @dataclass
@@ -232,48 +261,44 @@ class ExperimentSummary:
         return out
 
 
-def _experiment_pair(args):
-    ti, tj, name_i, name_j, i, j, budget = args
-    h = FiniteMonoid(ti, name=name_i)
-    k = FiniteMonoid(tj, name=name_j)
+def _experiment_pair(i, j, pm_h, pm_k, budget):
     t0 = time.perf_counter()
-    try:
-        base = find_isomorphism(h, k, budget=budget)
-        base_iso = "yes" if base is not None else "no"
-    except SearchBudgetExceeded:
-        base_iso = "budget-exceeded"
-    res = find_power_isomorphism(h, k, budget=budget)
+    base_iso = base_iso_status(pm_h.base, pm_k.base, budget)
+    res = power_isomorphism(pm_h, pm_k, budget)
     power_iso = {"iso": "yes", "absent": "no", "budget-exceeded": "budget-exceeded"}[res.status]
-    pullback_ok = None
-    card = None
-    wmap = None
-    if res.status == "iso":
-        wmap = res.witness.map
-        pb = extract_pullback(res.pm_src, res.pm_dst, res.witness)
-        pullback_ok = not pullback_report(pb).gated_failures()
-        card, _ = cardinality_profile(res.pm_src, res.pm_dst, res.witness)
-    return ExperimentRecord((i, j), (name_i, name_j), base_iso, power_iso,
-                            pullback_ok, card, wmap, time.perf_counter() - t0)
+    return ExperimentRecord(
+        (i, j), (pm_h.base.name, pm_k.base.name), base_iso, power_iso,
+        None if res.report is None else not res.report.gated_failures(),
+        res.cardinality_preserving, None if res.witness is None else res.witness.map,
+        time.perf_counter() - t0)
+
+
+def _experiment_chunk(monoids, pairs, budget):
+    pms = [reduced_power_monoid(m) for m in monoids]
+    return [_experiment_pair(i, j, pms[i], pms[j], budget) for i, j in pairs]
 
 
 def run_experiment(entries, mode="groups", budget=DEFAULT_BUDGET, jobs=1):
     """Decide base and power isomorphism for every unordered census pair.
 
-    Returns (records, summary).  Budget-exceeded pairs are reported, never
-    silently dropped; records are sorted by pair id regardless of how the
-    work was scheduled.
+    Returns (records, summary).  Each entry's reduced power monoid is
+    built once per worker: with jobs > 1 the pairs are split into jobs
+    interleaved chunks, one per spawned worker.  Budget-exceeded pairs
+    are reported, never silently dropped; records are sorted by pair id
+    regardless of how the work was scheduled.
     """
-    tasks = []
-    for i in range(len(entries)):
-        for j in range(i, len(entries)):
-            tasks.append((entries[i].monoid.table, entries[j].monoid.table,
-                          entries[i].name, entries[j].name, i, j, budget))
+    monoids = [e.monoid for e in entries]
+    pairs = [(i, j) for i in range(len(entries)) for j in range(i, len(entries))]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_experiment_pair, tasks))
+        from multiprocessing import get_context
+        chunks = [c for c in (pairs[k::jobs] for k in range(jobs)) if c]
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
+            records = [r for chunk in pool.map(_experiment_chunk, [monoids] * len(chunks),
+                                               chunks, [budget] * len(chunks))
+                       for r in chunk]
     else:
-        records = [_experiment_pair(t) for t in tasks]
+        records = _experiment_chunk(monoids, pairs, budget)
     records.sort(key=lambda r: r.pair)
     exceptions = [r for r in records
                   if "budget-exceeded" not in (r.base_iso, r.power_iso)

@@ -1,17 +1,18 @@
 """Command-line front end: construct, verify, experiment.
 
 Reports are line-oriented TSV plus a summary block.  For a fixed
-configuration (including seed) the report body is byte-identical across
-runs; wall-clock timestamps appear only in the header, and the per-pair
-elapsed column of experiment records is the one run-dependent field
-outside it.
+configuration the report body is byte-identical across runs; wall-clock
+timestamps appear only in the header, and the per-pair elapsed column
+of experiment records is the one run-dependent field outside it.
 
 Exit status: 0 when every gated assertion passed (expected
 counterexamples are findings, not failures), 1 on an assertion failure,
-2 on a usage or input error.
+2 on a usage or input error, 141 (128 + SIGPIPE) when the reader of
+stdout went away.
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -21,10 +22,11 @@ from .monoid import (cyclic_group, cyclic_monoid, dihedral_group, direct_product
                      format_table, idempotent_monoid2, klein_group,
                      parse_table_file, quaternion_group, standard_group)
 from .powerset import format_subset, mask_of, parse_subset
-from .suites import SUITES, suite_section4
-from .verify import CheckResult, count_equation_solutions
+from .suites import SUITES, SuiteReport, suite_section4
+from .verify import check_solution_count
 
 USAGE_ERROR = 2
+BROKEN_PIPE = 128 + 13     # as a shell reports a process killed by SIGPIPE
 
 
 def parse_monoid_spec(spec):
@@ -58,9 +60,11 @@ def parse_monoid_spec(spec):
 
 
 class Report:
+    """A report on stdout or in the file `out`; use it as a context
+    manager, which closes the file (or flushes stdout) on every path."""
+
     def __init__(self, out, title, config):
         self.fh = open(out, "w") if out else sys.stdout
-        self.close_needed = out is not None
         self.emit(f"# powmon {title}")
         self.emit(f"# config: {config}")
         self.emit(f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S')}")
@@ -68,8 +72,13 @@ class Report:
     def emit(self, line=""):
         print(line, file=self.fh)
 
-    def done(self):
-        if self.close_needed:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.fh is sys.stdout:
+            self.fh.flush()
+        else:
             self.fh.close()
 
 
@@ -95,14 +104,13 @@ def cmd_construct(args):
         m = parse_table_file(spec[1])
     else:
         raise ValueError("construct expects: cyclic I P | named SPEC | table PATH")
-    report = Report(args.out, "construct " + " ".join(spec), _config(args))
-    _describe(m, report)
-    report.done()
+    with Report(args.out, "construct " + " ".join(spec), _config(args)) as report:
+        _describe(m, report)
     return 0
 
 
 def _config(args):
-    keys = ("max_order", "group_max", "budget", "jobs", "seed", "universe")
+    keys = ("max_order", "group_max", "budget", "jobs", "universe")
     parts = []
     for k in keys:
         if getattr(args, k, None) is not None:
@@ -133,61 +141,52 @@ def _suite_kwargs(name, args):
 
 
 def cmd_verify(args):
-    report = Report(args.out, f"verify {args.suite}", _config(args))
-    findings = 0
-    failures = 0
-
-    def run_one(rep):
-        nonlocal findings, failures
-        for line in rep.lines():
-            report.emit(line)
-        failures += len(rep.failures)
-        findings += sum(len(r.findings) for r in rep.results)
-        findings += sum(1 for r in rep.results
-                        if r.checker == "expected_violation" and not r.failed)
-
+    if args.pair and args.suite != "section4":
+        raise ValueError("--pair belongs to the section4 suite")
+    if args.monoid and args.suite != "lemma31":
+        raise ValueError("--monoid belongs to the lemma31 suite")
+    single = None
     if args.pair:
         try:
             ha, kb = args.pair.split(":", 1)
             h, k = parse_monoid_spec(ha), parse_monoid_spec(kb)
         except ValueError as exc:
             raise ValueError(f"bad --pair: {exc}")
-        rep = suite_section4(budget=args.budget, pair=(h, k))
-        run_one(rep)
-    elif args.suite == "lemma31" and args.monoid:
+        single = suite_section4(budget=args.budget, pair=(h, k))
+    elif args.monoid:
         m = parse_monoid_spec(args.monoid)
         s_mask = parse_subset(args.subset, m.n) if args.subset else (1 << m.n) - 1
-        sc = count_equation_solutions(m, s_mask, args.n, args.universe)
-        ok = not sc.bound_applies or sc.count >= sc.bound
-        rec = CheckResult("equation_solutions",
-                          f"{m.name} S={format_subset(s_mask)} n={args.n} {args.universe}",
-                          "pass" if ok else "fail",
-                          f"count={sc.count} bound={sc.bound} "
-                          f"solutions=" + " ".join(format_subset(a) for a in sc.solutions))
-        report.emit(rec.line())
-        report.emit(f"# summary: suite=lemma31 cases=1 failures={0 if ok else 1}")
-        failures += 0 if ok else 1
-    elif args.suite == "all":
-        names = list(SUITES)
-        if args.jobs and args.jobs > 1:
+        single = SuiteReport("lemma31", [check_solution_count(m, s_mask, args.n, args.universe)])
+
+    findings = 0
+    failures = 0
+    with Report(args.out, f"verify {args.suite}", _config(args)) as report:
+        def run_one(rep):
+            nonlocal findings, failures
+            for line in rep.lines():
+                report.emit(line)
+            failures += len(rep.failures)
+            findings += sum(len(r.findings) for r in rep.results)
+            findings += sum(1 for r in rep.results
+                            if r.checker == "expected_violation" and not r.failed)
+
+        if single is not None:
+            run_one(single)
+        elif args.suite == "all" and args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(_run_suite, n, _suite_kwargs(n, args)) for n in names]
+                futures = [pool.submit(_run_suite, n, _suite_kwargs(n, args)) for n in SUITES]
                 for fut in futures:       # report order fixed regardless of scheduling
                     run_one(fut.result())
         else:
-            for name in names:
+            for name in (SUITES if args.suite == "all" else [args.suite]):
                 run_one(SUITES[name](**_suite_kwargs(name, args)))
-    else:
-        run_one(SUITES[args.suite](**_suite_kwargs(args.suite, args)))
 
-    if args.expect_violation and findings == 0:
-        report.emit("# expect-violation: FAILED (no violation finding occurred)")
-        report.done()
-        return 1
-    if args.expect_violation:
-        report.emit(f"# expect-violation: ok ({findings} findings)")
-    report.done()
+        if args.expect_violation and findings == 0:
+            report.emit("# expect-violation: FAILED (no violation finding occurred)")
+            return 1
+        if args.expect_violation:
+            report.emit(f"# expect-violation: ok ({findings} findings)")
     return 1 if failures else 0
 
 
@@ -199,24 +198,22 @@ def cmd_experiment(args):
         entries = census_monoids(max_order)
     records, summary = run_experiment(entries, mode=args.mode,
                                       budget=args.budget, jobs=args.jobs or 1)
-    report = Report(args.out, f"experiment {args.mode}", _config(args))
-    report.emit("pair\tH\tK\tbase_iso\tpower_iso\tpullback_ok\tcardinality_preserving\telapsed")
-    for r in records:
-        report.emit(r.line())
-    for line in summary.lines():
-        report.emit("# " + line)
     # exceptions between cancellative pairs contradict the theorem and fail
     # the run; others (the known counterexamples) are findings
     gated_failures = [r for r in summary.exceptions
                       if entries[r.pair[0]].tags["cancellative"]
                       and entries[r.pair[1]].tags["cancellative"]]
     hard_fail = bool(gated_failures or summary.pullback_failures)
-    if args.expect_violation:
-        ok = bool(summary.exceptions)
-        report.emit(f"# expect-violation: {'ok' if ok else 'FAILED (no exception observed)'}")
-        report.done()
-        return 0 if ok and not hard_fail else 1
-    report.done()
+    with Report(args.out, f"experiment {args.mode}", _config(args)) as report:
+        report.emit("pair\tH\tK\tbase_iso\tpower_iso\tpullback_ok\tcardinality_preserving\telapsed")
+        for r in records:
+            report.emit(r.line())
+        for line in summary.lines():
+            report.emit("# " + line)
+        if args.expect_violation:
+            ok = bool(summary.exceptions)
+            report.emit(f"# expect-violation: {'ok' if ok else 'FAILED (no exception observed)'}")
+            return 0 if ok and not hard_fail else 1
     return 1 if hard_fail else 0
 
 
@@ -239,9 +236,8 @@ def main(argv=None):
     p.add_argument("--group-max", type=int, default=None, dest="group_max")
     p.add_argument("--budget", type=int, default=5_000_000)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--pair", default=None, help="single pair, e.g. z2:idem2")
+    p.add_argument("--pair", default=None, help="section4 single pair, e.g. z2:idem2")
     p.add_argument("--monoid", default=None, help="lemma31 single-case monoid spec")
     p.add_argument("--subset", default=None, help="lemma31 subset literal, e.g. 0,1")
     p.add_argument("--n", type=int, default=3, help="lemma31 exponent")
@@ -254,7 +250,6 @@ def main(argv=None):
     p.add_argument("--max-order", type=int, default=None, dest="max_order")
     p.add_argument("--budget", type=int, default=5_000_000)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--expect-violation", action="store_true", dest="expect_violation")
     p.set_defaults(fn=cmd_experiment)
@@ -262,6 +257,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`); point it at /dev/null so
+        # the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (PowmonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

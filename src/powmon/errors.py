@@ -49,14 +49,6 @@ class NotCancellative(PowmonError):
     """Operation requires a cancellative element."""
 
 
-class NotTorsion(PowmonError):
-    """Operation requires a torsion element.
-
-    Unreachable through this library: every element of a finite monoid is
-    torsion.  Declared because the minimal-relation contract names it.
-    """
-
-
 class TwoToTwoViolation(PowmonError):
     """A claimed power-monoid isomorphism maps some 2-element set elsewhere.
 

@@ -111,6 +111,12 @@ class PowerMonoid:
     def __len__(self):
         return len(self.masks)
 
+    def materialized(self):
+        """The carrier; SizeLimitExceeded when products are computed on demand."""
+        if self.carrier is None:
+            raise SizeLimitExceeded(f"{self!r} has no materialized carrier table")
+        return self.carrier
+
     def subset_of(self, i):
         return self.masks[i]
 
@@ -169,8 +175,7 @@ def augment(base_witness, pm_src=None, pm_dst=None):
         pm_src = reduced_power_monoid(base_witness.source)
     if pm_dst is None:
         pm_dst = reduced_power_monoid(base_witness.target)
-    if pm_src.carrier is None or pm_dst.carrier is None:
-        raise SizeLimitExceeded("augmentation needs materialized carriers")
+    src, dst = pm_src.materialized(), pm_dst.materialized()
     h = base_witness.map
     mapping = []
     for mask in pm_src.masks:
@@ -178,4 +183,4 @@ def augment(base_witness, pm_src=None, pm_dst=None):
         for e in elements_of(mask):
             img |= 1 << h[e]
         mapping.append(pm_dst.index_of(img))
-    return IsoWitness(pm_src.carrier, pm_dst.carrier, mapping)
+    return IsoWitness(src, dst, mapping)

@@ -8,16 +8,16 @@ counterexamples themselves are regression-tested.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
-from .census import census_monoids, find_power_isomorphism, groups_catalog
-from .errors import SearchBudgetExceeded
-from .iso import DEFAULT_BUDGET, enumerate_isomorphisms, find_isomorphism
+from .census import (base_iso_status, census_monoids, find_power_isomorphism,
+                     groups_catalog, power_iso_facts, power_isomorphism)
+from .iso import DEFAULT_BUDGET, enumerate_isomorphisms
 from .monoid import cyclic_group, cyclic_monoid, idempotent_monoid2
 from .powerset import format_subset, mask_of, reduced_power_monoid
-from .verify import (CheckResult, cardinality_profile, check_cross_relation,
-                     check_minimal_relation, check_order_stabilization,
-                     check_shifted_power, check_solution_count, check_two_to_two,
-                     count_equation_solutions, extract_pullback, pullback_report)
+from .verify import (CheckResult, check_cross_relation, check_minimal_relation,
+                     check_order_stabilization, check_shifted_power,
+                     check_solution_count, count_equation_solutions)
 
 
 @dataclass
@@ -156,10 +156,13 @@ def suite_lemma31(max_order=4, exponents=(3, 4)):
     return rep
 
 
-def _all_power_isos(pm_src, pm_dst, budget):
-    if pm_src.carrier is None or pm_dst.carrier is None:
-        return []
-    return enumerate_isomorphisms(pm_src.carrier, pm_dst.carrier, budget=budget)
+def _power_pairs(entries):
+    """Unordered pairs (i <= j) of the entries' reduced power monoids, each built once."""
+    return combinations_with_replacement([reduced_power_monoid(e.monoid) for e in entries], 2)
+
+
+def _unproven(res):
+    return CheckResult("power_iso_search", res.subject, "fail", "budget exceeded: absence unproven")
 
 
 def suite_thm32(census_max=4, group_max=6, budget=DEFAULT_BUDGET):
@@ -172,42 +175,30 @@ def suite_thm32(census_max=4, group_max=6, budget=DEFAULT_BUDGET):
     why the sweep covers the whole census and not just groups.
     """
     rep = SuiteReport("thm32")
-    card_seen = 0
-    card_preserved = 0
+    preserving = []
 
-    def handle(pm_src, pm_dst, witness):
-        nonlocal card_seen, card_preserved
-        rep.add(check_two_to_two(pm_src, pm_dst, witness))
-        pb = extract_pullback(pm_src, pm_dst, witness)
-        ok = pb.map[pb.source.identity] == pb.target.identity
-        rep.add(CheckResult("pullback_extraction",
-                            f"{pm_src.base.name} -> {pm_dst.base.name}",
-                            "pass" if ok else "fail",
+    def handle(res):
+        pb = res.pullback
+        rep.add(res.two_to_two)
+        rep.add(CheckResult("pullback_extraction", f"{pb.source.name} -> {pb.target.name}",
+                            "pass" if pb.map[pb.source.identity] == pb.target.identity else "fail",
                             f"g={pb.map}"))
-        rep.add(pullback_report(pb).result())
-        preserving, _ = cardinality_profile(pm_src, pm_dst, witness)
-        card_seen += 1
-        card_preserved += preserving
+        rep.add(res.report.result())
+        preserving.append(res.cardinality_preserving)
 
-    entries = census_monoids(census_max)
-    pms = [reduced_power_monoid(e.monoid) for e in entries]
-    for i in range(len(entries)):
-        for j in range(i, len(entries)):
-            for witness in _all_power_isos(pms[i], pms[j], budget):
-                handle(pms[i], pms[j], witness)
-    groups = _catalog_groups(group_max, include_controls=True)
-    for i in range(len(groups)):
-        for j in range(i, len(groups)):
-            res = find_power_isomorphism(groups[i].monoid, groups[j].monoid, budget)
-            if res.status == "budget-exceeded":
-                rep.add(CheckResult("power_iso_search",
-                                    f"{groups[i].name} vs {groups[j].name}",
-                                    "fail", "budget exceeded: absence unproven"))
-            elif res.status == "iso":
-                handle(res.pm_src, res.pm_dst, res.witness)
-                handle(res.pm_dst, res.pm_src, res.witness.inverse())
+    for pm_src, pm_dst in _power_pairs(census_monoids(census_max)):
+        for witness in enumerate_isomorphisms(pm_src.materialized(), pm_dst.materialized(),
+                                             budget=budget):
+            handle(power_iso_facts(pm_src, pm_dst, witness))
+    for pm_src, pm_dst in _power_pairs(_catalog_groups(group_max, include_controls=True)):
+        res = power_isomorphism(pm_src, pm_dst, budget)
+        if res.status == "budget-exceeded":
+            rep.add(_unproven(res))
+        elif res.status == "iso":
+            handle(res)
+            handle(power_iso_facts(pm_dst, pm_src, res.witness.inverse()))
     rep.notes.append(
-        f"cardinality profile: {card_preserved}/{card_seen} observed isomorphisms "
+        f"cardinality profile: {sum(preserving)}/{len(preserving)} observed isomorphisms "
         "preserve subset size (measured only; the question is open)")
     return rep
 
@@ -216,24 +207,16 @@ def analyze_pair(h, k, budget=DEFAULT_BUDGET):
     """Single-pair power-isomorphism analysis, as used by the CLI.
 
     Returns (results, report_or_None): base and power isomorphism status
-    records plus, when a power isomorphism exists, the pullback records.
+    records plus, when a power isomorphism exists, the two-to-two and
+    pullback records and the pullback report.
     """
-    results = []
-    try:
-        base = find_isomorphism(h, k, budget=budget)
-        base_status = "yes" if base is not None else "no"
-    except SearchBudgetExceeded:
-        base_status = "budget-exceeded"
-    results.append(CheckResult("base_iso", f"{h.name} vs {k.name}", "pass", base_status))
+    base = base_iso_status(h, k, budget)
     res = find_power_isomorphism(h, k, budget)
-    results.append(CheckResult("power_iso", f"{h.name} vs {k.name}", "pass", res.status))
-    report = None
+    results = [CheckResult("base_iso", res.subject, "pass", base),
+               CheckResult("power_iso", res.subject, "pass", res.status)]
     if res.status == "iso":
-        results.append(check_two_to_two(res.pm_src, res.pm_dst, res.witness))
-        pb = extract_pullback(res.pm_src, res.pm_dst, res.witness)
-        report = pullback_report(pb)
-        results.append(report.result())
-    return results, report
+        results += [res.two_to_two, res.report.result()]
+    return results, res.report
 
 
 def suite_section4(group_max=6, budget=DEFAULT_BUDGET, pair=None):
@@ -246,33 +229,23 @@ def suite_section4(group_max=6, budget=DEFAULT_BUDGET, pair=None):
     """
     rep = SuiteReport("section4")
     if pair is not None:
-        h, k = pair
-        results, _ = analyze_pair(h, k, budget)
-        rep.results.extend(results)
+        rep.results.extend(analyze_pair(*pair, budget)[0])
         return rep
-    entries = _catalog_groups(group_max, include_controls=True)
-    for i in range(len(entries)):
-        for j in range(i, len(entries)):
-            res = find_power_isomorphism(entries[i].monoid, entries[j].monoid, budget)
-            subject = f"{entries[i].name} vs {entries[j].name}"
-            if res.status == "budget-exceeded":
-                rep.add(CheckResult("power_iso_search", subject, "fail",
-                                    "budget exceeded: absence unproven"))
-            elif res.status == "absent":
-                rep.add(CheckResult("power_iso_search", subject, "pass", "proven-absent"))
-            else:
-                pb = extract_pullback(res.pm_src, res.pm_dst, res.witness)
-                rep.add(pullback_report(pb).result())
+    for pm_src, pm_dst in _power_pairs(_catalog_groups(group_max, include_controls=True)):
+        res = power_isomorphism(pm_src, pm_dst, budget)
+        if res.status == "budget-exceeded":
+            rep.add(_unproven(res))
+        elif res.status == "absent":
+            rep.add(CheckResult("power_iso_search", res.subject, "pass", "proven-absent"))
+        else:
+            rep.add(res.report.result())
     results, report = analyze_pair(cyclic_group(2), idempotent_monoid2(), budget)
     rep.results.extend(results)
-    ok = (report is not None and report.order_preserving
-          and not report.power_compatible
-          and any(flag == "power_compatible" for flag, _ in report.counterexamples))
     witness = next((cx for flag, cx in (report.counterexamples if report else [])
-                    if flag == "power_compatible"), "missing")
-    rep.add(CheckResult("expected_violation", "cyclic 2 vs idem2",
-                        "pass" if ok else "fail",
-                        f"order_preserving=true power_compatible=false [{witness}]"))
+                    if flag == "power_compatible"), None)
+    ok = witness is not None and report.order_preserving and not report.power_compatible
+    rep.add(CheckResult("expected_violation", "cyclic 2 vs idem2", "pass" if ok else "fail",
+                        f"order_preserving=true power_compatible=false [{witness or 'missing'}]"))
     rep.notes.append("infinite-order branches of the order-preservation statement "
                      "are structurally inapplicable to finite inputs")
     return rep

@@ -6,11 +6,12 @@ import pytest
 
 from powmon.census import (canonical_key, census_monoids, enumerate_monoids,
                            find_power_isomorphism, groups_catalog,
-                           run_experiment)
+                           power_isomorphism, run_experiment)
 from powmon.errors import SizeLimitExceeded
 from powmon.iso import IsoWitness, find_isomorphism
-from powmon.monoid import FiniteMonoid
-from powmon.powerset import reduced_power_monoid
+from powmon.monoid import FiniteMonoid, cyclic_group
+from powmon.powerset import PowerMonoid, reduced_power_monoid
+from powmon.suites import suite_section4
 
 from oracles import brute_valid_tables
 
@@ -148,6 +149,48 @@ def test_find_power_isomorphism_status(zoo):
     assert res.status == "budget-exceeded"
 
 
+def test_power_isomorphism_facts(zoo):
+    res = find_power_isomorphism(zoo["z2"], zoo["idem2"])
+    assert res.two_to_two.status == "pass"
+    assert res.pullback.map == (0, 1)
+    assert res.report.order_preserving and not res.report.power_compatible
+    assert res.cardinality_preserving is True
+    assert res.subject == "cyclic 2 vs idem2"
+    res = find_power_isomorphism(zoo["z4"], zoo["klein"])
+    assert (res.witness, res.two_to_two, res.pullback, res.report,
+            res.cardinality_preserving) == (None,) * 5
+
+
+def test_power_isomorphism_needs_materialized_carriers():
+    pm = reduced_power_monoid(cyclic_group(11))   # above MATERIALIZE_LIMIT
+    with pytest.raises(SizeLimitExceeded):
+        power_isomorphism(pm, pm)
+
+
+def _count_power_monoids(monkeypatch):
+    built = []
+    init = PowerMonoid.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0].name)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(PowerMonoid, "__init__", counting)
+    return built
+
+
+def test_experiment_builds_each_carrier_once(monkeypatch):
+    entries = groups_catalog(5)
+    built = _count_power_monoids(monkeypatch)
+    run_experiment(entries, jobs=1)
+    assert len(built) == len(entries)
+
+
+def test_section4_builds_each_carrier_once(monkeypatch):
+    built = _count_power_monoids(monkeypatch)
+    suite_section4(group_max=5)
+    assert len(built) <= len(groups_catalog(5)) + 2   # plus the pinned z2/idem2 pair
+
+
 def test_experiment_tiny_groups():
     records, summary = run_experiment(groups_catalog(2))
     assert summary.pairs == 3
@@ -197,5 +240,6 @@ def test_experiment_parallel_matches_serial():
     entries = census_monoids(2)
     serial, _ = run_experiment(entries, mode="monoids")
     parallel, _ = run_experiment(entries, mode="monoids", jobs=2)
-    strip = lambda rs: [(r.pair, r.base_iso, r.power_iso, r.pullback_ok) for r in rs]
+    strip = lambda rs: [(r.pair, r.base_iso, r.power_iso, r.pullback_ok,
+                         r.cardinality_preserving, r.witness_map) for r in rs]
     assert strip(serial) == strip(parallel)

@@ -1,9 +1,14 @@
 """CLI contract: report shape, exit codes, determinism."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import powmon
 from powmon.cli import main, parse_monoid_spec
 
 
@@ -101,11 +106,41 @@ def test_verify_lemma31_single_case(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma31", "--monoid", "z2", "--n", "3")
     assert code == 0
     assert "count=3 bound=2" in out
+    # check_solution_count's own record, with its constructed-family check
+    assert "equation_solutions\tcyclic 2 S=0,1 n=3 full\tpass\tcount=3 bound=2\n" in out
+    assert "# summary: suite=lemma31 cases=1 failures=0" in out
 
 
-def test_verify_bad_pair_is_usage_error(capsys):
+@pytest.mark.parametrize("argv", [
+    ("verify", "lemma21", "--pair", "z2:idem2"),
+    ("verify", "all", "--pair", "z2:idem2"),
+    ("verify", "section4", "--monoid", "z2"),
+])
+def test_single_case_flags_belong_to_their_suite(tmp_path, capsys, argv):
+    target = tmp_path / "report.tsv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2 and "belongs to the" in err
+    assert out == "" and not target.exists()
+
+
+def test_verify_bad_pair_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "section4", "--pair", "z2:wat")
     assert code == 2 and "error:" in err
+    target = tmp_path / "report.tsv"
+    code, _, _ = run_cli(capsys, "verify", "section4", "--pair", "z2:wat", "--out", str(target))
+    assert code == 2 and not target.exists()   # rejected before the report is opened
+
+
+def test_closed_stdout_exits_quietly():
+    src = str(Path(powmon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen([sys.executable, "-m", "powmon.cli", "verify", "lemma22"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"# powmon verify lemma22\n"
+    proc.stdout.close()                 # as `| head -1` does; the report is ~230 kB
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_experiment_groups_small(capsys):
