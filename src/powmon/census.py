@@ -7,7 +7,6 @@ groups of order <= 8 is classical), with deliberate isomorphic duplicates
 kept as positive controls for the experiments.
 """
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,14 +120,14 @@ _CATALOG_SPECS = (
 )
 
 
-def groups_catalog(max_order, validate=True):
+def groups_catalog(max_order):
     """The standard groups of each order <= max_order (max 8).
 
     Entries tagged control_of are deliberate isomorphic duplicates (e.g.
     cyclic 2 x cyclic 3 alongside cyclic 6), kept so the experiments also
-    confirm the easy direction of the biconditional.  With validate=True,
-    non-control entries are checked pairwise non-isomorphic and every
-    control is checked isomorphic to its target, by exhausted search.
+    confirm the easy direction of the biconditional.  Non-control entries
+    are checked pairwise non-isomorphic and every control is checked
+    isomorphic to its target, by exhausted search.
     """
     if max_order > 8:
         raise SizeLimitExceeded("group catalog is limited to order 8")
@@ -140,18 +139,17 @@ def groups_catalog(max_order, validate=True):
             continue
         m = standard_group(spec)
         out.append(CensusEntry(m, canonical_key(m), _tags(m), control_of=control))
-    if validate:
-        canon = [e for e in out if e.control_of is None]
-        for i in range(len(canon)):
-            for j in range(i + 1, len(canon)):
-                if find_isomorphism(canon[i].monoid, canon[j].monoid) is not None:
-                    raise AssertionError(
-                        f"catalog entries {canon[i].name} and {canon[j].name} are isomorphic")
-        for e in out:
-            if e.control_of is not None:
-                target = next(c.monoid for c in canon if c.name == e.control_of)
-                if find_isomorphism(e.monoid, target) is None:
-                    raise AssertionError(f"control {e.name} is not isomorphic to {e.control_of}")
+    canon = [e for e in out if e.control_of is None]
+    for i in range(len(canon)):
+        for j in range(i + 1, len(canon)):
+            if find_isomorphism(canon[i].monoid, canon[j].monoid) is not None:
+                raise AssertionError(
+                    f"catalog entries {canon[i].name} and {canon[j].name} are isomorphic")
+    for e in out:
+        if e.control_of is not None:
+            target = next(c.monoid for c in canon if c.name == e.control_of)
+            if find_isomorphism(e.monoid, target) is None:
+                raise AssertionError(f"control {e.name} is not isomorphic to {e.control_of}")
     return out
 
 
@@ -189,7 +187,7 @@ def power_isomorphism(pm_src, pm_dst, budget=DEFAULT_BUDGET):
     divisibility profiles of the carriers are.
     """
     try:
-        w = find_isomorphism(pm_src.materialized(), pm_dst.materialized(), budget=budget)
+        w = find_isomorphism(pm_src.carrier, pm_dst.carrier, budget=budget)
     except SearchBudgetExceeded:
         return PowerIsoResult("budget-exceeded", pm_src=pm_src, pm_dst=pm_dst)
     if w is None:
@@ -221,14 +219,13 @@ class ExperimentRecord:
     pullback_ok: bool = None    # None when there is no power iso to check
     cardinality_preserving: bool = None
     witness_map: tuple = None
-    elapsed: float = 0.0
 
     def line(self):
         fmt = lambda v: "-" if v is None else (str(v).lower() if isinstance(v, bool) else str(v))
         return "\t".join((
             f"{self.pair[0]}:{self.pair[1]}", self.names[0], self.names[1],
             self.base_iso, self.power_iso, fmt(self.pullback_ok),
-            fmt(self.cardinality_preserving), f"{self.elapsed:.3f}"))
+            fmt(self.cardinality_preserving)))
 
 
 @dataclass
@@ -262,15 +259,13 @@ class ExperimentSummary:
 
 
 def _experiment_pair(i, j, pm_h, pm_k, budget):
-    t0 = time.perf_counter()
     base_iso = base_iso_status(pm_h.base, pm_k.base, budget)
     res = power_isomorphism(pm_h, pm_k, budget)
     power_iso = {"iso": "yes", "absent": "no", "budget-exceeded": "budget-exceeded"}[res.status]
     return ExperimentRecord(
         (i, j), (pm_h.base.name, pm_k.base.name), base_iso, power_iso,
         None if res.report is None else not res.report.gated_failures(),
-        res.cardinality_preserving, None if res.witness is None else res.witness.map,
-        time.perf_counter() - t0)
+        res.cardinality_preserving, None if res.witness is None else res.witness.map)
 
 
 def _experiment_chunk(monoids, pairs, budget):

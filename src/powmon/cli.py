@@ -1,9 +1,8 @@
 """Command-line front end: construct, verify, experiment.
 
 Reports are line-oriented TSV plus a summary block.  For a fixed
-configuration the report body is byte-identical across runs; wall-clock
-timestamps appear only in the header, and the per-pair elapsed column
-of experiment records is the one run-dependent field outside it.
+configuration the report body is byte-identical across runs; the
+wall-clock timestamp appears only in the header.
 
 Exit status: 0 when every gated assertion passed (expected
 counterexamples are findings, not failures), 1 on an assertion failure,
@@ -12,14 +11,15 @@ stdout went away.
 """
 
 import argparse
+import math
 import os
 import sys
 import time
 
 from .census import census_monoids, groups_catalog, run_experiment
 from .errors import PowmonError
-from .monoid import (cyclic_group, cyclic_monoid, dihedral_group, direct_product,
-                     format_table, idempotent_monoid2, klein_group,
+from .monoid import (check_order, cyclic_group, cyclic_monoid, dihedral_group,
+                     direct_product, format_table, idempotent_monoid2, klein_group,
                      parse_table_file, quaternion_group, standard_group)
 from .powerset import format_subset, mask_of, parse_subset
 from .suites import SUITES, SuiteReport, suite_section4
@@ -30,14 +30,19 @@ BROKEN_PIPE = 128 + 13     # as a shell reports a process killed by SIGPIPE
 
 
 def parse_monoid_spec(spec):
-    """Compact monoid spec: z6, d4, klein, q8, idem2, cmon2.2, z2xz3."""
+    """Compact monoid spec: z6, d4, klein, q8, idem2, cmon2.2, z2xz3.
+
+    Orders above ORDER_LIMIT raise SizeLimitExceeded before any table is built.
+    """
     s = spec.strip().lower()
     if "x" in s and not s.startswith("x"):
         parts = s.split("x")
         if all(parts):
-            acc = parse_monoid_spec(parts[0])
-            for p in parts[1:]:
-                acc = direct_product(acc, parse_monoid_spec(p))
+            factors = [parse_monoid_spec(p) for p in parts]
+            check_order(math.prod(f.n for f in factors))
+            acc = factors[0]
+            for f in factors[1:]:
+                acc = direct_product(acc, f)
             return acc
     if s == "klein":
         return klein_group()
@@ -50,10 +55,13 @@ def parse_monoid_spec(spec):
         for sep in (".", ","):
             if sep in body:
                 i, p = body.split(sep, 1)
+                check_order(int(i) + int(p))
                 return cyclic_monoid(int(i), int(p))
     if s.startswith("z") and s[1:].isdigit():
+        check_order(int(s[1:]))
         return cyclic_group(int(s[1:]))
     if s.startswith("d") and s[1:].isdigit():
+        check_order(2 * int(s[1:]))
         return dihedral_group(int(s[1:]))
     raise ValueError(f"unrecognized monoid spec {spec!r} "
                      "(try z6, d4, klein, q8, idem2, cmon2.2, z2xz3)")
@@ -97,6 +105,7 @@ def _describe(m, report):
 def cmd_construct(args):
     spec = args.spec
     if spec[0] == "cyclic" and len(spec) == 3:
+        check_order(int(spec[1]) + int(spec[2]))
         m = cyclic_monoid(int(spec[1]), int(spec[2]))
     elif spec[0] == "named" and len(spec) >= 2:
         m = standard_group(" ".join(spec[1:]))
@@ -116,10 +125,6 @@ def _config(args):
         if getattr(args, k, None) is not None:
             parts.append(f"{k.replace('_', '-')}={getattr(args, k)}")
     return " ".join(parts) or "(defaults)"
-
-
-def _run_suite(name, kwargs):
-    return SUITES[name](**kwargs)
 
 
 def _suite_kwargs(name, args):
@@ -145,6 +150,9 @@ def cmd_verify(args):
         raise ValueError("--pair belongs to the section4 suite")
     if args.monoid and args.suite != "lemma31":
         raise ValueError("--monoid belongs to the lemma31 suite")
+    for flag in ("subset", "n", "universe"):
+        if getattr(args, flag) is not None and not args.monoid:
+            raise ValueError(f"--{flag} belongs to the lemma31 --monoid case")
     single = None
     if args.pair:
         try:
@@ -156,7 +164,8 @@ def cmd_verify(args):
     elif args.monoid:
         m = parse_monoid_spec(args.monoid)
         s_mask = parse_subset(args.subset, m.n) if args.subset else (1 << m.n) - 1
-        single = SuiteReport("lemma31", [check_solution_count(m, s_mask, args.n, args.universe)])
+        single = SuiteReport("lemma31", [check_solution_count(
+            m, s_mask, 3 if args.n is None else args.n, args.universe or "full")])
 
     findings = 0
     failures = 0
@@ -175,7 +184,7 @@ def cmd_verify(args):
         elif args.suite == "all" and args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(_run_suite, n, _suite_kwargs(n, args)) for n in SUITES]
+                futures = [pool.submit(SUITES[n], **_suite_kwargs(n, args)) for n in SUITES]
                 for fut in futures:       # report order fixed regardless of scheduling
                     run_one(fut.result())
         else:
@@ -205,7 +214,7 @@ def cmd_experiment(args):
                       and entries[r.pair[1]].tags["cancellative"]]
     hard_fail = bool(gated_failures or summary.pullback_failures)
     with Report(args.out, f"experiment {args.mode}", _config(args)) as report:
-        report.emit("pair\tH\tK\tbase_iso\tpower_iso\tpullback_ok\tcardinality_preserving\telapsed")
+        report.emit("pair\tH\tK\tbase_iso\tpower_iso\tpullback_ok\tcardinality_preserving")
         for r in records:
             report.emit(r.line())
         for line in summary.lines():
@@ -239,9 +248,10 @@ def main(argv=None):
     p.add_argument("--out", default=None)
     p.add_argument("--pair", default=None, help="section4 single pair, e.g. z2:idem2")
     p.add_argument("--monoid", default=None, help="lemma31 single-case monoid spec")
-    p.add_argument("--subset", default=None, help="lemma31 subset literal, e.g. 0,1")
-    p.add_argument("--n", type=int, default=3, help="lemma31 exponent")
-    p.add_argument("--universe", choices=["full", "reduced"], default="full")
+    p.add_argument("--subset", default=None, help="--monoid subset literal, e.g. 0,1 (default: all)")
+    p.add_argument("--n", type=int, default=None, help="--monoid exponent (default 3)")
+    p.add_argument("--universe", choices=["full", "reduced"], default=None,
+                   help="--monoid universe (default full)")
     p.add_argument("--expect-violation", action="store_true", dest="expect_violation")
     p.set_defaults(fn=cmd_verify)
 

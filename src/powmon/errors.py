@@ -38,7 +38,7 @@ class SearchBudgetExceeded(PowmonError):
 
 
 class SizeLimitExceeded(PowmonError):
-    """Power-monoid carrier would exceed the configured size bound."""
+    """An input order or a power-monoid base is above its size bound."""
 
 
 class PreconditionViolated(PowmonError):

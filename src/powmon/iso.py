@@ -47,17 +47,11 @@ class IsoWitness:
         self.target = target
         self.map = mapping
 
-    def apply(self, a):
-        return self.map[a]
-
     def inverse(self):
         inv = [0] * len(self.map)
         for a, b in enumerate(self.map):
             inv[b] = a
         return IsoWitness(self.target, self.source, inv)
-
-    def is_identity(self):
-        return self.source is self.target and all(i == v for i, v in enumerate(self.map))
 
     def __repr__(self):
         return f"IsoWitness({self.source.name} -> {self.target.name}, {self.map})"
@@ -139,14 +133,13 @@ def find_isomorphism(m1, m2, budget=DEFAULT_BUDGET):
     return None
 
 
-def enumerate_isomorphisms(m1, m2, budget=DEFAULT_BUDGET, limit=None):
+def enumerate_isomorphisms(m1, m2, budget=DEFAULT_BUDGET):
     """All isomorphisms m1 -> m2 (all automorphisms when m1 is m2).
 
     Raises SearchBudgetExceeded if the search could not be exhausted, so a
-    returned list is always complete up to `limit`.
+    returned list is always complete.
     """
-    cap = limit if limit is not None else 1 << 62
-    exhausted, maps, nodes = _search(m1, m2, budget, cap)
+    exhausted, maps, nodes = _search(m1, m2, budget, 1 << 62)
     if not exhausted:
         raise SearchBudgetExceeded(nodes)
     return [IsoWitness(m1, m2, mp) for mp in maps]

@@ -6,7 +6,15 @@ immutable after construction and safe to share across threads.
 """
 
 from . import kernels
-from .errors import NoIdentity, NotAssociative, NotAUnit, UnknownName
+from .errors import NoIdentity, NotAssociative, NotAUnit, SizeLimitExceeded, UnknownName
+
+ORDER_LIMIT = 16   # largest order built from a spec or a table file
+
+
+def check_order(n):
+    """Raise SizeLimitExceeded when n > ORDER_LIMIT; call before building from input."""
+    if n > ORDER_LIMIT:
+        raise SizeLimitExceeded(f"order {n} exceeds the input limit {ORDER_LIMIT}")
 
 
 class FiniteMonoid:
@@ -74,9 +82,6 @@ class FiniteMonoid:
             self._orders = tuple(self.element_order(a) for a in range(self.n))
         return self._orders
 
-    def idempotents(self):
-        return tuple(a for a in range(self.n) if self.table[a][a] == a)
-
     def is_cancellative_element(self, a):
         """True iff left and right multiplication by a are injective."""
         full = set(range(self.n))
@@ -122,11 +127,6 @@ class FiniteMonoid:
 
     def __repr__(self):
         return f"FiniteMonoid({self.name}, n={self.n})"
-
-
-def make_monoid(table, name=None):
-    """Validate a Cayley table and return the monoid it defines."""
-    return FiniteMonoid(table, name=name)
 
 
 def cyclic_monoid(index, period, name=None):
@@ -225,7 +225,9 @@ def standard_group(spec):
             elif ch == ")":
                 depth -= 1
             elif ch == "," and depth == 0:
-                return direct_product(standard_group(inner[:i]), standard_group(inner[i + 1:]))
+                a, b = standard_group(inner[:i]), standard_group(inner[i + 1:])
+                check_order(a.n * b.n)
+                return direct_product(a, b)
         raise UnknownName(f"direct_product needs two comma-separated factors: {spec!r}")
     parts = s.split()
     if len(parts) == 2 and parts[0] in ("cyclic", "dihedral"):
@@ -235,6 +237,7 @@ def standard_group(spec):
             k = 0
         if k < 1:
             raise UnknownName(f"{parts[0]} needs a positive order: {spec!r}")
+        check_order(k if parts[0] == "cyclic" else 2 * k)
         return cyclic_group(k) if parts[0] == "cyclic" else dihedral_group(k)
     raise UnknownName(f"unrecognized group spec: {spec!r}")
 
@@ -258,6 +261,7 @@ def parse_table_text(text, name=None):
                 raise ValueError(f"line {lineno}: expected the order n, got {line!r}")
             if n < 1:
                 raise ValueError(f"line {lineno}: order must be positive, got {n}")
+            check_order(n)
             continue
         try:
             row = [int(tok) for tok in line.split()]
@@ -275,7 +279,7 @@ def parse_table_text(text, name=None):
         raise ValueError("empty table file")
     if len(rows) != n:
         raise ValueError(f"expected {n} table rows, got {len(rows)}")
-    return make_monoid(rows, name=name)
+    return FiniteMonoid(rows, name=name)
 
 
 def parse_table_file(path):

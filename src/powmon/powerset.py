@@ -12,8 +12,7 @@ from .errors import SizeLimitExceeded
 from .iso import IsoWitness
 from .monoid import FiniteMonoid
 
-MATERIALIZE_LIMIT = 10   # largest base order with a materialized carrier table
-ONDEMAND_LIMIT = 16      # largest base order for memoized on-demand products
+MATERIALIZE_LIMIT = 10   # largest base order of a power monoid
 
 
 def mask_of(elements, n):
@@ -72,21 +71,18 @@ class PowerMonoid:
     """A power structure of a base monoid, itself a finite monoid.
 
     kind "reduced" carries the 2^(n-1) subsets containing the identity;
-    kind "full" carries all 2^n - 1 non-empty subsets.  Small instances
-    materialize their carrier as a validated FiniteMonoid; larger ones
-    (carrier is None) compute products on demand with set-once
-    memoization, which behaves as if each product were computed exactly
-    once and is safe for concurrent readers.
+    kind "full" carries all 2^n - 1 non-empty subsets.  The carrier is a
+    validated FiniteMonoid whose element i is masks[i], built at
+    construction; bases above MATERIALIZE_LIMIT raise SizeLimitExceeded.
     """
 
-    def __init__(self, base, kind, materialize_limit=MATERIALIZE_LIMIT,
-                 ondemand_limit=ONDEMAND_LIMIT):
+    def __init__(self, base, kind):
         if kind not in ("reduced", "full"):
             raise ValueError(f"unknown power monoid kind {kind!r}")
         n = base.n
-        if n > ondemand_limit:
+        if n > MATERIALIZE_LIMIT:
             raise SizeLimitExceeded(
-                f"base order {n} exceeds the on-demand limit {ondemand_limit}")
+                f"base order {n} exceeds the power monoid limit {MATERIALIZE_LIMIT}")
         ebit = 1 << base.identity
         if kind == "reduced":
             masks = tuple(x for x in range(1, 1 << n) if x & ebit)
@@ -96,53 +92,22 @@ class PowerMonoid:
         self.kind = kind
         self.masks = masks
         self.index = {mask: i for i, mask in enumerate(masks)}
-        self._memo = {}
-        if n <= materialize_limit:
-            m = len(masks)
-            flat = kernels.power_table(base.flat, n, masks)
-            table = [flat[i * m:(i + 1) * m] for i in range(m)]
-            tag = "reduced power" if kind == "reduced" else "full power"
-            self.carrier = FiniteMonoid(table, name=f"{tag}({base.name})")
-            if self.masks[self.carrier.identity] != ebit:
-                raise AssertionError("carrier identity is not the singleton {identity}")
-        else:
-            self.carrier = None
+        m = len(masks)
+        flat = kernels.power_table(base.flat, n, masks)
+        table = [flat[i * m:(i + 1) * m] for i in range(m)]
+        tag = "reduced power" if kind == "reduced" else "full power"
+        self.carrier = FiniteMonoid(table, name=f"{tag}({base.name})")
+        if self.masks[self.carrier.identity] != ebit:
+            raise AssertionError("carrier identity is not the singleton {identity}")
 
     def __len__(self):
         return len(self.masks)
-
-    def materialized(self):
-        """The carrier; SizeLimitExceeded when products are computed on demand."""
-        if self.carrier is None:
-            raise SizeLimitExceeded(f"{self!r} has no materialized carrier table")
-        return self.carrier
-
-    def subset_of(self, i):
-        return self.masks[i]
 
     def index_of(self, mask):
         try:
             return self.index[mask]
         except KeyError:
             raise ValueError(f"subset {format_subset(mask)} is not a carrier element")
-
-    def mask_product(self, x, y):
-        """Setwise product of two carrier masks, as a mask."""
-        return self.masks[self.product_index(self.index_of(x), self.index_of(y))]
-
-    def product_index(self, i, j):
-        if self.carrier is not None:
-            return self.carrier.table[i][j]
-        key = (i, j)
-        got = self._memo.get(key)
-        if got is None:
-            got = self.index[kernels.setwise_product(
-                self.base.flat, self.base.n, self.masks[i], self.masks[j])]
-            self._memo[key] = got
-        return got
-
-    def identity_index(self):
-        return self.index[1 << self.base.identity]
 
     def pair_index(self, x):
         """Carrier index of {identity, x}."""
@@ -152,17 +117,17 @@ class PowerMonoid:
         return f"PowerMonoid({self.kind}, base={self.base.name}, size={len(self.masks)})"
 
 
-def reduced_power_monoid(base, **limits):
+def reduced_power_monoid(base):
     """The reduced finitary power monoid of a finite base monoid."""
-    return PowerMonoid(base, "reduced", **limits)
+    return PowerMonoid(base, "reduced")
 
 
-def full_power_semigroup(base, **limits):
+def full_power_semigroup(base):
     """The large power semigroup of a finite base monoid (all non-empty subsets).
 
     For a base monoid this is again a monoid, with identity {identity}.
     """
-    return PowerMonoid(base, "full", **limits)
+    return PowerMonoid(base, "full")
 
 
 def augment(base_witness, pm_src=None, pm_dst=None):
@@ -175,7 +140,6 @@ def augment(base_witness, pm_src=None, pm_dst=None):
         pm_src = reduced_power_monoid(base_witness.source)
     if pm_dst is None:
         pm_dst = reduced_power_monoid(base_witness.target)
-    src, dst = pm_src.materialized(), pm_dst.materialized()
     h = base_witness.map
     mapping = []
     for mask in pm_src.masks:
@@ -183,4 +147,4 @@ def augment(base_witness, pm_src=None, pm_dst=None):
         for e in elements_of(mask):
             img |= 1 << h[e]
         mapping.append(pm_dst.index_of(img))
-    return IsoWitness(src, dst, mapping)
+    return IsoWitness(pm_src.carrier, pm_dst.carrier, mapping)

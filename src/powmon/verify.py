@@ -54,11 +54,11 @@ def check_order_stabilization(m, z):
                        "pass" if ok else "fail", f"k={k} ord={ord_z}")
 
 
-def check_shifted_power(m, z, l, r, s_slack=2):
+def check_shifted_power(m, z, l, r):
     """{1,z^l}{1,z}^r = {1,z}^(l+r) for r >= l-1; and never equals any
     {1,z}^s with r < l-1 <= s when z is cancellative and l <= ord(z).
 
-    The inequality scan runs over all r' < l-1 and s in [l-1, ord+s_slack]
+    The inequality scan runs over all r' < l-1 and s in [l-1, ord+2]
     regardless of hypotheses; without them its violations are findings,
     not failures.
     """
@@ -81,7 +81,7 @@ def check_shifted_power(m, z, l, r, s_slack=2):
         applied.append("part2")
     for rp in range(0, l - 1):
         lhs = setwise_product(m, zl, subset_power(m, pair, rp))
-        for s in range(l - 1, ord_z + s_slack + 1):
+        for s in range(l - 1, ord_z + 3):
             if lhs == subset_power(m, pair, s):
                 msg = f"l={l} r={rp} s={s}: sides equal"
                 if part2_gated:
@@ -260,24 +260,15 @@ class Pullback:
     """The bijection g: H -> K carried by a power-monoid isomorphism.
 
     g(x) is the unique non-identity element of f({1_H, x}); g(1_H) = 1_K.
-    Construction re-checks the two-to-two property defensively and raises
-    TwoToTwoViolation on a corrupted witness (impossible for a genuine
-    isomorphism).
+    extract_pullback re-checks the two-to-two property defensively and
+    raises TwoToTwoViolation on a corrupted witness (impossible for a
+    genuine isomorphism).
     """
 
-    def __init__(self, pm_src, pm_dst, witness, mapping):
-        self.pm_src = pm_src
-        self.pm_dst = pm_dst
-        self.witness = witness
+    def __init__(self, source, target, mapping):
+        self.source = source
+        self.target = target
         self.map = tuple(mapping)
-        self.source = pm_src.base
-        self.target = pm_dst.base
-
-    def apply(self, x):
-        return self.map[x]
-
-    def inverse(self):
-        return extract_pullback(self.pm_dst, self.pm_src, self.witness.inverse())
 
     def __repr__(self):
         return f"Pullback({self.source.name} -> {self.target.name}, {self.map})"
@@ -298,7 +289,7 @@ def extract_pullback(pm_src, pm_dst, witness):
         mapping[x] = (img & ~kbit).bit_length() - 1
     if sorted(mapping) != list(range(h.n)):
         raise TwoToTwoViolation("extracted map is not a bijection")
-    return Pullback(pm_src, pm_dst, witness, mapping)
+    return Pullback(h, k, mapping)
 
 
 @dataclass

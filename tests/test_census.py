@@ -5,11 +5,10 @@ import random
 import pytest
 
 from powmon.census import (canonical_key, census_monoids, enumerate_monoids,
-                           find_power_isomorphism, groups_catalog,
-                           power_isomorphism, run_experiment)
+                           find_power_isomorphism, groups_catalog, run_experiment)
 from powmon.errors import SizeLimitExceeded
 from powmon.iso import IsoWitness, find_isomorphism
-from powmon.monoid import FiniteMonoid, cyclic_group
+from powmon.monoid import FiniteMonoid
 from powmon.powerset import PowerMonoid, reduced_power_monoid
 from powmon.suites import suite_section4
 
@@ -159,12 +158,6 @@ def test_power_isomorphism_facts(zoo):
     res = find_power_isomorphism(zoo["z4"], zoo["klein"])
     assert (res.witness, res.two_to_two, res.pullback, res.report,
             res.cardinality_preserving) == (None,) * 5
-
-
-def test_power_isomorphism_needs_materialized_carriers():
-    pm = reduced_power_monoid(cyclic_group(11))   # above MATERIALIZE_LIMIT
-    with pytest.raises(SizeLimitExceeded):
-        power_isomorphism(pm, pm)
 
 
 def _count_power_monoids(monkeypatch):

@@ -1,5 +1,6 @@
 """Backend parity: the compiled kernels must match the pure ones exactly,
-including search visit order and node counts."""
+including search visit order and node counts.  The `core` fixture builds
+the compiled twin from the tracked _core.c, so these run wherever cc does."""
 
 import os
 import random
@@ -14,11 +15,9 @@ from powmon.census import enumerate_monoids
 from powmon.iso import refine_colors
 
 try:
-    from powmon import _core
+    from powmon import _core      # only when the package itself ships a built _core
 except ImportError:
     _core = None
-
-needs_core = pytest.mark.skipif(_core is None, reason="compiled kernels not built")
 
 
 def test_backend_reports_itself():
@@ -30,43 +29,38 @@ def test_backend_reports_itself():
         assert kernels.backend == "pure"
 
 
-@needs_core
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_assoc_witness_parity(data):
+def test_assoc_witness_parity(core, data):
     n = data.draw(st.integers(1, 6))
     flat = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
-    assert _pure.assoc_witness(flat, n) == _core.assoc_witness(flat, n)
+    assert _pure.assoc_witness(flat, n) == core.assoc_witness(flat, n)
 
 
-@needs_core
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_setwise_parity(data, zoo):
+def test_setwise_parity(core, data, zoo):
     m = zoo[data.draw(st.sampled_from(("z6", "d4", "cm22")))]
     full = (1 << m.n) - 1
     x = data.draw(st.integers(1, full))
     y = data.draw(st.integers(1, full))
     assert _pure.setwise_product(m.flat, m.n, x, y) == \
-        _core.setwise_product(m.flat, m.n, x, y)
+        core.setwise_product(m.flat, m.n, x, y)
 
 
-@needs_core
-def test_power_table_parity(zoo):
+def test_power_table_parity(core, zoo):
     for name in ("z4", "d3", "cm22"):
         m = zoo[name]
         masks = tuple(x for x in range(1, 1 << m.n) if x & 1)
-        assert _pure.power_table(m.flat, m.n, masks) == _core.power_table(m.flat, m.n, masks)
+        assert _pure.power_table(m.flat, m.n, masks) == core.power_table(m.flat, m.n, masks)
 
 
-@needs_core
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_enumerate_tables_parity(n):
-    assert _pure.enumerate_tables(n) == _core.enumerate_tables(n)
+def test_enumerate_tables_parity(core, n):
+    assert _pure.enumerate_tables(n) == core.enumerate_tables(n)
 
 
-@needs_core
-def test_iso_search_parity_including_node_counts():
+def test_iso_search_parity_including_node_counts(core):
     rng = random.Random(3)
     entries = enumerate_monoids(4)
     compared = 0
@@ -82,14 +76,13 @@ def test_iso_search_parity_including_node_counts():
         vo = sorted(range(m1.n), key=lambda a: (sizes[c1[a]], a))
         for budget, cap in ((10 ** 6, 1), (10 ** 6, 1 << 60), (2, 1)):
             got_p = _pure.iso_search(m1.flat, m2.flat, m1.n, c1, c2, vo, budget, cap)
-            got_c = _core.iso_search(m1.flat, m2.flat, m1.n, c1, c2, vo, budget, cap)
+            got_c = core.iso_search(m1.flat, m2.flat, m1.n, c1, c2, vo, budget, cap)
             assert got_p == got_c
             compared += 1
     assert compared >= 30
 
 
-@needs_core
-def test_iso_search_parity_on_carriers(zoo):
+def test_iso_search_parity_on_carriers(core, zoo):
     from powmon.powerset import reduced_power_monoid
 
     pm1 = reduced_power_monoid(zoo["z6"]).carrier
@@ -99,5 +92,5 @@ def test_iso_search_parity_on_carriers(zoo):
     vo = sorted(range(pm1.n), key=lambda a: (sizes[c1[a]], a))
     assert Counter(c1) == Counter(c2)
     got_p = _pure.iso_search(pm1.flat, pm2.flat, pm1.n, c1, c2, vo, 10 ** 6, 1)
-    got_c = _core.iso_search(pm1.flat, pm2.flat, pm1.n, c1, c2, vo, 10 ** 6, 1)
+    got_c = core.iso_search(pm1.flat, pm2.flat, pm1.n, c1, c2, vo, 10 ** 6, 1)
     assert got_p == got_c and got_p[1]

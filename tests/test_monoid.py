@@ -4,24 +4,23 @@ import pytest
 
 from powmon.errors import NoIdentity, NotAssociative, NotAUnit, UnknownName
 from powmon.monoid import (FiniteMonoid, cyclic_monoid, direct_product,
-                           format_table, make_monoid, parse_table_text,
-                           standard_group)
+                           format_table, parse_table_text, standard_group)
 
 from oracles import brute_assoc_failure, brute_element_order
 
 
 def test_trivial_monoid():
-    m = make_monoid([[0]])
+    m = FiniteMonoid([[0]])
     assert m.n == 1 and m.identity == 0
 
 
 def test_z2_table():
-    m = make_monoid([[0, 1], [1, 0]])
+    m = FiniteMonoid([[0, 1], [1, 0]])
     assert m.identity == 0 and m.is_group()
 
 
 def test_idempotent_order2():
-    m = make_monoid([[0, 1], [1, 1]])
+    m = FiniteMonoid([[0, 1], [1, 1]])
     assert m.identity == 0
     assert m.mul(1, 1) == 1
     assert not m.is_group()
@@ -31,7 +30,7 @@ def test_not_associative_rejected():
     table = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
     assert brute_assoc_failure(table) is not None
     with pytest.raises(NotAssociative) as exc:
-        make_monoid(table)
+        FiniteMonoid(table)
     a, b, c = exc.value.witness
     assert table[table[a][b]][c] != table[a][table[b][c]]
 
@@ -39,14 +38,14 @@ def test_not_associative_rejected():
 def test_no_identity_rejected():
     # constant table: no identity row/column
     with pytest.raises(NoIdentity):
-        make_monoid([[0, 0], [0, 0]])
+        FiniteMonoid([[0, 0], [0, 0]])
 
 
 def test_entries_out_of_range():
     with pytest.raises(ValueError):
-        make_monoid([[0, 2], [1, 0]])
+        FiniteMonoid([[0, 2], [1, 0]])
     with pytest.raises(ValueError):
-        make_monoid([[0, 1], [1]])
+        FiniteMonoid([[0, 1], [1]])
 
 
 def test_cyclic_monoid_index2_period2():

@@ -10,7 +10,7 @@ from powmon.census import census_monoids
 from powmon.errors import SizeLimitExceeded
 from powmon.iso import find_isomorphism
 from powmon.monoid import cyclic_group
-from powmon.powerset import (PowerMonoid, augment, elements_of, format_subset,
+from powmon.powerset import (MATERIALIZE_LIMIT, augment, elements_of, format_subset,
                              full_power_semigroup, mask_of, parse_subset,
                              reduced_power_monoid, setwise_product, subset_power)
 
@@ -139,7 +139,8 @@ def test_reduced_trivial_and_z2(zoo):
 def test_reduced_z3(zoo):
     pm = reduced_power_monoid(zoo["z3"])
     assert len(pm) == 4
-    assert pm.mask_product(0b011, 0b101) == 0b111
+    i, j = pm.index_of(0b011), pm.index_of(0b101)
+    assert pm.masks[pm.carrier.table[i][j]] == 0b111
 
 
 def test_carrier_agrees_with_setwise(zoo):
@@ -149,7 +150,7 @@ def test_carrier_agrees_with_setwise(zoo):
             for i in range(len(pm)):
                 for j in range(len(pm)):
                     expected = setwise_product(m, pm.masks[i], pm.masks[j])
-                    assert pm.masks[pm.product_index(i, j)] == expected
+                    assert pm.masks[pm.carrier.table[i][j]] == expected
 
 
 def test_carrier_identity_is_singleton(zoo):
@@ -163,30 +164,14 @@ def test_masks_increasing(zoo):
     assert list(pm.masks) == sorted(pm.masks)
 
 
-def test_lazy_mode_matches_materialized(zoo):
-    m = zoo["d3"]
-    eager = reduced_power_monoid(m)
-    lazy = PowerMonoid(m, "reduced", materialize_limit=0)
-    assert lazy.carrier is None
-    for i in range(len(lazy)):
-        for j in range(len(lazy)):
-            assert lazy.product_index(i, j) == eager.product_index(i, j)
-
-
-def test_size_limit(zoo):
-    with pytest.raises(SizeLimitExceeded):
-        PowerMonoid(zoo["z2"], "reduced", ondemand_limit=1)
-
-
-def test_large_base_defaults_to_ondemand():
-    z11 = cyclic_group(11)
-    pm = reduced_power_monoid(z11)
-    assert pm.carrier is None and len(pm) == 1 << 10
-    x = pm.index_of(mask_of([0, 1], 11))
-    prod = pm.masks[pm.product_index(x, x)]
-    assert frozenset(elements_of(prod)) == {0, 1, 2}
-    with pytest.raises(SizeLimitExceeded):
-        reduced_power_monoid(cyclic_group(17))
+def test_size_limit():
+    # every power monoid is materialized, so bases above the limit raise at construction
+    assert MATERIALIZE_LIMIT == 10
+    for n in (11, 17):
+        with pytest.raises(SizeLimitExceeded):
+            reduced_power_monoid(cyclic_group(n))
+        with pytest.raises(SizeLimitExceeded):
+            full_power_semigroup(cyclic_group(n))
 
 
 def test_augmentation_functoriality_small(zoo):

@@ -235,7 +235,7 @@ def test_pullback_inverse(zoo):
     pmk = reduced_power_monoid(zoo["z2xz3"])
     w = find_isomorphism(pmh.carrier, pmk.carrier)
     pb = extract_pullback(pmh, pmk, w)
-    inv = pb.inverse()
+    inv = extract_pullback(pmk, pmh, w.inverse())
     assert [inv.map[pb.map[x]] for x in range(6)] == list(range(6))
 
 
