@@ -8,7 +8,7 @@ from powmon.census import (canonical_key, census_monoids, enumerate_monoids,
                            find_power_isomorphism, groups_catalog, run_experiment)
 from powmon.errors import SizeLimitExceeded
 from powmon.iso import IsoWitness, find_isomorphism
-from powmon.monoid import FiniteMonoid
+from powmon.monoid import FiniteMonoid, cyclic_group
 from powmon.powerset import PowerMonoid, reduced_power_monoid
 from powmon.suites import suite_section4
 
@@ -158,6 +158,12 @@ def test_power_isomorphism_facts(zoo):
     res = find_power_isomorphism(zoo["z4"], zoo["klein"])
     assert (res.witness, res.two_to_two, res.pullback, res.report,
             res.cardinality_preserving) == (None,) * 5
+
+
+def test_power_isomorphism_needs_materialized_carriers():
+    # above MATERIALIZE_LIMIT no carrier is built, so the routine refuses the pair
+    with pytest.raises(SizeLimitExceeded):
+        find_power_isomorphism(cyclic_group(11), cyclic_group(11))
 
 
 def _count_power_monoids(monkeypatch):

@@ -174,6 +174,16 @@ def test_size_limit():
             full_power_semigroup(cyclic_group(n))
 
 
+def test_large_base_defaults_to_ondemand():
+    # an order-11 base gets no power monoid; its subset products are computed on demand
+    z11 = cyclic_group(11)
+    with pytest.raises(SizeLimitExceeded):
+        reduced_power_monoid(z11)
+    x = mask_of([0, 1], 11)
+    assert frozenset(elements_of(setwise_product(z11, x, x))) == {0, 1, 2}
+    assert frozenset(elements_of(subset_power(z11, x, 3))) == {0, 1, 2, 3}
+
+
 def test_augmentation_functoriality_small(zoo):
     pairs = [("z2", "z2"), ("z3", "z3"), ("z4", "z4"), ("klein", "klein"),
              ("z6", "z2xz3")]
