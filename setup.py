@@ -1,24 +1,15 @@
-"""Build script: compiles the optional kernel extension when Cython is
-available.  The package works without it (pure fallback); build in place
-with:  python setup.py build_ext --inplace
+"""Build script: compiles the optional kernel extension from the tracked
+src/powmon/_core.c (generated by Cython from _core.pyx; Cython is not
+needed to build it).  The package works without it (pure fallback), and a
+failed compile leaves a pure install; build in place with:
+    python setup.py build_ext --inplace
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    pass
-else:
-    from setuptools import Extension
-
-    ext = Extension(
-        "powmon._core",
-        sources=["src/powmon/_core.pyx"],
-        extra_compile_args=["-O2"],
-        optional=True,
-    )
-    ext_modules = cythonize([ext], compiler_directives={"language_level": "3"})
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension(
+    "powmon._core",
+    sources=["src/powmon/_core.c"],
+    extra_compile_args=["-O2", "-fwrapv", "-DNDEBUG"],
+    optional=True,
+)])

@@ -9,13 +9,13 @@ active one.
 
 from .errors import (NoIdentity, NotAssociative, NotAUnit, NotCancellative,
                      PowmonError, PreconditionViolated, SearchBudgetExceeded,
-                     SizeLimitExceeded, TwoToTwoViolation, UnknownName)
+                     SizeLimitExceeded, TwoToTwoViolation)
 from .iso import IsoWitness, enumerate_isomorphisms, find_isomorphism
 from .kernels import backend
 from .monoid import (FiniteMonoid, cyclic_group, cyclic_monoid, dihedral_group,
                      direct_product, format_table, idempotent_monoid2,
-                     klein_group, parse_table_file, parse_table_text,
-                     quaternion_group, standard_group)
+                     klein_group, parse_monoid_spec, parse_table_file,
+                     parse_table_text, quaternion_group)
 from .powerset import (PowerMonoid, augment, elements_of, format_subset,
                        full_power_semigroup, mask_of, parse_subset,
                        reduced_power_monoid, setwise_product, subset_power)

@@ -7,13 +7,15 @@ groups of order <= 8 is classical), with deliberate isomorphic duplicates
 kept as positive controls for the experiments.
 """
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import kernels
 from .errors import SearchBudgetExceeded, SizeLimitExceeded
 from .iso import DEFAULT_BUDGET, IsoWitness, element_invariants, find_isomorphism
-from .monoid import FiniteMonoid
+from .monoid import FiniteMonoid, parse_monoid_spec
 from .powerset import reduced_power_monoid
 from .verify import (CheckResult, Pullback, PullbackReport, cardinality_profile,
                      check_two_to_two, extract_pullback, pullback_report)
@@ -21,11 +23,11 @@ from .verify import (CheckResult, Pullback, PullbackReport, cardinality_profile,
 ENUMERATION_LIMIT = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class CensusEntry:
     monoid: FiniteMonoid
-    canonical_key: bytes
-    tags: dict
+    canonical_key: bytes     # None for group catalog entries
+    tags: MappingProxyType   # read-only: group, commutative, cancellative
     control_of: str = None   # set on deliberate isomorphic catalog duplicates
 
     @property
@@ -34,11 +36,11 @@ class CensusEntry:
 
 
 def _tags(m):
-    return {
+    return MappingProxyType({
         "group": m.is_group(),
         "commutative": m.is_commutative(),
         "cancellative": m.is_cancellative(),
-    }
+    })
 
 
 def canonical_key(m):
@@ -77,7 +79,10 @@ def _decode_key(key):
 
 @lru_cache(maxsize=None)
 def enumerate_monoids(n):
-    """All monoids of order n up to isomorphism, sorted by canonical key."""
+    """All monoids of order n up to isomorphism, sorted by canonical key.
+
+    The result is cached, so it is immutable: a tuple of frozen entries.
+    """
     if n < 1:
         raise ValueError("order must be positive")
     if n > ENUMERATION_LIMIT:
@@ -90,7 +95,7 @@ def enumerate_monoids(n):
     for idx, key in enumerate(sorted(keys)):
         m = FiniteMonoid(_decode_key(key), name=f"monoid{n}.{idx}")
         out.append(CensusEntry(m, key, _tags(m)))
-    return out
+    return tuple(out)
 
 
 def census_monoids(max_order):
@@ -102,21 +107,21 @@ def census_monoids(max_order):
 
 
 _CATALOG_SPECS = (
-    (1, "cyclic 1", None),
-    (2, "cyclic 2", None),
-    (3, "cyclic 3", None),
-    (4, "cyclic 4", None),
+    (1, "z1", None),
+    (2, "z2", None),
+    (3, "z3", None),
+    (4, "z4", None),
     (4, "klein", None),
-    (5, "cyclic 5", None),
-    (6, "cyclic 6", None),
-    (6, "dihedral 3", None),
-    (6, "direct_product(cyclic 2, cyclic 3)", "cyclic 6"),
-    (7, "cyclic 7", None),
-    (8, "cyclic 8", None),
-    (8, "direct_product(cyclic 4, cyclic 2)", None),
-    (8, "direct_product(cyclic 2, direct_product(cyclic 2, cyclic 2))", None),
-    (8, "dihedral 4", None),
-    (8, "quaternion8", None),
+    (5, "z5", None),
+    (6, "z6", None),
+    (6, "d3", None),
+    (6, "z2xz3", "cyclic 6"),
+    (7, "z7", None),
+    (8, "z8", None),
+    (8, "z4xz2", None),
+    (8, "z2xz2xz2", None),
+    (8, "d4", None),
+    (8, "q8", None),
 )
 
 
@@ -131,14 +136,12 @@ def groups_catalog(max_order):
     """
     if max_order > 8:
         raise SizeLimitExceeded("group catalog is limited to order 8")
-    from .monoid import standard_group
-
     out = []
     for order, spec, control in _CATALOG_SPECS:
         if order > max_order:
             continue
-        m = standard_group(spec)
-        out.append(CensusEntry(m, canonical_key(m), _tags(m), control_of=control))
+        m = parse_monoid_spec(spec)
+        out.append(CensusEntry(m, None, _tags(m), control_of=control))
     canon = [e for e in out if e.control_of is None]
     for i in range(len(canon)):
         for j in range(i + 1, len(canon)):
@@ -277,18 +280,19 @@ def run_experiment(entries, mode="groups", budget=DEFAULT_BUDGET, jobs=1):
     """Decide base and power isomorphism for every unordered census pair.
 
     Returns (records, summary).  Each entry's reduced power monoid is
-    built once per worker: with jobs > 1 the pairs are split into jobs
-    interleaved chunks, one per spawned worker.  Budget-exceeded pairs
-    are reported, never silently dropped; records are sorted by pair id
-    regardless of how the work was scheduled.
+    built once per worker: the pairs are split into interleaved chunks,
+    one per spawned worker, with min(jobs, pairs, cpu count) workers.
+    Budget-exceeded pairs are reported, never silently dropped; records
+    are sorted by pair id regardless of how the work was scheduled.
     """
     monoids = [e.monoid for e in entries]
     pairs = [(i, j) for i in range(len(entries)) for j in range(i, len(entries))]
-    if jobs > 1:
+    workers = min(jobs, len(pairs), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
-        chunks = [c for c in (pairs[k::jobs] for k in range(jobs)) if c]
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
+        chunks = [pairs[k::workers] for k in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             records = [r for chunk in pool.map(_experiment_chunk, [monoids] * len(chunks),
                                                chunks, [budget] * len(chunks))
                        for r in chunk]

@@ -11,60 +11,19 @@ stdout went away.
 """
 
 import argparse
-import math
 import os
 import sys
 import time
 
 from .census import census_monoids, groups_catalog, run_experiment
 from .errors import PowmonError
-from .monoid import (check_order, cyclic_group, cyclic_monoid, dihedral_group,
-                     direct_product, format_table, idempotent_monoid2, klein_group,
-                     parse_table_file, quaternion_group, standard_group)
+from .monoid import format_table, parse_monoid_spec, parse_table_file
 from .powerset import format_subset, mask_of, parse_subset
 from .suites import SUITES, SuiteReport, suite_section4
 from .verify import check_solution_count
 
 USAGE_ERROR = 2
 BROKEN_PIPE = 128 + 13     # as a shell reports a process killed by SIGPIPE
-
-
-def parse_monoid_spec(spec):
-    """Compact monoid spec: z6, d4, klein, q8, idem2, cmon2.2, z2xz3.
-
-    Orders above ORDER_LIMIT raise SizeLimitExceeded before any table is built.
-    """
-    s = spec.strip().lower()
-    if "x" in s and not s.startswith("x"):
-        parts = s.split("x")
-        if all(parts):
-            factors = [parse_monoid_spec(p) for p in parts]
-            check_order(math.prod(f.n for f in factors))
-            acc = factors[0]
-            for f in factors[1:]:
-                acc = direct_product(acc, f)
-            return acc
-    if s == "klein":
-        return klein_group()
-    if s in ("q8", "quaternion8"):
-        return quaternion_group()
-    if s == "idem2":
-        return idempotent_monoid2()
-    if s.startswith("cmon"):
-        body = s[4:]
-        for sep in (".", ","):
-            if sep in body:
-                i, p = body.split(sep, 1)
-                check_order(int(i) + int(p))
-                return cyclic_monoid(int(i), int(p))
-    if s.startswith("z") and s[1:].isdigit():
-        check_order(int(s[1:]))
-        return cyclic_group(int(s[1:]))
-    if s.startswith("d") and s[1:].isdigit():
-        check_order(2 * int(s[1:]))
-        return dihedral_group(int(s[1:]))
-    raise ValueError(f"unrecognized monoid spec {spec!r} "
-                     "(try z6, d4, klein, q8, idem2, cmon2.2, z2xz3)")
 
 
 class Report:
@@ -104,15 +63,12 @@ def _describe(m, report):
 
 def cmd_construct(args):
     spec = args.spec
-    if spec[0] == "cyclic" and len(spec) == 3:
-        check_order(int(spec[1]) + int(spec[2]))
-        m = cyclic_monoid(int(spec[1]), int(spec[2]))
-    elif spec[0] == "named" and len(spec) >= 2:
-        m = standard_group(" ".join(spec[1:]))
-    elif spec[0] == "table" and len(spec) == 2:
+    if spec[0] == "table" and len(spec) == 2:
         m = parse_table_file(spec[1])
+    elif len(spec) == 1:
+        m = parse_monoid_spec(spec[0])
     else:
-        raise ValueError("construct expects: cyclic I P | named SPEC | table PATH")
+        raise ValueError("construct expects: SPEC (such as cmon2.2 or z2xz3) | table PATH")
     with Report(args.out, "construct " + " ".join(spec), _config(args)) as report:
         _describe(m, report)
     return 0
@@ -127,21 +83,26 @@ def _config(args):
     return " ".join(parts) or "(defaults)"
 
 
+def _given(*values):
+    """The first value that is set (an unset flag is None)."""
+    return next(v for v in values if v is not None)
+
+
 def _suite_kwargs(name, args):
     mo = args.max_order
     gm = args.group_max
     if name == "lemma21":
-        return {"max_order": mo or 5}
+        return {"max_order": _given(mo, 5)}
     if name == "lemma22":
-        return {"census_max": mo or 4, "group_max": gm or 8}
+        return {"census_max": _given(mo, 4), "group_max": _given(gm, 8)}
     if name in ("lemma24", "prop25"):
-        return {"group_max": gm or mo or 8}
+        return {"group_max": _given(gm, mo, 8)}
     if name == "lemma31":
-        return {"max_order": mo or 4}
+        return {"max_order": _given(mo, 4)}
     if name == "thm32":
-        return {"census_max": mo or 4, "group_max": gm or 6, "budget": args.budget}
+        return {"census_max": _given(mo, 4), "group_max": _given(gm, 6), "budget": args.budget}
     if name == "section4":
-        return {"group_max": gm or mo or 6, "budget": args.budget}
+        return {"group_max": _given(gm, mo, 6), "budget": args.budget}
     raise ValueError(name)
 
 
@@ -183,7 +144,8 @@ def cmd_verify(args):
             run_one(single)
         elif args.suite == "all" and args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            workers = min(args.jobs, len(SUITES), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(SUITES[n], **_suite_kwargs(n, args)) for n in SUITES]
                 for fut in futures:       # report order fixed regardless of scheduling
                     run_one(fut.result())
@@ -200,13 +162,13 @@ def cmd_verify(args):
 
 
 def cmd_experiment(args):
-    max_order = args.max_order or (6 if args.mode == "groups" else 2)
+    max_order = _given(args.max_order, 6 if args.mode == "groups" else 2)
     if args.mode == "groups":
         entries = groups_catalog(max_order)
     else:
         entries = census_monoids(max_order)
     records, summary = run_experiment(entries, mode=args.mode,
-                                      budget=args.budget, jobs=args.jobs or 1)
+                                      budget=args.budget, jobs=args.jobs)
     # exceptions between cancellative pairs contradict the theorem and fail
     # the run; others (the known counterexamples) are findings
     gated_failures = [r for r in summary.exceptions
@@ -235,7 +197,7 @@ def main(argv=None):
 
     p = sub.add_parser("construct", help="build and describe a monoid")
     p.add_argument("spec", nargs="+",
-                   help="cyclic I P | named GROUPSPEC | table PATH")
+                   help="SPEC (z6, d4, klein, q8, idem2, cmon2.2, z2xz3) | table PATH")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_construct)
 
@@ -266,6 +228,10 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        for flag in ("max_order", "group_max", "budget", "jobs"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
         return args.fn(args)
     except BrokenPipeError:
         # the reader closed stdout (say, `| head`); point it at /dev/null so

@@ -21,10 +21,6 @@ class NotAUnit(PowmonError):
     """Element has no two-sided inverse."""
 
 
-class UnknownName(PowmonError):
-    """Unrecognized group or monoid spec string."""
-
-
 class SearchBudgetExceeded(PowmonError):
     """Isomorphism search hit its node limit before finishing.
 

@@ -5,8 +5,10 @@ table, never declared, so input files cannot lie about it.  Instances are
 immutable after construction and safe to share across threads.
 """
 
+import math
+
 from . import kernels
-from .errors import NoIdentity, NotAssociative, NotAUnit, SizeLimitExceeded, UnknownName
+from .errors import NoIdentity, NotAssociative, NotAUnit, SizeLimitExceeded
 
 ORDER_LIMIT = 16   # largest order built from a spec or a table file
 
@@ -205,41 +207,43 @@ def idempotent_monoid2():
     return FiniteMonoid([[0, 1], [1, 1]], name="idem2")
 
 
-def standard_group(spec):
-    """Build a named group from a spec string.
+def parse_monoid_spec(spec):
+    """Build a monoid from a compact spec: z6, d4, klein, q8, idem2, cmon2.2
+    (cyclic monoid, index 2 period 2), or a product such as z2xz3.
 
-    Grammar: ``cyclic N`` | ``dihedral N`` | ``klein`` | ``quaternion8`` |
-    ``direct_product(A, B)`` with A, B specs themselves.
+    Products nest to the right: z2xz2xz2 is (cyclic 2 x (cyclic 2 x cyclic 2)).
+    Orders above ORDER_LIMIT raise SizeLimitExceeded before any table is
+    built; any other bad spec raises ValueError.
     """
-    s = spec.strip()
+    s = spec.strip().lower()
+    if "x" in s and not s.startswith("x"):
+        parts = s.split("x")
+        if all(parts):
+            factors = [parse_monoid_spec(p) for p in parts]
+            check_order(math.prod(f.n for f in factors))
+            acc = factors[-1]
+            for f in reversed(factors[:-1]):
+                acc = direct_product(f, acc)
+            return acc
     if s == "klein":
         return klein_group()
-    if s == "quaternion8":
+    if s in ("q8", "quaternion8"):
         return quaternion_group()
-    if s.startswith("direct_product(") and s.endswith(")"):
-        inner = s[len("direct_product("):-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                a, b = standard_group(inner[:i]), standard_group(inner[i + 1:])
-                check_order(a.n * b.n)
-                return direct_product(a, b)
-        raise UnknownName(f"direct_product needs two comma-separated factors: {spec!r}")
-    parts = s.split()
-    if len(parts) == 2 and parts[0] in ("cyclic", "dihedral"):
-        try:
-            k = int(parts[1])
-        except ValueError:
-            k = 0
-        if k < 1:
-            raise UnknownName(f"{parts[0]} needs a positive order: {spec!r}")
-        check_order(k if parts[0] == "cyclic" else 2 * k)
-        return cyclic_group(k) if parts[0] == "cyclic" else dihedral_group(k)
-    raise UnknownName(f"unrecognized group spec: {spec!r}")
+    if s == "idem2":
+        return idempotent_monoid2()
+    if s.startswith("cmon"):
+        i, sep, p = s[4:].replace(",", ".").partition(".")
+        if sep and i.isdigit() and p.isdigit():
+            check_order(int(i) + int(p))
+            return cyclic_monoid(int(i), int(p))
+    if s.startswith("z") and s[1:].isdigit():
+        check_order(int(s[1:]))
+        return cyclic_group(int(s[1:]))
+    if s.startswith("d") and s[1:].isdigit():
+        check_order(2 * int(s[1:]))
+        return dihedral_group(int(s[1:]))
+    raise ValueError(f"unrecognized monoid spec {spec!r} "
+                     "(try z6, d4, klein, q8, idem2, cmon2.2, z2xz3)")
 
 
 def parse_table_text(text, name=None):

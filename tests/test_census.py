@@ -1,6 +1,9 @@
 """Monoid enumeration, canonical keys, the group catalog, experiments."""
 
+import dataclasses
+import os
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -27,6 +30,16 @@ def test_enumeration_limit():
         enumerate_monoids(6)
     with pytest.raises(ValueError):
         enumerate_monoids(0)
+
+
+def test_census_entries_are_immutable():
+    entries = enumerate_monoids(2)
+    assert isinstance(entries, tuple) and entries is enumerate_monoids(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entries[0].tags = {}
+    with pytest.raises(TypeError):
+        entries[0].tags["group"] = not entries[0].tags["group"]
+    assert all(isinstance(e.tags, MappingProxyType) for e in groups_catalog(3))
 
 
 def test_order2_census_is_z2_and_idem(zoo):
@@ -121,6 +134,11 @@ def test_groups_catalog_small(zoo):
 
 def test_groups_catalog_order8_distinct():
     cat = groups_catalog(8)
+    assert [e.name for e in cat] == [
+        "cyclic 1", "cyclic 2", "cyclic 3", "cyclic 4", "klein", "cyclic 5", "cyclic 6",
+        "dihedral 3", "(cyclic 2 x cyclic 3)", "cyclic 7", "cyclic 8",
+        "(cyclic 4 x cyclic 2)", "(cyclic 2 x (cyclic 2 x cyclic 2))", "dihedral 4",
+        "quaternion8"]
     assert sum(1 for e in cat if e.monoid.n == 8) == 5
     q8 = next(e.monoid for e in cat if e.name == "quaternion8")
     d4 = next(e.monoid for e in cat if e.name == "dihedral 4")
@@ -233,6 +251,16 @@ def test_experiment_groups_order8():
     assert summary.pairs == 120
     assert summary.biconditional_holds
     assert not summary.pullback_failures and not summary.budget_exceeded
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, 6), (2, 2)])   # 6 pairs
+def test_experiment_workers_capped(monkeypatch, pool_sizes, cpus, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    entries = census_monoids(2)
+    serial, _ = run_experiment(entries, mode="monoids")
+    parallel, _ = run_experiment(entries, mode="monoids", jobs=1_000_000)
+    assert pool_sizes == [workers]
+    assert [r.line() for r in serial] == [r.line() for r in parallel]
 
 
 def test_experiment_parallel_matches_serial():

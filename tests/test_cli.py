@@ -10,6 +10,7 @@ import pytest
 
 import powmon
 from powmon.cli import main, parse_monoid_spec
+from powmon.monoid import cyclic_group, direct_product
 
 
 def run_cli(capsys, *argv):
@@ -24,28 +25,40 @@ def body_of(text):
 
 
 def test_parse_monoid_spec():
+    assert parse_monoid_spec is powmon.monoid.parse_monoid_spec
     assert parse_monoid_spec("z6").n == 6
+    assert parse_monoid_spec("z1").n == 1
     assert parse_monoid_spec("d4").n == 8
     assert parse_monoid_spec("klein").n == 4
-    assert parse_monoid_spec("q8").n == 8
     assert parse_monoid_spec("idem2").n == 2
     assert parse_monoid_spec("cmon2.2").n == 4
-    assert parse_monoid_spec("z2xz3").n == 6
-    assert parse_monoid_spec("z2xz2xz2").n == 8
-    with pytest.raises(ValueError):
-        parse_monoid_spec("wat")
+    g = parse_monoid_spec("z2xz3")
+    assert g.n == 6 and g.is_group() and g.name == "(cyclic 2 x cyclic 3)"
+    q8 = parse_monoid_spec("q8")
+    assert sorted(q8.orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
+    assert not q8.is_commutative()
+    # products nest to the right, like the group catalog's Z2^3
+    nested = parse_monoid_spec("z2xz2xz2")
+    assert nested.name == "(cyclic 2 x (cyclic 2 x cyclic 2))"
+    assert nested.n == 8 and sorted(nested.orders()) == [1] + [2] * 7
+    assert nested == direct_product(cyclic_group(2), direct_product(cyclic_group(2), cyclic_group(2)))
+    for bad in ("wat", "z0", "d0", "zx", "z2x", "xz2", "dx", "cmon2", "cmon.2", "cmon2.x", "z2xwat"):
+        with pytest.raises(ValueError):
+            parse_monoid_spec(bad)
 
 
 def test_construct_cyclic(capsys):
-    code, out, _ = run_cli(capsys, "construct", "cyclic", "2", "2")
+    code, out, _ = run_cli(capsys, "construct", "cmon2.2")
     assert code == 0
+    assert "name: cyclic_monoid(2,2)" in out
     assert "orders: 1 4 2 3" in out
     assert "group: false" in out
 
 
 def test_construct_named_klein(capsys):
-    code, out, _ = run_cli(capsys, "construct", "named", "klein")
+    code, out, _ = run_cli(capsys, "construct", "klein")
     assert code == 0
+    assert "name: klein" in out
     assert "group: true" in out and "commutative: true" in out
 
 
@@ -139,8 +152,8 @@ def test_verify_bad_pair_is_usage_error(tmp_path, capsys):
     ("verify", "lemma31", "--monoid", "z100000"),
     ("verify", "lemma31", "--monoid", "z8xz8"),
     ("verify", "section4", "--pair", "z11:z11"),     # a base too big for a power monoid
-    ("construct", "cyclic", "100000", "1"),
-    ("construct", "named", "direct_product(cyclic 16, cyclic 2)"),
+    ("construct", "cmon100000.1"),
+    ("construct", "z16xz2"),
 ])
 def test_oversized_input_is_usage_error(tmp_path, capsys, argv):
     target = tmp_path / "report.tsv"
@@ -205,6 +218,18 @@ def test_verify_all_parallel_matches_serial(capsys):
     assert records(serial) == records(parallel)
 
 
+@pytest.mark.parametrize("cpus, workers", [(64, 7), (3, 3)])   # 7 suites
+def test_verify_all_workers_capped(capsys, monkeypatch, pool_sizes, cpus, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _, serial, _ = run_cli(capsys, "verify", "all", "--max-order", "2", "--group-max", "3")
+    code, parallel, _ = run_cli(capsys, "verify", "all", "--max-order", "2",
+                                "--group-max", "3", "--jobs", "1000000")
+    assert code == 0 and pool_sizes == [workers]
+    assert "jobs=1000000" in parallel
+    records = lambda text: [l for l in text.splitlines() if not l.startswith("#")]
+    assert records(serial) == records(parallel)
+
+
 def test_experiment_body_deterministic(capsys):
     _, first, _ = run_cli(capsys, "experiment", "groups", "--max-order", "4")
     _, second, _ = run_cli(capsys, "experiment", "groups", "--max-order", "4")
@@ -222,6 +247,21 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert "summary: suite=lemma21" in text
 
 
-def test_usage_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "construct", "cyclic", "two", "2")
-    assert code == 2
+@pytest.mark.parametrize("argv", [
+    ("construct", "ztwo"),
+    ("construct", "cyclic", "2", "2"),                 # the retired two-word form
+    ("verify", "lemma21", "--max-order", "0"),
+    ("verify", "lemma24", "--group-max", "0"),
+    ("verify", "section4", "--budget", "0"),
+    ("verify", "all", "--jobs", "0"),
+    ("experiment", "groups", "--max-order", "0"),
+    ("experiment", "monoids", "--budget", "-1"),
+    ("experiment", "monoids", "--jobs", "0"),
+])
+def test_usage_error_exit_code(tmp_path, capsys, argv):
+    target = tmp_path / "report.tsv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2 and err.startswith("error: ")
+    if argv[0] != "construct":
+        assert f"{argv[2]} must be at least 1, got {argv[3]}" in err
+    assert out == "" and not target.exists()   # rejected before the report is opened

@@ -4,7 +4,9 @@ the compiled twin from the tracked _core.c, so these run wherever cc does."""
 
 import os
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,22 @@ def test_backend_reports_itself():
         assert kernels.backend == "compiled"
     if forced_pure:
         assert kernels.backend == "pure"
+
+
+def test_core_c_quotes_current_pyx():
+    """_core.c cannot be regenerated offline, so it must still match _core.pyx:
+    each source line Cython quoted and marked in it is that line of the .pyx."""
+    pkg = Path(kernels.__file__).parent
+    pyx = (pkg / "_core.pyx").read_text().splitlines()
+    line, quoted = None, 0
+    for text in (pkg / "_core.c").read_text().splitlines():
+        cite = re.fullmatch(r'\s*/\* "powmon/_core\.pyx":(\d+)', text)
+        if cite:
+            line = int(cite.group(1))
+        elif text.endswith("# <<<<<<<<<<<<<<"):
+            quoted += 1
+            assert text == f" * {pyx[line - 1]}             # <<<<<<<<<<<<<<", line
+    assert quoted > 300
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from powmon.errors import NoIdentity, NotAssociative, NotAUnit, UnknownName
+from powmon.errors import NoIdentity, NotAssociative, NotAUnit
 from powmon.monoid import (FiniteMonoid, cyclic_monoid, direct_product,
-                           format_table, parse_table_text, standard_group)
+                           format_table, parse_table_text)
 
 from oracles import brute_assoc_failure, brute_element_order
 
@@ -134,24 +134,6 @@ def test_is_group_is_commutative(zoo):
     assert zoo["z2"].is_group() and zoo["z2"].is_commutative()
     assert zoo["d4"].is_group() and not zoo["d4"].is_commutative()
     assert not zoo["cm22"].is_group() and zoo["cm22"].is_commutative()
-
-
-def test_standard_group_names(zoo):
-    assert standard_group("cyclic 1").n == 1
-    g = standard_group("direct_product(cyclic 2, cyclic 3)")
-    assert g.n == 6 and g.is_group()
-    q8 = standard_group("quaternion8")
-    assert sorted(q8.orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
-    assert not q8.is_commutative()
-    assert standard_group("klein").n == 4
-    nested = standard_group("direct_product(cyclic 2, direct_product(cyclic 2, cyclic 2))")
-    assert nested.n == 8 and sorted(nested.orders()) == [1] + [2] * 7
-
-
-def test_standard_group_unknown():
-    for bad in ("cyclic 0", "frobnitz", "dihedral x", "direct_product(cyclic 2)"):
-        with pytest.raises(UnknownName):
-            standard_group(bad)
 
 
 def test_constructor_invariants_revalidate(zoo):

@@ -116,7 +116,9 @@ def test_minimal_relation_x_equals_y(zoo):
 
 def test_minimal_relation_z6(zoo):
     rel = minimal_relation(zoo["z6"], 3, 2)
-    assert (rel.r, rel.s, rel.u, rel.v) == (2, 3, 2, 3)
+    assert (rel.r, rel.s, rel.u, rel.v, rel.counterexample) == (2, 3, 2, 3, None)
+    assert check_minimal_relation(zoo["z6"], 3, 2).line() == \
+        "minimal_relation\tcyclic 6 x=3 y=2\tpass\tr=2 s=3 u=2 v=3"
     sols = grid_oracle(zoo["z6"], 3, 2)
     assert all(c % rel.r == 0 and d % rel.v == 0 for c, d in sols)
 
@@ -129,6 +131,19 @@ def test_minimal_relation_z4(zoo):
 def test_minimal_relation_requires_cancellative(zoo):
     with pytest.raises(NotCancellative):
         minimal_relation(zoo["idem2"], 1, 1)
+
+
+def test_minimal_relation_reports_failed_divisibility():
+    # duck-typed fake: x^2 = y^3 and x^3 = y^2, so r = v = 2, which does not divide 3
+    powers = ("1abce", "1fcbe")
+    fake = types.SimpleNamespace(name="fake", element_order=lambda a: 4,
+                                 is_cancellative_element=lambda a: True,
+                                 power=lambda a, k: powers[a][k])
+    rel = minimal_relation(fake, 0, 1)
+    assert (rel.r, rel.s, rel.u, rel.v, rel.counterexample) == (2, 3, 3, 2, (2, 3))
+    r = check_minimal_relation(fake, 0, 1)
+    assert (r.checker, r.subject, r.status) == ("minimal_relation", "fake x=0 y=1", "fail")
+    assert r.detail == "r=2 s=3 u=3 v=2 but x^2 = y^3"
 
 
 def test_minimal_relation_check_over_groups(zoo):
