@@ -4,7 +4,7 @@ import pytest
 
 from powmon.errors import NoIdentity, NotAssociative, NotAUnit
 from powmon.monoid import (FiniteMonoid, cyclic_monoid, direct_product,
-                           format_table, parse_table_text)
+                           format_table, parse_monoid_spec, parse_table_text)
 
 from oracles import brute_assoc_failure, brute_element_order
 
@@ -134,6 +134,29 @@ def test_is_group_is_commutative(zoo):
     assert zoo["z2"].is_group() and zoo["z2"].is_commutative()
     assert zoo["d4"].is_group() and not zoo["d4"].is_commutative()
     assert not zoo["cm22"].is_group() and zoo["cm22"].is_commutative()
+
+
+def test_standard_group_names(zoo):
+    # the standard groups are built by name through the spec grammar
+    assert parse_monoid_spec("z1").n == 1
+    g = parse_monoid_spec("z2xz3")
+    assert g.n == 6 and g.is_group()
+    q8 = parse_monoid_spec("quaternion8")
+    assert sorted(q8.orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
+    assert not q8.is_commutative()
+    assert parse_monoid_spec("klein").n == 4
+    nested = parse_monoid_spec("z2xz2xz2")
+    assert nested.n == 8 and sorted(nested.orders()) == [1] + [2] * 7
+
+
+def test_standard_group_unknown():
+    with pytest.raises(ValueError):
+        parse_monoid_spec("z0")
+    # unknown names, malformed products and the retired long-form names
+    for bad in ("frobnitz", "dx", "z2x", "cyclic 2",
+                "direct_product(cyclic 2, cyclic 3)"):
+        with pytest.raises(ValueError, match="unrecognized monoid spec"):
+            parse_monoid_spec(bad)
 
 
 def test_constructor_invariants_revalidate(zoo):
