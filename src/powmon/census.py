@@ -14,13 +14,27 @@ from types import MappingProxyType
 
 from . import kernels
 from .errors import SearchBudgetExceeded, SizeLimitExceeded
-from .iso import DEFAULT_BUDGET, IsoWitness, element_invariants, find_isomorphism
+from .iso import DEFAULT_BUDGET, Coloring, IsoWitness, element_invariants, find_isomorphism
 from .monoid import FiniteMonoid, parse_monoid_spec
 from .powerset import reduced_power_monoid
 from .verify import (CheckResult, Pullback, PullbackReport, cardinality_profile,
                      check_two_to_two, extract_pullback, pullback_report)
 
 ENUMERATION_LIMIT = 5
+CATALOG_LIMIT = 8
+
+
+def check_census_order(n):
+    """Raise SizeLimitExceeded for a census order above ENUMERATION_LIMIT."""
+    if n > ENUMERATION_LIMIT:
+        raise SizeLimitExceeded(
+            f"census order {n} exceeds the monoid enumeration limit {ENUMERATION_LIMIT}")
+
+
+def check_catalog_order(n):
+    """Raise SizeLimitExceeded for a catalog order above CATALOG_LIMIT."""
+    if n > CATALOG_LIMIT:
+        raise SizeLimitExceeded(f"catalog order {n} exceeds the group catalog limit {CATALOG_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +99,7 @@ def enumerate_monoids(n):
     """
     if n < 1:
         raise ValueError("order must be positive")
-    if n > ENUMERATION_LIMIT:
-        raise SizeLimitExceeded(f"monoid enumeration is limited to order {ENUMERATION_LIMIT}")
+    check_census_order(n)
     keys = set()
     for flat in kernels.enumerate_tables(n):
         table = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
@@ -126,32 +139,33 @@ _CATALOG_SPECS = (
 
 
 def groups_catalog(max_order):
-    """The standard groups of each order <= max_order (max 8).
+    """The standard groups of each order <= max_order (max CATALOG_LIMIT).
 
     Entries tagged control_of are deliberate isomorphic duplicates (e.g.
     cyclic 2 x cyclic 3 alongside cyclic 6), kept so the experiments also
     confirm the easy direction of the biconditional.  Non-control entries
     are checked pairwise non-isomorphic and every control is checked
-    isomorphic to its target, by exhausted search.
+    isomorphic to its target, by exhausted search or a mismatch of their
+    colors in one joint coloring of the catalog.
     """
-    if max_order > 8:
-        raise SizeLimitExceeded("group catalog is limited to order 8")
+    check_catalog_order(max_order)
     out = []
     for order, spec, control in _CATALOG_SPECS:
         if order > max_order:
             continue
         m = parse_monoid_spec(spec)
         out.append(CensusEntry(m, None, _tags(m), control_of=control))
+    coloring = Coloring(e.monoid for e in out)
     canon = [e for e in out if e.control_of is None]
     for i in range(len(canon)):
         for j in range(i + 1, len(canon)):
-            if find_isomorphism(canon[i].monoid, canon[j].monoid) is not None:
+            if find_isomorphism(canon[i].monoid, canon[j].monoid, coloring=coloring) is not None:
                 raise AssertionError(
                     f"catalog entries {canon[i].name} and {canon[j].name} are isomorphic")
     for e in out:
         if e.control_of is not None:
             target = next(c.monoid for c in canon if c.name == e.control_of)
-            if find_isomorphism(e.monoid, target) is None:
+            if find_isomorphism(e.monoid, target, coloring=coloring) is None:
                 raise AssertionError(f"control {e.name} is not isomorphic to {e.control_of}")
     return out
 
@@ -174,23 +188,28 @@ class PowerIsoResult:
         return f"{self.pm_src.base.name} vs {self.pm_dst.base.name}"
 
 
-def base_iso_status(h, k, budget=DEFAULT_BUDGET):
-    """Base-level status: "yes", "no" (search exhausted) or "budget-exceeded"."""
+def base_iso_status(h, k, budget=DEFAULT_BUDGET, coloring=None):
+    """Base-level status: "yes", "no" (absence proven) or "budget-exceeded".
+
+    coloring, if given, is a Coloring of a batch holding h and k.
+    """
     try:
-        return "no" if find_isomorphism(h, k, budget=budget) is None else "yes"
+        return "no" if find_isomorphism(h, k, budget, coloring) is None else "yes"
     except SearchBudgetExceeded:
         return "budget-exceeded"
 
 
-def power_isomorphism(pm_src, pm_dst, budget=DEFAULT_BUDGET):
-    """Search carrier(pm_src) ~ carrier(pm_dst); absence requires an exhausted search.
+def power_isomorphism(pm_src, pm_dst, budget=DEFAULT_BUDGET, coloring=None):
+    """Search carrier(pm_src) ~ carrier(pm_dst); absence requires an
+    exhausted search or a color mismatch.
 
+    coloring, if given, is a Coloring of a batch holding both carriers.
     Subset cardinality is deliberately not used as a search invariant
     (whether it is preserved is open); element order, idempotency and
     divisibility profiles of the carriers are.
     """
     try:
-        w = find_isomorphism(pm_src.carrier, pm_dst.carrier, budget=budget)
+        w = find_isomorphism(pm_src.carrier, pm_dst.carrier, budget, coloring)
     except SearchBudgetExceeded:
         return PowerIsoResult("budget-exceeded", pm_src=pm_src, pm_dst=pm_dst)
     if w is None:
@@ -261,9 +280,9 @@ class ExperimentSummary:
         return out
 
 
-def _experiment_pair(i, j, pm_h, pm_k, budget):
-    base_iso = base_iso_status(pm_h.base, pm_k.base, budget)
-    res = power_isomorphism(pm_h, pm_k, budget)
+def _experiment_pair(i, j, pm_h, pm_k, budget, bases, carriers):
+    base_iso = base_iso_status(pm_h.base, pm_k.base, budget, bases)
+    res = power_isomorphism(pm_h, pm_k, budget, carriers)
     power_iso = {"iso": "yes", "absent": "no", "budget-exceeded": "budget-exceeded"}[res.status]
     return ExperimentRecord(
         (i, j), (pm_h.base.name, pm_k.base.name), base_iso, power_iso,
@@ -273,15 +292,18 @@ def _experiment_pair(i, j, pm_h, pm_k, budget):
 
 def _experiment_chunk(monoids, pairs, budget):
     pms = [reduced_power_monoid(m) for m in monoids]
-    return [_experiment_pair(i, j, pms[i], pms[j], budget) for i, j in pairs]
+    bases = Coloring(monoids)
+    carriers = Coloring(pm.carrier for pm in pms)
+    return [_experiment_pair(i, j, pms[i], pms[j], budget, bases, carriers) for i, j in pairs]
 
 
 def run_experiment(entries, mode="groups", budget=DEFAULT_BUDGET, jobs=1):
     """Decide base and power isomorphism for every unordered census pair.
 
     Returns (records, summary).  Each entry's reduced power monoid is
-    built once per worker: the pairs are split into interleaved chunks,
-    one per spawned worker, with min(jobs, pairs, cpu count) workers.
+    built once per worker, and the bases and the carriers are each refined
+    once per worker as one batch: the pairs are split into interleaved
+    chunks, one per spawned worker, with min(jobs, pairs, cpu count) workers.
     Budget-exceeded pairs are reported, never silently dropped; records
     are sorted by pair id regardless of how the work was scheduled.
     """

@@ -15,7 +15,8 @@ import os
 import sys
 import time
 
-from .census import census_monoids, groups_catalog, run_experiment
+from .census import (census_monoids, check_catalog_order, check_census_order,
+                     groups_catalog, run_experiment)
 from .errors import PowmonError
 from .monoid import format_table, parse_monoid_spec, parse_table_file
 from .powerset import format_subset, mask_of, parse_subset
@@ -106,6 +107,16 @@ def _suite_kwargs(name, args):
     raise ValueError(name)
 
 
+def _check_scope(kwargs):
+    """Refuse a suite scope above the census or catalog limit before any
+    report is opened (the suites would refuse it only once running)."""
+    for key in ("max_order", "census_max"):
+        if key in kwargs:
+            check_census_order(kwargs[key])
+    if "group_max" in kwargs:
+        check_catalog_order(kwargs["group_max"])
+
+
 def cmd_verify(args):
     if args.pair and args.suite != "section4":
         raise ValueError("--pair belongs to the section4 suite")
@@ -127,6 +138,11 @@ def cmd_verify(args):
         s_mask = parse_subset(args.subset, m.n) if args.subset else (1 << m.n) - 1
         single = SuiteReport("lemma31", [check_solution_count(
             m, s_mask, 3 if args.n is None else args.n, args.universe or "full")])
+    else:
+        runs = {name: _suite_kwargs(name, args)
+                for name in (SUITES if args.suite == "all" else [args.suite])}
+        for kwargs in runs.values():
+            _check_scope(kwargs)
 
     findings = 0
     failures = 0
@@ -146,12 +162,12 @@ def cmd_verify(args):
             from concurrent.futures import ProcessPoolExecutor
             workers = min(args.jobs, len(SUITES), os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(SUITES[n], **_suite_kwargs(n, args)) for n in SUITES]
+                futures = [pool.submit(SUITES[n], **kwargs) for n, kwargs in runs.items()]
                 for fut in futures:       # report order fixed regardless of scheduling
                     run_one(fut.result())
         else:
-            for name in (SUITES if args.suite == "all" else [args.suite]):
-                run_one(SUITES[name](**_suite_kwargs(name, args)))
+            for name, kwargs in runs.items():
+                run_one(SUITES[name](**kwargs))
 
         if args.expect_violation and findings == 0:
             report.emit("# expect-violation: FAILED (no violation finding occurred)")

@@ -5,7 +5,9 @@ partition refinement: elements may only map within matching refinement
 classes, and every assignment propagates the products it forces.  Classes
 start from per-element invariants (order, idempotency, cancellativity,
 unit status) and are refined by the coloring of row and column patterns,
-so most non-isomorphic pairs are rejected before any search.
+so most non-isomorphic pairs are rejected before any search.  A batch of
+monoids is refined once (Coloring); each pair is then decided from its
+slices of that coloring.
 
 "Proven absent" and "budget exceeded" are distinct outcomes: absence is
 only reported after an exhausted search (or an invariant mismatch, which
@@ -108,24 +110,55 @@ def refine_colors(monoids):
         total = len(pool)
 
 
-def _search(m1, m2, budget, max_results):
+class Coloring:
+    """The stable joint coloring of a batch of monoids, refined once.
+
+    Restricted to any two monoids of the batch it is the partition that
+    refine_colors([m1, m2]) gives: a round of refinement reads only each
+    monoid's own table, and the batch stops only once no class of any
+    monoid splits.  Searching with its slices therefore gives the same
+    verdicts, witnesses and node counts as refining the pair alone.  A
+    monoid's profile is its color multiset; a pair whose profiles differ
+    is proven non-isomorphic without search.
+    """
+
+    def __init__(self, monoids):
+        monoids = list(monoids)
+        self._index = {id(m): i for i, m in enumerate(monoids)}
+        self._monoids = monoids     # keeps the ids in _index valid
+        self.colors = refine_colors(monoids)
+        self.profiles = [tuple(sorted(Counter(c).items())) for c in self.colors]
+
+    def colors_of(self, m):
+        return self.colors[self._index[id(m)]]
+
+    def profile(self, m):
+        return self.profiles[self._index[id(m)]]
+
+
+def _search(m1, m2, budget, max_results, coloring):
     if m1.n != m2.n:
         return True, [], 0
-    c1, c2 = refine_colors([m1, m2])
-    if Counter(c1) != Counter(c2):
+    if coloring is None:
+        coloring = Coloring([m1, m2])
+    if coloring.profile(m1) != coloring.profile(m2):
         return True, [], 0
+    c1, c2 = coloring.colors_of(m1), coloring.colors_of(m2)
     sizes = Counter(c1)
     var_order = sorted(range(m1.n), key=lambda a: (sizes[c1[a]], a))
     return kernels.iso_search(m1.flat, m2.flat, m1.n, c1, c2, var_order, budget, max_results)
 
 
-def find_isomorphism(m1, m2, budget=DEFAULT_BUDGET):
+def find_isomorphism(m1, m2, budget=DEFAULT_BUDGET, coloring=None):
     """One isomorphism witness, or None once absence is proven.
+
+    coloring is a Coloring of a batch holding m1 and m2; without one, the
+    pair is refined as a batch of two.
 
     Raises SearchBudgetExceeded if the node budget ran out first; callers
     needing certainty (census experiments) must treat that as unknown.
     """
-    exhausted, maps, nodes = _search(m1, m2, budget, 1)
+    exhausted, maps, nodes = _search(m1, m2, budget, 1, coloring)
     if maps:
         return IsoWitness(m1, m2, maps[0])
     if not exhausted:
@@ -133,13 +166,15 @@ def find_isomorphism(m1, m2, budget=DEFAULT_BUDGET):
     return None
 
 
-def enumerate_isomorphisms(m1, m2, budget=DEFAULT_BUDGET):
+def enumerate_isomorphisms(m1, m2, budget=DEFAULT_BUDGET, coloring=None):
     """All isomorphisms m1 -> m2 (all automorphisms when m1 is m2).
+
+    coloring is as for find_isomorphism.
 
     Raises SearchBudgetExceeded if the search could not be exhausted, so a
     returned list is always complete.
     """
-    exhausted, maps, nodes = _search(m1, m2, budget, 1 << 62)
+    exhausted, maps, nodes = _search(m1, m2, budget, 1 << 62, coloring)
     if not exhausted:
         raise SearchBudgetExceeded(nodes)
     return [IsoWitness(m1, m2, mp) for mp in maps]

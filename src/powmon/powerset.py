@@ -58,12 +58,20 @@ def setwise_product(m, x, y):
 
 
 def subset_power(m, x, k):
-    """x^k under setwise product, with x^0 the singleton {identity}."""
+    """x^k under setwise product, with x^0 the singleton {identity}.
+
+    A power with acc*x == acc is x^k for every larger k, so the loop stops
+    there.  When x holds the identity the powers only grow, so that takes
+    at most |M| products for any k.
+    """
     if x == 0:
         raise ValueError("power of an empty subset")
     acc = 1 << m.identity
     for _ in range(k):
-        acc = kernels.setwise_product(m.flat, m.n, acc, x)
+        nxt = kernels.setwise_product(m.flat, m.n, acc, x)
+        if nxt == acc:
+            break
+        acc = nxt
     return acc
 
 

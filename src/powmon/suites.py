@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 
 from .census import (base_iso_status, census_monoids, find_power_isomorphism,
                      groups_catalog, power_iso_facts, power_isomorphism)
-from .iso import DEFAULT_BUDGET, enumerate_isomorphisms
+from .iso import DEFAULT_BUDGET, Coloring, enumerate_isomorphisms
 from .monoid import cyclic_group, cyclic_monoid, idempotent_monoid2
 from .powerset import format_subset, mask_of, reduced_power_monoid
 from .verify import (CheckResult, check_cross_relation, check_minimal_relation,
@@ -157,8 +157,10 @@ def suite_lemma31(max_order=4, exponents=(3, 4)):
 
 
 def _power_pairs(entries):
-    """Unordered pairs (i <= j) of the entries' reduced power monoids, each built once."""
-    return combinations_with_replacement([reduced_power_monoid(e.monoid) for e in entries], 2)
+    """Unordered pairs (i <= j) of the entries' reduced power monoids, each
+    built once, and the joint coloring of their carriers."""
+    pms = [reduced_power_monoid(e.monoid) for e in entries]
+    return combinations_with_replacement(pms, 2), Coloring(pm.carrier for pm in pms)
 
 
 def _unproven(res):
@@ -186,11 +188,13 @@ def suite_thm32(census_max=4, group_max=6, budget=DEFAULT_BUDGET):
         rep.add(res.report.result())
         preserving.append(res.cardinality_preserving)
 
-    for pm_src, pm_dst in _power_pairs(census_monoids(census_max)):
-        for witness in enumerate_isomorphisms(pm_src.carrier, pm_dst.carrier, budget=budget):
+    pairs, coloring = _power_pairs(census_monoids(census_max))
+    for pm_src, pm_dst in pairs:
+        for witness in enumerate_isomorphisms(pm_src.carrier, pm_dst.carrier, budget, coloring):
             handle(power_iso_facts(pm_src, pm_dst, witness))
-    for pm_src, pm_dst in _power_pairs(_catalog_groups(group_max, include_controls=True)):
-        res = power_isomorphism(pm_src, pm_dst, budget)
+    pairs, coloring = _power_pairs(_catalog_groups(group_max, include_controls=True))
+    for pm_src, pm_dst in pairs:
+        res = power_isomorphism(pm_src, pm_dst, budget, coloring)
         if res.status == "budget-exceeded":
             rep.add(_unproven(res))
         elif res.status == "iso":
@@ -230,8 +234,9 @@ def suite_section4(group_max=6, budget=DEFAULT_BUDGET, pair=None):
     if pair is not None:
         rep.results.extend(analyze_pair(*pair, budget)[0])
         return rep
-    for pm_src, pm_dst in _power_pairs(_catalog_groups(group_max, include_controls=True)):
-        res = power_isomorphism(pm_src, pm_dst, budget)
+    pairs, coloring = _power_pairs(_catalog_groups(group_max, include_controls=True))
+    for pm_src, pm_dst in pairs:
+        res = power_isomorphism(pm_src, pm_dst, budget, coloring)
         if res.status == "budget-exceeded":
             rep.add(_unproven(res))
         elif res.status == "absent":

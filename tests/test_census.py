@@ -13,7 +13,7 @@ from powmon.errors import SizeLimitExceeded
 from powmon.iso import IsoWitness, find_isomorphism
 from powmon.monoid import FiniteMonoid, cyclic_group
 from powmon.powerset import PowerMonoid, reduced_power_monoid
-from powmon.suites import suite_section4
+from powmon.suites import suite_section4, suite_thm32
 
 from oracles import brute_valid_tables
 
@@ -208,6 +208,34 @@ def test_section4_builds_each_carrier_once(monkeypatch):
     assert len(built) <= len(groups_catalog(5)) + 2   # plus the pinned z2/idem2 pair
 
 
+def _count_refinements(monkeypatch):
+    from powmon import iso
+
+    batches = []
+    refine = iso.refine_colors
+
+    def counting(monoids):
+        batches.append(len(monoids))
+        return refine(monoids)
+    monkeypatch.setattr(iso, "refine_colors", counting)
+    return batches
+
+
+def test_experiment_refines_bases_and_carriers_once(monkeypatch):
+    entries = census_monoids(3)
+    batches = _count_refinements(monkeypatch)
+    run_experiment(entries, mode="monoids", jobs=1)
+    assert batches == [len(entries), len(entries)]
+
+
+def test_thm32_refines_each_batch_once(monkeypatch):
+    census, catalog = len(census_monoids(3)), len(groups_catalog(4))
+    batches = _count_refinements(monkeypatch)
+    suite_thm32(census_max=3, group_max=4)
+    # census carriers, the catalog's validation and the catalog carriers
+    assert batches == [census, catalog, catalog]
+
+
 def test_experiment_tiny_groups():
     records, summary = run_experiment(groups_catalog(2))
     assert summary.pairs == 3
@@ -222,6 +250,16 @@ def test_experiment_order2_monoids():
     assert exc.base_iso == "no" and exc.power_iso == "yes"
     # the pair is Z2 vs the idempotent monoid, in census order
     assert not summary.pullback_failures
+
+
+def test_experiment_order5_monoids():
+    records, summary = run_experiment(census_monoids(5), mode="monoids")
+    assert summary.pairs == len(records) == 37401     # 228 + 35 + 7 + 2 + 1 = 273 entries
+    assert len(summary.exceptions) == 641
+    assert all(r.base_iso == "no" and r.power_iso == "yes" for r in summary.exceptions)
+    assert not summary.budget_exceeded and not summary.pullback_failures
+    assert summary.cardinality_always_preserved
+    assert sum(r.base_iso == "yes" for r in records) == 273
 
 
 def test_experiment_witnesses_revalidate():

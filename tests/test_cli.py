@@ -124,6 +124,15 @@ def test_verify_lemma31_single_case(capsys):
     assert "# summary: suite=lemma31 cases=1 failures=0" in out
 
 
+def test_verify_lemma31_huge_exponent(capsys):
+    # S = {0, 1} in Z6 has S^5 = Z6, so every larger exponent gives the same counts
+    argv = ("verify", "lemma31", "--monoid", "z6", "--subset", "0,1", "--n")
+    _, small, _ = run_cli(capsys, *argv, "6")
+    code, huge, _ = run_cli(capsys, *argv, "1000000000000")
+    assert code == 0
+    assert small.splitlines()[3].replace("n=6", "n=1000000000000") == huge.splitlines()[3]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "lemma21", "--pair", "z2:idem2"),
     ("verify", "all", "--pair", "z2:idem2"),
@@ -154,6 +163,9 @@ def test_verify_bad_pair_is_usage_error(tmp_path, capsys):
     ("verify", "section4", "--pair", "z11:z11"),     # a base too big for a power monoid
     ("construct", "cmon100000.1"),
     ("construct", "z16xz2"),
+    ("verify", "lemma21", "--max-order", "6"),          # above the census limit
+    ("verify", "lemma24", "--group-max", "9"),          # above the catalog limit
+    ("verify", "all", "--max-order", "6", "--jobs", "2"),
 ])
 def test_oversized_input_is_usage_error(tmp_path, capsys, argv):
     target = tmp_path / "report.tsv"

@@ -1,10 +1,15 @@
 """Isomorphism search against the permutation-scan oracle."""
 
+from collections import Counter
+from itertools import combinations_with_replacement
+
 import pytest
 
 from powmon.census import census_monoids
 from powmon.errors import SearchBudgetExceeded
-from powmon.iso import IsoWitness, enumerate_isomorphisms, find_isomorphism
+from powmon.iso import (Coloring, IsoWitness, enumerate_isomorphisms, find_isomorphism,
+                        refine_colors)
+from powmon.powerset import reduced_power_monoid
 
 from oracles import brute_isomorphisms
 
@@ -70,3 +75,27 @@ def test_witness_inverse_roundtrip(zoo):
     w = find_isomorphism(zoo["z6"], zoo["z2xz3"])
     inv = w.inverse()
     assert [inv.map[w.map[a]] for a in range(6)] == list(range(6))
+
+
+def _same_partition(a, b):
+    return len(set(a)) == len(set(b)) == len(set(zip(a, b)))
+
+
+def test_batch_coloring_restricts_to_pairwise_refinement():
+    # the census <= 4 bases and their carriers, refined as one batch
+    monoids = [e.monoid for e in census_monoids(4)]
+    monoids += [reduced_power_monoid(m).carrier for m in monoids]
+    batch = Coloring(monoids)
+    for m1, m2 in combinations_with_replacement(monoids, 2):
+        c1, c2 = refine_colors([m1, m2])
+        assert _same_partition(batch.colors_of(m1) + batch.colors_of(m2), c1 + c2)
+        assert (batch.profile(m1) == batch.profile(m2)) == (Counter(c1) == Counter(c2))
+
+
+def test_batch_coloring_gives_the_pairwise_witnesses():
+    entries = census_monoids(3)
+    carriers = [reduced_power_monoid(e.monoid).carrier for e in entries]
+    batch = Coloring(carriers)
+    for m1, m2 in combinations_with_replacement(carriers, 2):
+        assert ([w.map for w in enumerate_isomorphisms(m1, m2, coloring=batch)]
+                == [w.map for w in enumerate_isomorphisms(m1, m2)])

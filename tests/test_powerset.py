@@ -78,6 +78,31 @@ def test_subset_power_examples(zoo):
         assert to_set(subset_power(cm, 0b0011, k)) == brute_subset_power(cm.table, 0, {0, 1}, k)
 
 
+def test_subset_power_stops_once_stable(zoo, monkeypatch):
+    from powmon import kernels
+
+    z6 = zoo["z6"]
+    x = mask_of([0, 1], 6)                  # holds the identity: x^5 = Z6 = x^k for k >= 5
+    stable = subset_power(z6, x, 5)
+    calls = []
+    product = kernels.setwise_product
+
+    def counting(*args):
+        calls.append(args)
+        return product(*args)
+    monkeypatch.setattr(kernels, "setwise_product", counting)
+    assert subset_power(z6, x, 10 ** 12) == stable == (1 << 6) - 1
+    assert len(calls) <= z6.n
+    # without the identity the powers may cycle and never repeat consecutively
+    calls.clear()
+    assert subset_power(z6, mask_of([1], 6), 7) == mask_of([1], 6)
+    assert len(calls) == 7
+    # a repeat stops the loop with or without the identity: {e}^k = {e} for an idempotent e
+    idem2 = zoo["idem2"]
+    e = 1 - idem2.identity
+    assert subset_power(idem2, mask_of([e], 2), 10 ** 12) == mask_of([e], 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_setwise_associativity(zoo, data):
