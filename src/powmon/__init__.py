@@ -7,8 +7,8 @@ Python fallback selected at import; `powmon.kernels.backend` names the
 active one.
 """
 
-from .errors import (NoIdentity, NotAssociative, NotAUnit, NotCancellative,
-                     PowmonError, PreconditionViolated, SearchBudgetExceeded,
+from .errors import (NoIdentity, NotAssociative, NotCancellative, PowmonError,
+                     PreconditionViolated, SearchBudgetExceeded,
                      SizeLimitExceeded, TwoToTwoViolation)
 from .iso import IsoWitness, enumerate_isomorphisms, find_isomorphism
 from .kernels import backend

@@ -11,6 +11,7 @@ stdout went away.
 """
 
 import argparse
+import inspect
 import os
 import sys
 import time
@@ -18,10 +19,10 @@ import time
 from .census import (census_monoids, check_catalog_order, check_census_order,
                      groups_catalog, run_experiment)
 from .errors import PowmonError
+from .iso import DEFAULT_BUDGET
 from .monoid import format_table, parse_monoid_spec, parse_table_file
-from .powerset import format_subset, mask_of, parse_subset
-from .suites import SUITES, SuiteReport, suite_section4
-from .verify import check_solution_count
+from .powerset import format_subset, mask_of
+from .suites import CASES, SUITES
 
 USAGE_ERROR = 2
 BROKEN_PIPE = 128 + 13     # as a shell reports a process killed by SIGPIPE
@@ -29,15 +30,20 @@ BROKEN_PIPE = 128 + 13     # as a shell reports a process killed by SIGPIPE
 
 class Report:
     """A report on stdout or in the file `out`; use it as a context
-    manager, which closes the file (or flushes stdout) on every path."""
+    manager, which closes the file (or flushes stdout) on every path.
+    Nothing is written, and no file is opened, before the first line, so
+    an input error a run meets before its first record leaves no output."""
 
     def __init__(self, out, title, config):
-        self.fh = open(out, "w") if out else sys.stdout
-        self.emit(f"# powmon {title}")
-        self.emit(f"# config: {config}")
-        self.emit(f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S')}")
+        self.out, self.fh = out, None
+        self.header = [f"# powmon {title}", f"# config: {config}",
+                       f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
 
     def emit(self, line=""):
+        if self.fh is None:
+            self.fh = open(self.out, "w") if self.out else sys.stdout
+            for head in self.header:
+                print(head, file=self.fh)
         print(line, file=self.fh)
 
     def __enter__(self):
@@ -46,7 +52,7 @@ class Report:
     def __exit__(self, *exc):
         if self.fh is sys.stdout:
             self.fh.flush()
-        else:
+        elif self.fh is not None:
             self.fh.close()
 
 
@@ -70,83 +76,68 @@ def cmd_construct(args):
         m = parse_monoid_spec(spec[0])
     else:
         raise ValueError("construct expects: SPEC (such as cmon2.2 or z2xz3) | table PATH")
-    with Report(args.out, "construct " + " ".join(spec), _config(args)) as report:
+    with Report(args.out, "construct " + " ".join(spec), _config({})) as report:
         _describe(m, report)
     return 0
 
 
-def _config(args):
-    keys = ("max_order", "group_max", "budget", "jobs", "universe")
-    parts = []
-    for k in keys:
-        if getattr(args, k, None) is not None:
-            parts.append(f"{k.replace('_', '-')}={getattr(args, k)}")
-    return " ".join(parts) or "(defaults)"
+def _set_flags(args, flags):
+    """The flags among `flags` that are set (an unset flag is None), by name."""
+    return {k: getattr(args, k) for k in flags if getattr(args, k, None) is not None}
 
 
-def _given(*values):
-    """The first value that is set (an unset flag is None)."""
-    return next(v for v in values if v is not None)
+def _config(given):
+    return " ".join(f"{k.replace('_', '-')}={v}" for k, v in given.items()) or "(defaults)"
 
 
-def _suite_kwargs(name, args):
-    mo = args.max_order
-    gm = args.group_max
-    if name == "lemma21":
-        return {"max_order": _given(mo, 5)}
-    if name == "lemma22":
-        return {"census_max": _given(mo, 4), "group_max": _given(gm, 8)}
-    if name in ("lemma24", "prop25"):
-        return {"group_max": _given(gm, mo, 8)}
-    if name == "lemma31":
-        return {"max_order": _given(mo, 4)}
-    if name == "thm32":
-        return {"census_max": _given(mo, 4), "group_max": _given(gm, 6), "budget": args.budget}
-    if name == "section4":
-        return {"group_max": _given(gm, mo, 6), "budget": args.budget}
-    raise ValueError(name)
+# each verify flag goes to the suite or case parameter of the same name;
+# --jobs is read by `verify all` itself
+VERIFY_FLAGS = ("max_order", "group_max", "budget", "jobs",
+                "pair", "monoid", "subset", "n", "universe")
 
 
-def _check_scope(kwargs):
-    """Refuse a suite scope above the census or catalog limit before any
-    report is opened (the suites would refuse it only once running)."""
-    for key in ("max_order", "census_max"):
-        if key in kwargs:
-            check_census_order(kwargs[key])
-    if "group_max" in kwargs:
-        check_catalog_order(kwargs["group_max"])
+def _params(fn):
+    return inspect.signature(fn).parameters
+
+
+def _first_param(fn):
+    return next(iter(_params(fn)))
+
+
+def _readers(flag):
+    """Labels of the verify runs that read `flag`."""
+    if flag == "jobs":
+        return ["all"]
+    runs = list(SUITES.items()) + [(f"{n} --{_first_param(fn)}", fn) for n, fn in CASES.items()]
+    return [label for label, fn in runs if flag in _params(fn)]
 
 
 def cmd_verify(args):
-    if args.pair and args.suite != "section4":
-        raise ValueError("--pair belongs to the section4 suite")
-    if args.monoid and args.suite != "lemma31":
-        raise ValueError("--monoid belongs to the lemma31 suite")
-    for flag in ("subset", "n", "universe"):
-        if getattr(args, flag) is not None and not args.monoid:
-            raise ValueError(f"--{flag} belongs to the lemma31 --monoid case")
-    single = None
-    if args.pair:
-        try:
-            ha, kb = args.pair.split(":", 1)
-            h, k = parse_monoid_spec(ha), parse_monoid_spec(kb)
-        except ValueError as exc:
-            raise ValueError(f"bad --pair: {exc}")
-        single = suite_section4(budget=args.budget, pair=(h, k))
-    elif args.monoid:
-        m = parse_monoid_spec(args.monoid)
-        s_mask = parse_subset(args.subset, m.n) if args.subset else (1 << m.n) - 1
-        single = SuiteReport("lemma31", [check_solution_count(
-            m, s_mask, 3 if args.n is None else args.n, args.universe or "full")])
+    given = _set_flags(args, VERIFY_FLAGS)
+    if args.suite == "all":
+        runs = SUITES
     else:
-        runs = {name: _suite_kwargs(name, args)
-                for name in (SUITES if args.suite == "all" else [args.suite])}
-        for kwargs in runs.values():
-            _check_scope(kwargs)
+        case = CASES.get(args.suite)
+        use_case = case is not None and _first_param(case) in given
+        runs = {args.suite: case if use_case else SUITES[args.suite]}
+    read = {p for fn in runs.values() for p in _params(fn)}
+    if args.suite == "all":
+        read.add("jobs")
+    for flag in given:
+        if flag not in read:
+            readers = _readers(flag)
+            raise ValueError(f"--{flag.replace('_', '-')} belongs to the verify "
+                             f"run{'s' * (len(readers) > 1)} {', '.join(readers)}")
+    if "max_order" in given:
+        check_census_order(given["max_order"])
+    if "group_max" in given:
+        check_catalog_order(given["group_max"])
+    calls = [(fn, {k: v for k, v in given.items() if k in _params(fn)}) for fn in runs.values()]
+    jobs = given.get("jobs", 1)
 
     findings = 0
     failures = 0
-    with Report(args.out, f"verify {args.suite}", _config(args)) as report:
+    with Report(args.out, f"verify {args.suite}", _config(given)) as report:
         def run_one(rep):
             nonlocal findings, failures
             for line in rep.lines():
@@ -156,18 +147,16 @@ def cmd_verify(args):
             findings += sum(1 for r in rep.results
                             if r.checker == "expected_violation" and not r.failed)
 
-        if single is not None:
-            run_one(single)
-        elif args.suite == "all" and args.jobs > 1:
+        if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
-            workers = min(args.jobs, len(SUITES), os.cpu_count() or 1)
+            workers = min(jobs, len(calls), os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(SUITES[n], **kwargs) for n, kwargs in runs.items()]
+                futures = [pool.submit(fn, **kwargs) for fn, kwargs in calls]
                 for fut in futures:       # report order fixed regardless of scheduling
                     run_one(fut.result())
         else:
-            for name, kwargs in runs.items():
-                run_one(SUITES[name](**kwargs))
+            for fn, kwargs in calls:
+                run_one(fn(**kwargs))
 
         if args.expect_violation and findings == 0:
             report.emit("# expect-violation: FAILED (no violation finding occurred)")
@@ -178,7 +167,7 @@ def cmd_verify(args):
 
 
 def cmd_experiment(args):
-    max_order = _given(args.max_order, 6 if args.mode == "groups" else 2)
+    max_order = args.max_order or (6 if args.mode == "groups" else 2)
     if args.mode == "groups":
         entries = groups_catalog(max_order)
     else:
@@ -191,7 +180,8 @@ def cmd_experiment(args):
                       if entries[r.pair[0]].tags["cancellative"]
                       and entries[r.pair[1]].tags["cancellative"]]
     hard_fail = bool(gated_failures or summary.pullback_failures)
-    with Report(args.out, f"experiment {args.mode}", _config(args)) as report:
+    with Report(args.out, f"experiment {args.mode}",
+                _config(_set_flags(args, ("max_order", "budget", "jobs")))) as report:
         report.emit("pair\tH\tK\tbase_iso\tpower_iso\tpullback_ok\tcardinality_preserving")
         for r in records:
             report.emit(r.line())
@@ -221,22 +211,22 @@ def main(argv=None):
     p.add_argument("suite", choices=["all"] + sorted(SUITES))
     p.add_argument("--max-order", type=int, default=None, dest="max_order")
     p.add_argument("--group-max", type=int, default=None, dest="group_max")
-    p.add_argument("--budget", type=int, default=5_000_000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help="worker processes of verify all")
     p.add_argument("--out", default=None)
     p.add_argument("--pair", default=None, help="section4 single pair, e.g. z2:idem2")
     p.add_argument("--monoid", default=None, help="lemma31 single-case monoid spec")
     p.add_argument("--subset", default=None, help="--monoid subset literal, e.g. 0,1 (default: all)")
-    p.add_argument("--n", type=int, default=None, help="--monoid exponent (default 3)")
+    p.add_argument("--n", type=int, default=None, help="--monoid exponent")
     p.add_argument("--universe", choices=["full", "reduced"], default=None,
-                   help="--monoid universe (default full)")
+                   help="--monoid universe")
     p.add_argument("--expect-violation", action="store_true", dest="expect_violation")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("experiment", help="pairwise census experiment")
     p.add_argument("mode", choices=["groups", "monoids"])
     p.add_argument("--max-order", type=int, default=None, dest="max_order")
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--expect-violation", action="store_true", dest="expect_violation")

@@ -17,10 +17,6 @@ class NoIdentity(PowmonError):
     """Cayley table has no (unique) two-sided identity."""
 
 
-class NotAUnit(PowmonError):
-    """Element has no two-sided inverse."""
-
-
 class SearchBudgetExceeded(PowmonError):
     """Isomorphism search hit its node limit before finishing.
 

@@ -8,7 +8,7 @@ immutable after construction and safe to share across threads.
 import math
 
 from . import kernels
-from .errors import NoIdentity, NotAssociative, NotAUnit, SizeLimitExceeded
+from .errors import NoIdentity, NotAssociative, SizeLimitExceeded
 
 ORDER_LIMIT = 16   # largest order built from a spec or a table file
 
@@ -106,13 +106,6 @@ class FiniteMonoid:
                 if any(self.table[u][v] == e and self.table[v][u] == e for v in range(self.n))
             )
         return self._units
-
-    def inverse(self, u):
-        e = self.identity
-        for v in range(self.n):
-            if self.table[u][v] == e and self.table[v][u] == e:
-                return v
-        raise NotAUnit(f"element {u} of {self.name} has no two-sided inverse")
 
     def is_group(self):
         return len(self.units()) == self.n

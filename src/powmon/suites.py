@@ -13,8 +13,8 @@ from itertools import combinations_with_replacement
 from .census import (base_iso_status, census_monoids, find_power_isomorphism,
                      groups_catalog, power_iso_facts, power_isomorphism)
 from .iso import DEFAULT_BUDGET, Coloring, enumerate_isomorphisms
-from .monoid import cyclic_group, cyclic_monoid, idempotent_monoid2
-from .powerset import format_subset, mask_of, reduced_power_monoid
+from .monoid import cyclic_group, cyclic_monoid, idempotent_monoid2, parse_monoid_spec
+from .powerset import format_subset, mask_of, parse_subset, reduced_power_monoid
 from .verify import (CheckResult, check_cross_relation, check_minimal_relation,
                      check_order_stabilization, check_shifted_power,
                      check_solution_count, count_equation_solutions)
@@ -64,7 +64,7 @@ def suite_lemma21(max_order=5):
     return rep
 
 
-def suite_lemma22(census_max=4, group_max=8):
+def suite_lemma22(max_order=4, group_max=8):
     """Shifted-power identity and, for cancellative z, the inequality range.
 
     Part 1 sweeps the census with l in [1, ord(z)] and r in [l-1, l+3].
@@ -75,7 +75,7 @@ def suite_lemma22(census_max=4, group_max=8):
     suite asserts that finding occurs.
     """
     rep = SuiteReport("lemma22")
-    for entry in census_monoids(census_max):
+    for entry in census_monoids(max_order):
         m = entry.monoid
         for z in range(m.n):
             for l in range(1, m.element_order(z) + 1):
@@ -167,7 +167,7 @@ def _unproven(res):
     return CheckResult("power_iso_search", res.subject, "fail", "budget exceeded: absence unproven")
 
 
-def suite_thm32(census_max=4, group_max=6, budget=DEFAULT_BUDGET):
+def suite_thm32(max_order=4, group_max=6, budget=DEFAULT_BUDGET):
     """Two-to-two property and pullback extraction for every isomorphism
     found between reduced power monoids: all of them over the census by
     exhaustive enumeration, one witness (and its inverse) per catalog pair.
@@ -188,7 +188,7 @@ def suite_thm32(census_max=4, group_max=6, budget=DEFAULT_BUDGET):
         rep.add(res.report.result())
         preserving.append(res.cardinality_preserving)
 
-    pairs, coloring = _power_pairs(census_monoids(census_max))
+    pairs, coloring = _power_pairs(census_monoids(max_order))
     for pm_src, pm_dst in pairs:
         for witness in enumerate_isomorphisms(pm_src.carrier, pm_dst.carrier, budget, coloring):
             handle(power_iso_facts(pm_src, pm_dst, witness))
@@ -207,7 +207,7 @@ def suite_thm32(census_max=4, group_max=6, budget=DEFAULT_BUDGET):
 
 
 def analyze_pair(h, k, budget=DEFAULT_BUDGET):
-    """Single-pair power-isomorphism analysis, as used by the CLI.
+    """Single-pair power-isomorphism analysis.
 
     Returns (results, report_or_None): base and power isomorphism status
     records plus, when a power isomorphism exists, the two-to-two and
@@ -222,18 +222,15 @@ def analyze_pair(h, k, budget=DEFAULT_BUDGET):
     return results, res.report
 
 
-def suite_section4(group_max=6, budget=DEFAULT_BUDGET, pair=None):
+def suite_section4(group_max=6, budget=DEFAULT_BUDGET):
     """Pullback property reports for power isomorphisms of group pairs.
 
-    With an explicit pair, analyzes just that pair.  Otherwise sweeps all
-    unordered catalog pairs (controls included) and pins the cyclic-2
-    versus idempotent-2 counterexample: its pullback preserves orders but
-    not squares, recorded as a finding since the pair is not cancellative.
+    Sweeps all unordered catalog pairs (controls included) and pins the
+    cyclic-2 versus idempotent-2 counterexample: its pullback preserves
+    orders but not squares, recorded as a finding since the pair is not
+    cancellative.
     """
     rep = SuiteReport("section4")
-    if pair is not None:
-        rep.results.extend(analyze_pair(*pair, budget)[0])
-        return rep
     pairs, coloring = _power_pairs(_catalog_groups(group_max, include_controls=True))
     for pm_src, pm_dst in pairs:
         res = power_isomorphism(pm_src, pm_dst, budget, coloring)
@@ -255,6 +252,23 @@ def suite_section4(group_max=6, budget=DEFAULT_BUDGET, pair=None):
     return rep
 
 
+def case_section4(pair, budget=DEFAULT_BUDGET):
+    """analyze_pair on one pair of monoid specs written H:K, such as z2:idem2."""
+    try:
+        h, k = map(parse_monoid_spec, pair.split(":", 1))
+    except ValueError as exc:
+        raise ValueError(f"bad pair {pair!r}: {exc}")
+    return SuiteReport("section4", analyze_pair(h, k, budget)[0])
+
+
+def case_lemma31(monoid, subset=None, n=3, universe="full"):
+    """One solution count of AS = S^n for a monoid spec and a subset
+    literal S such as 0,1 (default: the whole monoid)."""
+    m = parse_monoid_spec(monoid)
+    s_mask = parse_subset(subset, m.n) if subset else (1 << m.n) - 1
+    return SuiteReport("lemma31", [check_solution_count(m, s_mask, n, universe)])
+
+
 SUITES = {
     "lemma21": suite_lemma21,
     "lemma22": suite_lemma22,
@@ -264,3 +278,6 @@ SUITES = {
     "thm32": suite_thm32,
     "section4": suite_section4,
 }
+
+# single cases, each run in place of its suite when its first parameter is given
+CASES = {"section4": case_section4, "lemma31": case_lemma31}

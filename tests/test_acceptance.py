@@ -44,7 +44,7 @@ def test_criterion_1_lemma21():
 def test_criterion_2_lemma22():
     def run():
         problems = []
-        rep = suite_lemma22(census_max=5, group_max=8)
+        rep = suite_lemma22(max_order=5, group_max=8)
         problems += [f.line() for f in rep.failures]
         pinned = [r for r in rep.results if r.checker == "expected_violation"]
         if not pinned or pinned[0].failed:
@@ -80,7 +80,7 @@ def test_criterion_4_lemma31():
 
 def test_criterion_5_thm32():
     def run():
-        rep = suite_thm32(census_max=4, group_max=6)
+        rep = suite_thm32(max_order=4, group_max=6)
         problems = [f.line() for f in rep.failures]
         if not any(r.checker == "two_to_two" for r in rep.results):
             problems.append("no isomorphisms were exercised")

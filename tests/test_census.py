@@ -231,7 +231,7 @@ def test_experiment_refines_bases_and_carriers_once(monkeypatch):
 def test_thm32_refines_each_batch_once(monkeypatch):
     census, catalog = len(census_monoids(3)), len(groups_catalog(4))
     batches = _count_refinements(monkeypatch)
-    suite_thm32(census_max=3, group_max=4)
+    suite_thm32(max_order=3, group_max=4)
     # census carriers, the catalog's validation and the catalog carriers
     assert batches == [census, catalog, catalog]
 

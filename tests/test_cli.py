@@ -1,5 +1,6 @@
 """CLI contract: report shape, exit codes, determinism."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import powmon
-from powmon.cli import main, parse_monoid_spec
+from powmon.cli import VERIFY_FLAGS, main, parse_monoid_spec
 from powmon.monoid import cyclic_group, direct_product
+from powmon.suites import CASES, SUITES
 
 
 def run_cli(capsys, *argv):
@@ -141,12 +143,34 @@ def test_verify_lemma31_huge_exponent(capsys):
     ("verify", "lemma21", "--n", "7"),
     ("verify", "lemma21", "--universe", "reduced"),
     ("verify", "lemma31", "--n", "3"),
+    ("verify", "section4", "--pair", "z2:z2", "--group-max", "9"),
+    ("verify", "lemma31", "--monoid", "z2", "--max-order", "3"),
+    ("verify", "lemma21", "--group-max", "9"),
+    ("verify", "lemma21", "--budget", "7"),
+    ("verify", "lemma21", "--jobs", "2"),
+    ("verify", "lemma24", "--max-order", "5"),
 ])
 def test_single_case_flags_belong_to_their_suite(tmp_path, capsys, argv):
     target = tmp_path / "report.tsv"
     code, out, err = run_cli(capsys, *argv, "--out", str(target))
     assert code == 2 and "belongs to the" in err
     assert out == "" and not target.exists()
+
+
+def test_verify_flags_are_suite_and_case_parameters():
+    params = {p for fn in [*SUITES.values(), *CASES.values()]
+              for p in inspect.signature(fn).parameters}
+    # --jobs is read by `verify all` itself; exponents has no flag
+    assert set(VERIFY_FLAGS) - params == {"jobs"}
+    assert params - set(VERIFY_FLAGS) == {"exponents"}
+
+
+def test_max_order_leaves_catalog_suites_alone(capsys):
+    summaries = lambda text: [l for l in text.splitlines() if l.startswith("# summary:")]
+    _, together, _ = run_cli(capsys, "verify", "all", "--max-order", "2")
+    for suite in ("lemma24", "prop25", "section4"):
+        _, alone, _ = run_cli(capsys, "verify", suite)
+        assert summaries(alone)[0] in summaries(together)
 
 
 def test_verify_bad_pair_is_usage_error(tmp_path, capsys):
