@@ -7,7 +7,7 @@ Python fallback selected at import; `powmon.kernels.backend` names the
 active one.
 """
 
-from .errors import (NoIdentity, NotAssociative, NotCancellative, PowmonError,
+from .errors import (NoIdentity, NotAssociative, PowmonError,
                      PreconditionViolated, SearchBudgetExceeded,
                      SizeLimitExceeded, TwoToTwoViolation)
 from .iso import IsoWitness, enumerate_isomorphisms, find_isomorphism

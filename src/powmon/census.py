@@ -224,7 +224,7 @@ def power_iso_facts(pm_src, pm_dst, witness):
     pullback = extract_pullback(pm_src, pm_dst, witness)
     return PowerIsoResult(
         "iso", witness, pm_src, pm_dst, two_to_two, pullback, pullback_report(pullback),
-        cardinality_profile(pm_src, pm_dst, witness)[0])
+        cardinality_profile(pm_src, pm_dst, witness))
 
 
 def find_power_isomorphism(h, k, budget=DEFAULT_BUDGET):
@@ -242,6 +242,8 @@ class ExperimentRecord:
     cardinality_preserving: bool = None
     witness_map: tuple = None
 
+    HEADER = "pair\tH\tK\tbase_iso\tpower_iso\tpullback_ok\tcardinality_preserving"
+
     def line(self):
         fmt = lambda v: "-" if v is None else (str(v).lower() if isinstance(v, bool) else str(v))
         return "\t".join((
@@ -253,14 +255,21 @@ class ExperimentRecord:
 @dataclass
 class ExperimentSummary:
     mode: str
-    pairs: int
+    records: list
     biconditional_holds: bool
     exceptions: list            # records violating "power iso <=> base iso"
     budget_exceeded: list
     pullback_failures: list
     cardinality_always_preserved: bool
+    failures: list
+    findings: int
+
+    @property
+    def pairs(self):
+        return len(self.records)
 
     def lines(self):
+        """The report body: the TSV header, the records, then the summary."""
         out = [
             f"mode: {self.mode}",
             f"pairs: {self.pairs}",
@@ -277,7 +286,8 @@ class ExperimentSummary:
         out.append("cardinality profile: all observed isomorphisms "
                    + ("preserve |X| (asserted nowhere; the question is open)"
                       if self.cardinality_always_preserved else "do NOT all preserve |X|"))
-        return out
+        return [ExperimentRecord.HEADER, *(r.line() for r in self.records),
+                *("# " + line for line in out)]
 
 
 def _experiment_pair(i, j, pm_h, pm_k, budget, bases, carriers):
@@ -326,13 +336,19 @@ def run_experiment(entries, mode="groups", budget=DEFAULT_BUDGET, jobs=1):
                   and r.base_iso != r.power_iso]
     budget_hit = [r for r in records if "budget-exceeded" in (r.base_iso, r.power_iso)]
     pb_fail = [r for r in records if r.pullback_ok is False]
+    # an exception between cancellative entries contradicts the theorem; the
+    # others (the known counterexamples) are findings
+    gated = {r.pair for r in exceptions
+             if entries[r.pair[0]].tags["cancellative"] and entries[r.pair[1]].tags["cancellative"]}
     summary = ExperimentSummary(
         mode=mode,
-        pairs=len(records),
+        records=records,
         biconditional_holds=not exceptions and not budget_hit,
         exceptions=exceptions,
         budget_exceeded=budget_hit,
         pullback_failures=pb_fail,
         cardinality_always_preserved=all(r.cardinality_preserving is not False for r in records),
+        failures=[r for r in records if r.pair in gated or r.pullback_ok is False],
+        findings=len(exceptions) - len(gated),
     )
     return records, summary

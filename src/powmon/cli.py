@@ -4,10 +4,11 @@ Reports are line-oriented TSV plus a summary block.  For a fixed
 configuration the report body is byte-identical across runs; the
 wall-clock timestamp appears only in the header.
 
-Exit status: 0 when every gated assertion passed (expected
-counterexamples are findings, not failures), 1 on an assertion failure,
-2 on a usage or input error, 141 (128 + SIGPIPE) when the reader of
-stdout went away.
+Exit status, the same for verify and experiment: 0 when every gated
+assertion passed (expected counterexamples are findings, not failures), 1
+on an assertion failure or, under --expect-violation, when no finding
+occurred, 2 on a usage or input error, 141 (128 + SIGPIPE) when the
+reader of stdout went away.
 """
 
 import argparse
@@ -54,6 +55,24 @@ class Report:
             self.fh.flush()
         elif self.fh is not None:
             self.fh.close()
+
+
+def _report(args, title, config, reports):
+    """Write the lines of each report (suite or experiment) and return the exit
+    status: 1 on a failure, or under --expect-violation when nothing was found."""
+    failures = findings = 0
+    with Report(args.out, title, config) as out:
+        for rep in reports:
+            for line in rep.lines():
+                out.emit(line)
+            failures += len(rep.failures)
+            findings += rep.findings
+        if args.expect_violation and findings == 0:
+            out.emit("# expect-violation: FAILED (no violation finding occurred)")
+            return 1
+        if args.expect_violation:
+            out.emit(f"# expect-violation: ok ({findings} findings)")
+    return 1 if failures else 0
 
 
 def _describe(m, report):
@@ -133,37 +152,14 @@ def cmd_verify(args):
     if "group_max" in given:
         check_catalog_order(given["group_max"])
     calls = [(fn, {k: v for k, v in given.items() if k in _params(fn)}) for fn in runs.values()]
-    jobs = given.get("jobs", 1)
-
-    findings = 0
-    failures = 0
-    with Report(args.out, f"verify {args.suite}", _config(given)) as report:
-        def run_one(rep):
-            nonlocal findings, failures
-            for line in rep.lines():
-                report.emit(line)
-            failures += len(rep.failures)
-            findings += sum(len(r.findings) for r in rep.results)
-            findings += sum(1 for r in rep.results
-                            if r.checker == "expected_violation" and not r.failed)
-
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            workers = min(jobs, len(calls), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(fn, **kwargs) for fn, kwargs in calls]
-                for fut in futures:       # report order fixed regardless of scheduling
-                    run_one(fut.result())
-        else:
-            for fn, kwargs in calls:
-                run_one(fn(**kwargs))
-
-        if args.expect_violation and findings == 0:
-            report.emit("# expect-violation: FAILED (no violation finding occurred)")
-            return 1
-        if args.expect_violation:
-            report.emit(f"# expect-violation: ok ({findings} findings)")
-    return 1 if failures else 0
+    title, config = f"verify {args.suite}", _config(given)
+    if given.get("jobs", 1) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        workers = min(given["jobs"], len(calls), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(fn, **kwargs) for fn, kwargs in calls]   # report order fixed
+            return _report(args, title, config, (fut.result() for fut in futures))
+    return _report(args, title, config, (fn(**kwargs) for fn, kwargs in calls))
 
 
 def cmd_experiment(args):
@@ -172,26 +168,9 @@ def cmd_experiment(args):
         entries = groups_catalog(max_order)
     else:
         entries = census_monoids(max_order)
-    records, summary = run_experiment(entries, mode=args.mode,
-                                      budget=args.budget, jobs=args.jobs)
-    # exceptions between cancellative pairs contradict the theorem and fail
-    # the run; others (the known counterexamples) are findings
-    gated_failures = [r for r in summary.exceptions
-                      if entries[r.pair[0]].tags["cancellative"]
-                      and entries[r.pair[1]].tags["cancellative"]]
-    hard_fail = bool(gated_failures or summary.pullback_failures)
-    with Report(args.out, f"experiment {args.mode}",
-                _config(_set_flags(args, ("max_order", "budget", "jobs")))) as report:
-        report.emit("pair\tH\tK\tbase_iso\tpower_iso\tpullback_ok\tcardinality_preserving")
-        for r in records:
-            report.emit(r.line())
-        for line in summary.lines():
-            report.emit("# " + line)
-        if args.expect_violation:
-            ok = bool(summary.exceptions)
-            report.emit(f"# expect-violation: {'ok' if ok else 'FAILED (no exception observed)'}")
-            return 0 if ok and not hard_fail else 1
-    return 1 if hard_fail else 0
+    _, summary = run_experiment(entries, mode=args.mode, budget=args.budget, jobs=args.jobs)
+    return _report(args, f"experiment {args.mode}",
+                   _config(_set_flags(args, ("max_order", "budget", "jobs"))), [summary])
 
 
 def main(argv=None):

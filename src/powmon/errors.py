@@ -37,10 +37,6 @@ class PreconditionViolated(PowmonError):
     """Checker called with inputs outside its stated hypotheses."""
 
 
-class NotCancellative(PowmonError):
-    """Operation requires a cancellative element."""
-
-
 class TwoToTwoViolation(PowmonError):
     """A claimed power-monoid isomorphism maps some 2-element set elsewhere.
 

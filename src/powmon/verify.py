@@ -10,7 +10,7 @@ a run.
 
 from dataclasses import dataclass, field
 
-from .errors import NotCancellative, PreconditionViolated, TwoToTwoViolation
+from .errors import PreconditionViolated, TwoToTwoViolation
 from .powerset import elements_of, format_subset, setwise_product, subset_power
 
 
@@ -153,7 +153,7 @@ def minimal_relation(m, x, y):
     ox, oy = m.element_order(x), m.element_order(y)
     for a in (x, y):
         if not m.is_cancellative_element(a):
-            raise NotCancellative(f"element {a} of {m.name} is not cancellative")
+            raise PreconditionViolated(f"element {a} of {m.name} is not cancellative")
     sols = [(c, d) for c in range(1, ox + 1) for d in range(1, oy + 1)
             if m.power(x, c) == m.power(y, d)]
     r = min(c for c, _ in sols)
@@ -289,24 +289,18 @@ def extract_pullback(pm_src, pm_dst, witness):
 
 @dataclass
 class PullbackReport:
-    """Observed pullback properties, with their gating hypotheses.
+    """Pullback properties, each decided by its recorded counterexamples.
 
-    Flags record what actually holds; `hypotheses` records which of the
-    gating conditions the input pair satisfies.  A flag being False only
-    counts as a failure when its gate is met (see gated_failures).
-    torsion_hom and full_hom observe the same products on finite inputs
-    (every element is torsion) but are gated differently.
+    A property holds iff no counterexample to it was recorded.
+    `hypotheses` records which of the gating conditions the input pair
+    satisfies; a property that fails only counts as a failure when its
+    gate is met (see gated_failures).  full_hom reads torsion_hom's
+    counterexamples: on finite inputs every element is torsion, so the two
+    observe the same products, but they are gated differently.
     """
     subject: str
-    order_preserving: bool
-    bounded_power_image: bool
-    power_compatible: bool
-    product_dichotomy: bool
-    involution_product: bool
-    torsion_hom: bool
-    full_hom: bool
     hypotheses: dict
-    counterexamples: list
+    counterexamples: list       # (property, description) pairs
 
     GATES = (
         ("order_preserving", None),
@@ -318,21 +312,19 @@ class PullbackReport:
         ("full_hom", "both_groups"),
     )
 
+    def holds(self, prop):
+        prop = "torsion_hom" if prop == "full_hom" else prop
+        return all(flag != prop for flag, _ in self.counterexamples)
+
     def gated_failures(self):
-        out = []
-        for flag, hyp in self.GATES:
-            if (hyp is None or self.hypotheses[hyp]) and not getattr(self, flag):
-                out.append(flag)
-        return out
+        return [prop for prop, hyp in self.GATES
+                if (hyp is None or self.hypotheses[hyp]) and not self.holds(prop)]
 
     def result(self):
         failures = self.gated_failures()
-        ungated = [f for f, hyp in self.GATES
-                   if hyp is not None and not self.hypotheses[hyp] and not getattr(self, f)]
-        detail = "; ".join(
-            f"{flag}={getattr(self, flag)}" for flag, _ in self.GATES)
+        detail = "; ".join(f"{prop}={self.holds(prop)}" for prop, _ in self.GATES)
         findings = [f"{flag} fails outside hypotheses: {cx}"
-                    for flag, cx in self.counterexamples if flag in ungated]
+                    for flag, cx in self.counterexamples if flag not in failures]
         return CheckResult("pullback_report", self.subject,
                            "fail" if failures else "pass", detail, findings)
 
@@ -350,63 +342,36 @@ def pullback_report(pb):
         "both_groups": h.is_group() and k.is_group(),
     }
     cx = []
-    order_preserving = True
-    bounded_img = True
-    powercomp = True
     for x in range(h.n):
         ox = h.element_order(x)
         if ox != k.element_order(g[x]):
-            order_preserving = False
             cx.append(("order_preserving",
                        f"x={x}: ord_H={ox} ord_K={k.element_order(g[x])}"))
         for kk in range(0, 2 * ox + 1):
             gxk = g[h.power(x, kk)]
             if gxk != k.power(g[x], kk):
-                powercomp = False
                 cx.append(("power_compatible",
                            f"x={x} k={kk}: g(x^k)={gxk} g(x)^k={k.power(g[x], kk)}"))
             if not any(gxk == k.power(g[x], l) for l in range(0, kk + 1)):
-                bounded_img = False
                 cx.append(("bounded_power_image", f"x={x} k={kk}: no l <= k with g(x^k)=g(x)^l"))
-    dichotomy = True
-    involution = True
-    hom = True
     e = h.identity
     for x in range(h.n):
         for y in range(h.n):
-            ghom = g[h.mul(x, y)] == k.mul(g[x], g[y])
-            if not ghom:
-                hom = False
+            if g[h.mul(x, y)] != k.mul(g[x], g[y]):
                 cx.append(("torsion_hom",
                            f"x={x} y={y}: g(xy)={g[h.mul(x, y)]} g(x)g(y)={k.mul(g[x], g[y])}"))
                 if h.mul(h.power(x, 2), h.power(y, 2)) != e:
-                    dichotomy = False
                     cx.append(("product_dichotomy", f"x={x} y={y}: g(xy)!=g(x)g(y) and x^2y^2 != 1"))
                 if h.power(x, 2) == e or h.power(y, 2) == e:
-                    involution = False
                     cx.append(("involution_product", f"x={x} y={y}: square hypothesis holds yet g(xy)!=g(x)g(y)"))
-    return PullbackReport(
-        subject=f"{h.name} -> {k.name}",
-        order_preserving=order_preserving,
-        bounded_power_image=bounded_img,
-        power_compatible=powercomp,
-        product_dichotomy=dichotomy,
-        involution_product=involution,
-        torsion_hom=hom,
-        full_hom=hom,
-        hypotheses=hyp,
-        counterexamples=cx,
-    )
+    return PullbackReport(f"{h.name} -> {k.name}", hyp, cx)
 
 
 def cardinality_profile(pm_src, pm_dst, witness):
-    """Measure |X| vs |f(X)| over the carrier; asserted nowhere.
+    """Whether the witness preserves |X| for every carrier set X; asserted nowhere.
 
     Whether power-monoid isomorphisms must preserve cardinality is open;
     the census only reports what it sees.
     """
-    pairs = sorted(
-        (bin(pm_src.masks[i]).count("1"), bin(pm_dst.masks[witness.map[i]]).count("1"))
-        for i in range(len(pm_src.masks)))
-    preserving = all(a == b for a, b in pairs)
-    return preserving, pairs
+    return all(bin(pm_src.masks[i]).count("1") == bin(pm_dst.masks[witness.map[i]]).count("1")
+               for i in range(len(pm_src.masks)))

@@ -69,7 +69,7 @@ def test_criterion_3_lemma24_prop25():
 
 def test_criterion_4_lemma31():
     def run():
-        rep = suite_lemma31(max_order=4, exponents=(3, 4))
+        rep = suite_lemma31(max_order=4)
         problems = [f.line() for f in rep.failures]
         pinned = [r for r in rep.results if r.checker == "pair_solution_count"]
         if len(pinned) < 5:

@@ -7,11 +7,12 @@ from types import MappingProxyType
 
 import pytest
 
-from powmon.census import (canonical_key, census_monoids, enumerate_monoids,
-                           find_power_isomorphism, groups_catalog, run_experiment)
+from powmon.census import (CensusEntry, canonical_key, census_monoids,
+                           enumerate_monoids, find_power_isomorphism,
+                           groups_catalog, run_experiment)
 from powmon.errors import SizeLimitExceeded
 from powmon.iso import IsoWitness, find_isomorphism
-from powmon.monoid import FiniteMonoid, cyclic_group
+from powmon.monoid import FiniteMonoid, cyclic_group, idempotent_monoid2
 from powmon.powerset import PowerMonoid, reduced_power_monoid
 from powmon.suites import suite_section4, suite_thm32
 
@@ -170,7 +171,7 @@ def test_power_isomorphism_facts(zoo):
     res = find_power_isomorphism(zoo["z2"], zoo["idem2"])
     assert res.two_to_two.status == "pass"
     assert res.pullback.map == (0, 1)
-    assert res.report.order_preserving and not res.report.power_compatible
+    assert res.report.holds("order_preserving") and not res.report.holds("power_compatible")
     assert res.cardinality_preserving is True
     assert res.subject == "cyclic 2 vs idem2"
     res = find_power_isomorphism(zoo["z4"], zoo["klein"])
@@ -252,12 +253,26 @@ def test_experiment_order2_monoids():
     assert not summary.pullback_failures
 
 
+@pytest.mark.parametrize("forged, failures, findings", [(False, [], 1), (True, [(0, 1)], 0)],
+                         ids=["true-tags", "forged-tags"])
+def test_experiment_gates_exceptions_on_cancellative_tags(forged, failures, findings):
+    # z2 vs idem2 is the known exception; it contradicts the theorem only
+    # when both entries are tagged cancellative
+    entries = [CensusEntry(m, None, {"cancellative": m.is_cancellative() or forged})
+               for m in (cyclic_group(2), idempotent_monoid2())]
+    _, summary = run_experiment(entries, mode="monoids")
+    assert [r.pair for r in summary.exceptions] == [(0, 1)]
+    assert [r.pair for r in summary.failures] == failures
+    assert summary.findings == findings
+
+
 def test_experiment_order5_monoids():
     records, summary = run_experiment(census_monoids(5), mode="monoids")
     assert summary.pairs == len(records) == 37401     # 228 + 35 + 7 + 2 + 1 = 273 entries
     assert len(summary.exceptions) == 641
     assert all(r.base_iso == "no" and r.power_iso == "yes" for r in summary.exceptions)
     assert not summary.budget_exceeded and not summary.pullback_failures
+    assert summary.findings == 641 and not summary.failures
     assert summary.cardinality_always_preserved
     assert sum(r.base_iso == "yes" for r in records) == 273
 

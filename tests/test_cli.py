@@ -1,5 +1,6 @@
 """CLI contract: report shape, exit codes, determinism."""
 
+import hashlib
 import inspect
 import os
 import re
@@ -160,9 +161,9 @@ def test_single_case_flags_belong_to_their_suite(tmp_path, capsys, argv):
 def test_verify_flags_are_suite_and_case_parameters():
     params = {p for fn in [*SUITES.values(), *CASES.values()]
               for p in inspect.signature(fn).parameters}
-    # --jobs is read by `verify all` itself; exponents has no flag
+    # --jobs is read by `verify all` itself
     assert set(VERIFY_FLAGS) - params == {"jobs"}
-    assert params - set(VERIFY_FLAGS) == {"exponents"}
+    assert params - set(VERIFY_FLAGS) == set()
 
 
 def test_max_order_leaves_catalog_suites_alone(capsys):
@@ -179,6 +180,10 @@ def test_verify_bad_pair_is_usage_error(tmp_path, capsys):
     target = tmp_path / "report.tsv"
     code, _, _ = run_cli(capsys, "verify", "section4", "--pair", "z2:wat", "--out", str(target))
     assert code == 2 and not target.exists()   # rejected before the report is opened
+    for pair in ("z2", "z2:z2:z2"):
+        code, out, err = run_cli(capsys, "verify", "section4", "--pair", pair, "--out", str(target))
+        assert code == 2 and "expected H:K" in err
+        assert out == "" and not target.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -190,6 +195,8 @@ def test_verify_bad_pair_is_usage_error(tmp_path, capsys):
     ("verify", "lemma21", "--max-order", "6"),          # above the census limit
     ("verify", "lemma24", "--group-max", "9"),          # above the catalog limit
     ("verify", "all", "--max-order", "6", "--jobs", "2"),
+    ("experiment", "groups", "--max-order", "9"),
+    ("experiment", "monoids", "--max-order", "6"),
 ])
 def test_oversized_input_is_usage_error(tmp_path, capsys, argv):
     target = tmp_path / "report.tsv"
@@ -232,6 +239,18 @@ def test_experiment_monoids_counterexample(capsys):
     assert "expect-violation: ok" in out
 
 
+def test_experiment_expect_violation_reads_as_verify(capsys):
+    # the experiment's findings are its exceptions outside the theorem's
+    # hypotheses, counted and reported as verify counts a suite's
+    code, out, _ = run_cli(capsys, "experiment", "monoids", "--max-order", "2",
+                           "--expect-violation")
+    assert code == 0 and out.splitlines()[-1] == "# expect-violation: ok (1 findings)"
+    code, out, _ = run_cli(capsys, "experiment", "groups", "--max-order", "4",
+                           "--expect-violation")
+    assert code == 1
+    assert out.splitlines()[-1] == "# expect-violation: FAILED (no violation finding occurred)"
+
+
 def test_experiment_jobs_flag(capsys):
     code, out, _ = run_cli(capsys, "experiment", "monoids", "--max-order", "2",
                            "--jobs", "2")
@@ -272,6 +291,22 @@ def test_experiment_body_deterministic(capsys):
     assert body_of(first) == body_of(second)
     assert first.splitlines()[3] == \
         "pair\tH\tK\tbase_iso\tpower_iso\tpullback_ok\tcardinality_preserving"
+
+
+# sha256 of the report body: every line, with its newline, but the
+# `# generated:` and `# config:` header lines.  Both backends give the same
+# bytes, so any change to a record, a verdict or a summary line shows here.
+@pytest.mark.parametrize("argv, digest", [
+    (("verify", "all"),
+     "129194aebe8eafbf2b341d8b82e4a077d94870a080f59fe56d61eb1a5629de86"),
+    (("experiment", "groups", "--max-order", "8", "--budget", "10000000"),
+     "191ef81e271ad8359a51e03cae72fbec160cf7d81d3f721f2a8e6a6f756ae878"),
+])
+def test_report_body_digest(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    body = "".join(l for l in out.splitlines(keepends=True)
+                   if not l.startswith(("# generated:", "# config:")))
+    assert code == 0 and hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

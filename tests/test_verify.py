@@ -4,16 +4,15 @@ import types
 
 import pytest
 
-from powmon.errors import (NotCancellative, PreconditionViolated,
-                           TwoToTwoViolation)
+from powmon.errors import PreconditionViolated, TwoToTwoViolation
 from powmon.iso import enumerate_isomorphisms, find_isomorphism
 from powmon.powerset import (mask_of, reduced_power_monoid, setwise_product,
                              subset_power)
-from powmon.verify import (check_cross_relation, check_minimal_relation,
-                           check_order_stabilization, check_shifted_power,
-                           check_solution_count, check_two_to_two,
-                           count_equation_solutions, extract_pullback,
-                           minimal_relation, pullback_report)
+from powmon.verify import (PullbackReport, check_cross_relation,
+                           check_minimal_relation, check_order_stabilization,
+                           check_shifted_power, check_solution_count,
+                           check_two_to_two, count_equation_solutions,
+                           extract_pullback, minimal_relation, pullback_report)
 
 from oracles import brute_isomorphisms, brute_subset_power
 
@@ -129,7 +128,7 @@ def test_minimal_relation_z4(zoo):
 
 
 def test_minimal_relation_requires_cancellative(zoo):
-    with pytest.raises(NotCancellative):
+    with pytest.raises(PreconditionViolated):
         minimal_relation(zoo["idem2"], 1, 1)
 
 
@@ -260,7 +259,7 @@ def test_report_identity_all_true(zoo):
     pm = reduced_power_monoid(zoo["q8"])
     pb = extract_pullback(pm, pm, find_isomorphism(pm.carrier, pm.carrier))
     rep = pullback_report(pb)
-    assert rep.order_preserving and rep.power_compatible and rep.full_hom
+    assert rep.holds("order_preserving") and rep.holds("power_compatible") and rep.holds("full_hom")
     assert not rep.gated_failures()
 
 
@@ -269,8 +268,8 @@ def test_report_z2_idem_counterexample(zoo):
     pmk = reduced_power_monoid(zoo["idem2"])
     pb = extract_pullback(pmh, pmk, find_isomorphism(pmh.carrier, pmk.carrier))
     rep = pullback_report(pb)
-    assert rep.order_preserving
-    assert not rep.power_compatible
+    assert rep.holds("order_preserving")
+    assert not rep.holds("power_compatible")
     # the exact witness: g(x^2) = 1 != e = g(x)^2
     assert any(flag == "power_compatible" and "x=1 k=2" in cx
                for flag, cx in rep.counterexamples)
@@ -286,7 +285,7 @@ def test_report_s3_automorphisms(zoo):
     pulls = set()
     for w in auts:
         rep = pullback_report(extract_pullback(pm, pm, w))
-        assert rep.full_hom and not rep.gated_failures()
+        assert rep.holds("full_hom") and not rep.gated_failures()
         pulls.add(extract_pullback(pm, pm, w).map)
     assert pulls == set(brute_isomorphisms(d3.table, d3.table))
 
@@ -299,4 +298,28 @@ def test_full_hom_implies_torsion_hom(zoo):
         if w is None:
             continue
         rep = pullback_report(extract_pullback(pmh, pmk, w))
-        assert rep.full_hom == rep.torsion_hom
+        assert rep.holds("full_hom") == rep.holds("torsion_hom")
+
+
+def test_report_properties_come_from_counterexamples():
+    hyp = {"target_cancellative": False, "both_cancellative": False, "both_groups": False}
+    rep = PullbackReport("h -> k", hyp, [("power_compatible", "x=1 k=2"), ("torsion_hom", "x=1 y=1")])
+    assert not rep.holds("power_compatible") and rep.holds("order_preserving")
+    # full_hom reads torsion_hom's counterexamples
+    assert not rep.holds("torsion_hom") and not rep.holds("full_hom")
+    assert rep.gated_failures() == []
+    res = rep.result()
+    assert res.status == "pass"
+    assert res.findings == ["power_compatible fails outside hypotheses: x=1 k=2",
+                            "torsion_hom fails outside hypotheses: x=1 y=1"]
+    assert "power_compatible=False" in res.detail and "full_hom=False" in res.detail
+    # the same list under met gates: every property with a counterexample fails
+    rep = PullbackReport("h -> k", dict.fromkeys(hyp, True), rep.counterexamples)
+    assert rep.gated_failures() == ["power_compatible", "torsion_hom", "full_hom"]
+    assert rep.result().status == "fail" and rep.result().findings == []
+    # order preservation has no gate
+    rep = PullbackReport("h -> k", hyp, [("order_preserving", "x=1: ord_H=2 ord_K=1")])
+    assert rep.gated_failures() == ["order_preserving"] and rep.result().failed
+    assert PullbackReport("h -> k", hyp, []).result().line() == (
+        "pullback_report\th -> k\tpass\t" + "; ".join(
+            f"{prop}=True" for prop, _ in PullbackReport.GATES))
