@@ -59,8 +59,6 @@ def bench_cases(full):
                     for x in range(1, 256) for y in range(1, 256)]),
         ("iso_search, P(Z6) vs P(Z2xZ3) first witness",
          lambda k: k.iso_search(t1, t2, 32, c1, c2, order, 10 ** 7, 1)),
-        ("enumerate_tables(4)", lambda k: k.enumerate_tables(4)),
-        ("enumerate_tables(5)", lambda k: k.enumerate_tables(5)),
     ]
     if full:
         z10 = cyclic_group(10)

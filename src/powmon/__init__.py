@@ -1,10 +1,11 @@
 """Finite monoids, reduced finitary power monoids, and desk-scale
 verification of their isomorphism behavior.
 
-The hot loops (setwise products, carrier tables, isomorphism search,
-monoid enumeration) run on a compiled extension when built, with a pure
+The hot loops (associativity checks, setwise products, carrier tables,
+isomorphism search) run on a compiled extension when built, with a pure
 Python fallback selected at import; `powmon.kernels.backend` names the
-active one.
+active one.  Monoid enumeration is always pure Python: it generates one
+table per isomorphism class.
 """
 
 from .errors import (NoIdentity, NotAssociative, PowmonError,

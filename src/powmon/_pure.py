@@ -1,10 +1,15 @@
 """Pure-Python kernels for the hot loops.
 
 A compiled Cython twin of this module (powmon._core) may be selected at
-import time by powmon.kernels.  Both backends must agree exactly: same
-results, same visit order, same node counts.  Tables are flat row-major
+import time by powmon.kernels for assoc_witness, setwise_product,
+power_table and iso_search.  For those both backends must agree exactly:
+same results, same visit order, same node counts.  enumerate_tables is
+always this one: it yields one table per isomorphism class, where the
+compiled twin still yields every labelling.  Tables are flat row-major
 lists of length n*n; subsets are int bitmasks over element indices.
 """
+
+from itertools import permutations
 
 
 def assoc_witness(table, n):
@@ -150,12 +155,17 @@ def iso_search(t1, t2, n, c1, c2, var_order, budget, max_results):
 
 
 def enumerate_tables(n):
-    """All Cayley tables of order-n monoids with identity fixed at 0.
+    """One Cayley table per isomorphism class of order-n monoids.
 
-    Backtracks over the (n-1)^2 free cells in growing-square order;
-    every partial assignment is pruned against the associativity triples
-    it completes.  Output is raw (not deduplicated by isomorphism), as a
-    list of flat tuples in deterministic order.
+    The identity is fixed at 0 and the (n-1)^2 free cells are filled by
+    backtracking in growing-square order.  Every partial assignment is
+    pruned against the associativity triples it completes, and against
+    lex-leader symmetry breaking: for each relabelling sigma that fixes 0,
+    T^sigma[p][q] = sigma(T[sigma^-1 p][sigma^-1 q]) is compared with T cell
+    by cell in cell order, and T is cut once the first cell where the two
+    differ (every earlier cell known and equal) is smaller in T^sigma.  So
+    each class yields exactly its least labelling in cell order, and the
+    tables come out as a list of flat tuples in increasing cell order.
     """
     t = [-1] * (n * n)
     for i in range(n):
@@ -167,6 +177,19 @@ def enumerate_tables(n):
     for m in range(1, n):
         cells.extend((m, b) for b in range(1, m + 1))
         cells.extend((a, m) for a in range(1, m))
+    pos = [p * n + q for p, q in cells]
+
+    # one (sources, sigma, k) per relabelling: T^sigma at cell i reads T at
+    # sources[i]; cells before k are known and equal in T and T^sigma
+    syms = []
+    for perm in permutations(range(1, n)):
+        sigma = (0,) + perm
+        if sigma == tuple(range(n)):
+            continue
+        inv = [0] * n
+        for a, b in enumerate(sigma):
+            inv[b] = a
+        syms.append((tuple(inv[p] * n + inv[q] for p, q in cells), sigma, 0))
 
     def consistent(p, q, v):
         # check every triple whose last unknown cell was (p, q)
@@ -206,22 +229,44 @@ def enumerate_tables(n):
                             return False
         return True
 
+    def leader(known, active):
+        # advance each sigma over the known cells; None if one beats T
+        kept = []
+        for src, sigma, k in active:
+            while k < known:
+                w = t[src[k]]
+                if w < 0:
+                    break
+                w = sigma[w]
+                v = t[pos[k]]
+                if w != v:
+                    if w < v:
+                        return None
+                    k = -1      # decided for T: no completion is beaten
+                    break
+                k += 1
+            if k >= 0:
+                kept.append((src, sigma, k))
+        return kept
+
     out = []
     last = len(cells)
 
-    def rec(d):
+    def rec(d, active):
         if d == last:
             out.append(tuple(t))
             return
         p, q = cells[d]
-        idx = p * n + q
+        idx = pos[d]
         for v in range(n):
             t[idx] = v
             if consistent(p, q, v):
-                rec(d + 1)
+                kept = leader(d + 1, active)
+                if kept is not None:
+                    rec(d + 1, kept)
         t[idx] = -1
 
     if n == 1:
         return [(0,)]
-    rec(0)
+    rec(0, syms)
     return out

@@ -1,8 +1,8 @@
 """Census of small monoids and groups, and the pairwise experiments.
 
 Monoids are enumerated up to isomorphism by pruned backtracking over
-Cayley tables with the identity fixed at index 0, then deduplicated by a
-canonical key.  The group catalog is constructive (the classification of
+Cayley tables with the identity fixed at index 0, one table per class,
+then named and ordered by a canonical key.  The group catalog is constructive (the classification of
 groups of order <= 8 is classical), with deliberate isomorphic duplicates
 kept as positive controls for the experiments.
 """
@@ -103,7 +103,10 @@ def enumerate_monoids(n):
     keys = set()
     for flat in kernels.enumerate_tables(n):
         table = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-        keys.add(canonical_key(FiniteMonoid(table)))
+        key = canonical_key(FiniteMonoid(table))
+        if key in keys:
+            raise AssertionError(f"order-{n} enumeration yielded two tables of one class")
+        keys.add(key)
     out = []
     for idx, key in enumerate(sorted(keys)):
         m = FiniteMonoid(_decode_key(key), name=f"monoid{n}.{idx}")

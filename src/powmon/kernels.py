@@ -2,8 +2,11 @@
 
 The hot loops live in powmon._pure (always available) and, when built, in
 the compiled twin powmon._core.  The compiled backend is preferred unless
-POWMON_PURE=1 forces the fallback.  Both expose the same five functions
-with identical semantics; tests/test_kernels.py holds them to that.
+POWMON_PURE=1 forces the fallback.  Four kernels are backend-selected,
+with identical semantics on both; tests/test_kernels.py holds them to
+that.  Monoid enumeration is always the pure one, which yields one table
+per isomorphism class.  _core.enumerate_tables still lists every raw
+labelling and stays unbound until _core.c is regenerated from _core.pyx.
 """
 
 import os
@@ -25,4 +28,4 @@ assoc_witness = _impl.assoc_witness
 setwise_product = _impl.setwise_product
 power_table = _impl.power_table
 iso_search = _impl.iso_search
-enumerate_tables = _impl.enumerate_tables
+enumerate_tables = _pure.enumerate_tables

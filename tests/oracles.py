@@ -72,3 +72,31 @@ def brute_valid_tables(n):
         if brute_assoc_failure(t) is None:
             out.append(tuple(tuple(row) for row in t))
     return out
+
+
+def growing_square_cells(n):
+    """The free cells (a, b), 1 <= a, b < n, in growing-square order: for
+    m = 1, 2, ... row m up to the diagonal, then column m above it."""
+    def key(cell):
+        a, b = cell
+        m = max(a, b)
+        return (m, 0, b) if a == m else (m, 1, a)
+    return sorted(((a, b) for a in range(1, n) for b in range(1, n)), key=key)
+
+
+def brute_least_labelling(table):
+    """Least relabelling of a row-of-rows table over all permutations that
+    fix 0, read as the sequence of its free cells in growing-square order."""
+    n = len(table)
+    cells = growing_square_cells(n)
+    best = None
+    for rest in itertools.permutations(range(1, n)):
+        perm = (0,) + rest
+        t = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                t[perm[a]][perm[b]] = perm[table[a][b]]
+        seq = tuple(t[a][b] for a, b in cells)
+        if best is None or seq < best:
+            best = seq
+    return best

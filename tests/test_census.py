@@ -33,6 +33,15 @@ def test_enumeration_limit():
         enumerate_monoids(0)
 
 
+def test_enumeration_rejects_two_tables_of_one_class(monkeypatch):
+    from powmon import kernels
+
+    tables = kernels.enumerate_tables(3) + [cyclic_group(3).flat]
+    monkeypatch.setattr(kernels, "enumerate_tables", lambda n: tables)
+    with pytest.raises(AssertionError, match="two tables of one class"):
+        enumerate_monoids.__wrapped__(3)
+
+
 def test_census_entries_are_immutable():
     entries = enumerate_monoids(2)
     assert isinstance(entries, tuple) and entries is enumerate_monoids(2)

@@ -1,6 +1,9 @@
 """Backend parity: the compiled kernels must match the pure ones exactly,
 including search visit order and node counts.  The `core` fixture builds
-the compiled twin from the tracked _core.c, so these run wherever cc does."""
+the compiled twin from the tracked _core.c, so these run wherever cc does.
+Enumeration is the exception: the pure kernel yields one table per
+isomorphism class and the compiled one every labelling, so the compiled
+output serves as a raw oracle for it."""
 
 import os
 import random
@@ -13,8 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powmon import _pure, kernels
-from powmon.census import enumerate_monoids
+from powmon.census import canonical_key, enumerate_monoids
 from powmon.iso import refine_colors
+from powmon.monoid import FiniteMonoid
+
+from oracles import brute_least_labelling, brute_valid_tables, growing_square_cells
 
 try:
     from powmon import _core      # only when the package itself ships a built _core
@@ -73,9 +79,42 @@ def test_power_table_parity(core, zoo):
         assert _pure.power_table(m.flat, m.n, masks) == core.power_table(m.flat, m.n, masks)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_enumerate_tables_parity(core, n):
-    assert _pure.enumerate_tables(n) == core.enumerate_tables(n)
+def _class_keys(tables, n):
+    return [canonical_key(FiniteMonoid([list(t[i * n:(i + 1) * n]) for i in range(n)]))
+            for t in tables]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_tables_one_per_class(core, n):
+    # the compiled twin still lists every labelling: a raw oracle
+    raw_keys = set(_class_keys(core.enumerate_tables(n), n))
+    tables = _pure.enumerate_tables(n)
+    assert set(_class_keys(tables, n)) == raw_keys
+    assert len(tables) == len(raw_keys)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumerate_tables_one_per_class_brute(n):
+    raw_keys = {canonical_key(FiniteMonoid(t)) for t in brute_valid_tables(n)}
+    tables = _pure.enumerate_tables(n)
+    assert set(_class_keys(tables, n)) == raw_keys
+    assert len(tables) == len(raw_keys)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumerate_tables_yields_least_labellings(n):
+    cells = growing_square_cells(n)
+    for flat in _pure.enumerate_tables(n):
+        table = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+        assert brute_least_labelling(table) == tuple(table[a][b] for a, b in cells)
+
+
+def test_enumeration_is_pure_on_every_backend():
+    assert kernels.enumerate_tables is _pure.enumerate_tables
+
+
+def test_enumerate_tables_order6_count():
+    assert len(kernels.enumerate_tables(6)) == 2237     # OEIS A058133
 
 
 def test_iso_search_parity_including_node_counts(core):
