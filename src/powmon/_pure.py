@@ -7,31 +7,50 @@ same results, same visit order, same node counts.  enumerate_tables is
 always this one: it yields one table per isomorphism class, where the
 compiled twin still yields every labelling.  Tables are flat row-major
 lists of length n*n; subsets are int bitmasks over element indices.
+Everything here is standard library up to tables of 256 elements, the
+reduced carriers of bases up to order 9; only assoc_witness on larger
+tables imports numpy, and falls back to a plain loop without it.
 """
 
 from itertools import permutations
+from operator import or_
 
 
 def assoc_witness(table, n):
     """Index of the first failing triple, encoded (a*n + b)*n + c, or -1.
 
-    For large tables a vectorized pass is used when numpy is importable;
-    the plain triple loop is the semantic reference.
+    Up to 256 elements the table is one bytes object, and for each a the
+    n*n cells (b, c) of (a*b)*c and of a*(b*c) are built as two byte
+    strings: (a*b)*c joins the rows a*b, and a*(b*c) maps the whole table
+    through row a with bytes.translate.  The first differing cell is the
+    lexicographically first failing triple.  Larger tables use a
+    vectorized numpy pass when numpy is importable; the plain triple loop
+    is the semantic reference and the last fallback.
     """
-    if n >= 96:
-        try:
-            import numpy as np
-        except ImportError:
-            pass
-        else:
-            t = np.asarray(table, dtype=np.int64).reshape(n, n)
-            for a in range(n):
-                lhs = t[t[a], :]     # (a*b)*c indexed by (b, c)
-                rhs = t[a, t]        # a*(b*c) indexed by (b, c)
-                if not np.array_equal(lhs, rhs):
-                    b, c = map(int, np.argwhere(lhs != rhs)[0])
-                    return (a * n + b) * n + c
-            return -1
+    if n <= 256:
+        flat = bytes(table)
+        rows = [flat[x * n:(x + 1) * n] for x in range(n)]
+        pad = bytes(256 - n)
+        for a, row_a in enumerate(rows):
+            lhs = b"".join(map(rows.__getitem__, row_a))
+            rhs = flat.translate(row_a + pad)
+            if lhs != rhs:
+                i = next(i for i, (p, q) in enumerate(zip(lhs, rhs)) if p != q)
+                return a * n * n + i
+        return -1
+    try:
+        import numpy as np
+    except ImportError:
+        pass
+    else:
+        t = np.asarray(table, dtype=np.int64).reshape(n, n)
+        for a in range(n):
+            lhs = t[t[a], :]     # (a*b)*c indexed by (b, c)
+            rhs = t[a, t]        # a*(b*c) indexed by (b, c)
+            if not np.array_equal(lhs, rhs):
+                b, c = map(int, np.argwhere(lhs != rhs)[0])
+                return (a * n + b) * n + c
+        return -1
     for a in range(n):
         an = a * n
         for b in range(n):
@@ -63,16 +82,27 @@ def power_table(table, n, masks):
     """Carrier table over the given subset masks, flat row-major.
 
     Entry (i, j) is the position in masks of masks[i]*masks[j]; masks must
-    be closed under setwise product.
+    be closed under setwise product.  The row of X is built incrementally:
+    the row of X minus its top element x, united cell by cell with the
+    translates x*masks[j], which are computed once per base element.
+    Rows are memoized by mask; the intermediate masks need not be in masks.
     """
-    m = len(masks)
-    pos = {mask: i for i, mask in enumerate(masks)}
-    out = [0] * (m * m)
-    for i in range(m):
-        xi = masks[i]
-        row = i * m
-        for j in range(m):
-            out[row + j] = pos[setwise_product(table, n, xi, masks[j])]
+    trans = [[setwise_product(table, n, 1 << x, y) for y in masks] for x in range(n)]
+    rows = {1 << x: tx for x, tx in enumerate(trans)}
+    pos = {mask: i for i, mask in enumerate(masks)}.__getitem__
+    out = []
+    for mask in masks:
+        tops = []
+        rest = mask
+        while rest not in rows:
+            top = rest.bit_length() - 1
+            tops.append(top)
+            rest ^= 1 << top
+        row = rows[rest]
+        for top in tops:
+            rest |= 1 << top
+            row = rows[rest] = list(map(or_, row, trans[top]))
+        out.extend(map(pos, row))
     return out
 
 

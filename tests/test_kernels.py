@@ -8,6 +8,7 @@ output serves as a raw oracle for it."""
 import os
 import random
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -18,9 +19,10 @@ from hypothesis import strategies as st
 from powmon import _pure, kernels
 from powmon.census import canonical_key, enumerate_monoids
 from powmon.iso import refine_colors
-from powmon.monoid import FiniteMonoid
+from powmon.monoid import FiniteMonoid, cyclic_group, quaternion_group
 
-from oracles import brute_least_labelling, brute_valid_tables, growing_square_cells
+from oracles import (brute_least_labelling, brute_setwise, brute_valid_tables,
+                     growing_square_cells)
 
 try:
     from powmon import _core      # only when the package itself ships a built _core
@@ -77,6 +79,88 @@ def test_power_table_parity(core, zoo):
         m = zoo[name]
         masks = tuple(x for x in range(1, 1 << m.n) if x & 1)
         assert _pure.power_table(m.flat, m.n, masks) == core.power_table(m.flat, m.n, masks)
+
+
+def _carrier_masks(m, kind):
+    ebit = 1 << m.identity
+    if kind == "reduced":
+        return tuple(x for x in range(1, 1 << m.n) if x & ebit)
+    return tuple(range(1, 1 << m.n))
+
+
+def _relabelled(m, identity_to):
+    """m relabelled by the transposition that moves its identity to identity_to."""
+    perm = list(range(m.n))
+    perm[m.identity], perm[identity_to] = identity_to, m.identity
+    table = [[0] * m.n for _ in range(m.n)]
+    for a in range(m.n):
+        for b in range(m.n):
+            table[perm[a]][perm[b]] = perm[m.table[a][b]]
+    return FiniteMonoid(table)
+
+
+@pytest.mark.parametrize("name,kind", [("z4", "full"), ("d3", "full"), ("cm22", "full"),
+                                       ("q8", "reduced"), ("q8", "full"),
+                                       ("d4", "reduced"), ("d4", "full")])
+def test_power_table_parity_kinds_and_bases(core, zoo, name, kind):
+    # q8 and d4: non-abelian bases of order 8, carriers of 128 and 255 masks
+    m = zoo[name]
+    masks = _carrier_masks(m, kind)
+    assert _pure.power_table(m.flat, m.n, masks) == core.power_table(m.flat, m.n, masks)
+
+
+@pytest.mark.parametrize("kind", ["reduced", "full"])
+@pytest.mark.parametrize("name,identity_to", [("z5", 4), ("d3", 5), ("d3", 2), ("cm22", 3)])
+def test_power_table_relabelled_identity(core, zoo, name, identity_to, kind):
+    # the identity at the top or in the middle: for the reduced kind the row
+    # of X minus its top element is then often outside the carrier
+    m = _relabelled(zoo[name], identity_to)
+    assert m.identity == identity_to
+    masks = _carrier_masks(m, kind)
+    got = _pure.power_table(m.flat, m.n, masks)
+    assert got == core.power_table(m.flat, m.n, masks)
+    sets = [frozenset(i for i in range(m.n) if x >> i & 1) for x in masks]
+    index = {s: i for i, s in enumerate(sets)}
+    assert got == [index[brute_setwise(m.table, xs, ys)] for xs in sets for ys in sets]
+
+
+def _carrier_flat(base):
+    masks = _carrier_masks(base, "reduced")
+    return _pure.power_table(base.flat, base.n, masks), len(masks)
+
+
+def _perturbed(flat, n, row):
+    out = list(flat)
+    cell = row * n + n // 2
+    out[cell] = (out[cell] + 1) % n
+    return out
+
+
+@pytest.mark.parametrize("base", [cyclic_group(6), cyclic_group(7), quaternion_group(),
+                                  cyclic_group(9)], ids=["32", "64", "128", "256"])
+def test_assoc_witness_parity_on_carriers(core, base):
+    # 256 elements is the largest table of the bytes path
+    flat, n = _carrier_flat(base)
+    assert _pure.assoc_witness(flat, n) == core.assoc_witness(flat, n) == -1
+    for row in (0, n // 2, n - 1):
+        bad = _perturbed(flat, n, row)
+        got = _pure.assoc_witness(bad, n)
+        assert got >= 0
+        assert got == core.assoc_witness(bad, n)
+
+
+@pytest.mark.parametrize("numpy_blocked", [True, False], ids=["loop", "numpy"])
+def test_assoc_witness_parity_above_256(core, monkeypatch, numpy_blocked):
+    if numpy_blocked:
+        monkeypatch.setitem(sys.modules, "numpy", None)     # import numpy fails
+    else:
+        pytest.importorskip("numpy")
+    flat, n = _carrier_flat(cyclic_group(10))
+    assert n == 512
+    bad = _perturbed(flat, n, 1)            # the first failing triple has a <= 1
+    got = _pure.assoc_witness(bad, n)
+    assert 0 <= got < 2 * n * n
+    assert got == core.assoc_witness(bad, n)
 
 
 def _class_keys(tables, n):

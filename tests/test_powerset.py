@@ -1,11 +1,16 @@
 """Setwise products, subset powers, and power-monoid construction."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import powmon
 from powmon.census import census_monoids
 from powmon.errors import SizeLimitExceeded
 from powmon.iso import find_isomorphism
@@ -197,6 +202,25 @@ def test_size_limit():
             reduced_power_monoid(cyclic_group(n))
         with pytest.raises(SizeLimitExceeded):
             full_power_semigroup(cyclic_group(n))
+
+
+def test_group_carriers_build_without_numpy():
+    # the pure kernels check carriers of up to 256 elements without numpy,
+    # which would add about 14 MB of resident memory to a catalog run
+    code = ("import sys\n"
+            "from powmon import kernels\n"
+            "from powmon.census import groups_catalog\n"
+            "from powmon.powerset import reduced_power_monoid\n"
+            "assert kernels.backend == 'pure'\n"
+            "sizes = [len(reduced_power_monoid(e.monoid)) for e in groups_catalog(8)]\n"
+            "assert max(sizes) == 128, sizes\n"
+            "assert 'numpy' not in sys.modules\n")
+    src = str(Path(powmon.__file__).resolve().parents[1])
+    env = dict(os.environ, POWMON_PURE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_large_base_defaults_to_ondemand():
