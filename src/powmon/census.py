@@ -14,7 +14,8 @@ from types import MappingProxyType
 
 from . import kernels
 from .errors import SearchBudgetExceeded, SizeLimitExceeded
-from .iso import DEFAULT_BUDGET, Coloring, IsoWitness, element_invariants, find_isomorphism
+from .iso import (DEFAULT_BUDGET, Coloring, IsoWitness, element_invariants,
+                  enumerate_isomorphisms, find_isomorphism)
 from .monoid import FiniteMonoid, parse_monoid_spec
 from .powerset import reduced_power_monoid
 from .verify import (CheckResult, Pullback, PullbackReport, cardinality_profile,
@@ -173,10 +174,15 @@ def groups_catalog(max_order):
     return out
 
 
+def verdict(status):
+    """The record status of a search status: a budget hit decides nothing, so it fails."""
+    return "fail" if status == "budget-exceeded" else "pass"
+
+
 @dataclass
 class PowerIsoResult:
-    """Whether P_fin,1(H) ~ P_fin,1(K); the facts after pm_dst, about the
-    witness and its pullback g: H -> K, are None unless status is "iso"."""
+    """Whether P_fin,1(H) ~ P_fin,1(K); the facts after pm_dst (witness, pullback g: H -> K)
+    are None unless status is "iso".  record() is its one record: a budget hit fails."""
     status: str                 # "iso" | "absent" | "budget-exceeded"
     witness: IsoWitness = None
     pm_src: object = None
@@ -190,12 +196,17 @@ class PowerIsoResult:
     def subject(self):
         return f"{self.pm_src.base.name} vs {self.pm_dst.base.name}"
 
+    def record(self):
+        """The pullback report's record if "iso", else a power_iso_search record."""
+        if self.status == "iso":
+            return self.report.result()
+        detail = "proven-absent" if self.status == "absent" else "budget exceeded: absence unproven"
+        return CheckResult("power_iso_search", self.subject, verdict(self.status), detail)
+
 
 def base_iso_status(h, k, budget=DEFAULT_BUDGET, coloring=None):
-    """Base-level status: "yes", "no" (absence proven) or "budget-exceeded".
-
-    coloring, if given, is a Coloring of a batch holding h and k.
-    """
+    """Base-level status: "yes", "no" (absence proven) or "budget-exceeded";
+    coloring, if given, is a Coloring of a batch holding h and k."""
     try:
         return "no" if find_isomorphism(h, k, budget, coloring) is None else "yes"
     except SearchBudgetExceeded:
@@ -203,8 +214,9 @@ def base_iso_status(h, k, budget=DEFAULT_BUDGET, coloring=None):
 
 
 def power_isomorphism(pm_src, pm_dst, budget=DEFAULT_BUDGET, coloring=None):
-    """Search carrier(pm_src) ~ carrier(pm_dst); absence requires an
-    exhausted search or a color mismatch.
+    """Search carrier(pm_src) ~ carrier(pm_dst); absence requires an exhausted
+    search or a color mismatch, and a budget hit gives a "budget-exceeded"
+    result, which PowerIsoResult.record() fails.
 
     coloring, if given, is a Coloring of a batch holding both carriers.
     Subset cardinality is deliberately not used as a search invariant
@@ -228,6 +240,15 @@ def power_iso_facts(pm_src, pm_dst, witness):
     return PowerIsoResult(
         "iso", witness, pm_src, pm_dst, two_to_two, pullback, pullback_report(pullback),
         cardinality_profile(pm_src, pm_dst, witness))
+
+
+def power_isomorphisms(pm_src, pm_dst, budget=DEFAULT_BUDGET, coloring=None):
+    """The "iso" result of every carrier isomorphism, or one "budget-exceeded" result."""
+    try:
+        witnesses = enumerate_isomorphisms(pm_src.carrier, pm_dst.carrier, budget, coloring)
+    except SearchBudgetExceeded:
+        return [PowerIsoResult("budget-exceeded", pm_src=pm_src, pm_dst=pm_dst)]
+    return [power_iso_facts(pm_src, pm_dst, w) for w in witnesses]
 
 
 def find_power_isomorphism(h, k, budget=DEFAULT_BUDGET):
@@ -317,8 +338,8 @@ def run_experiment(entries, mode="groups", budget=DEFAULT_BUDGET, jobs=1):
     built once per worker, and the bases and the carriers are each refined
     once per worker as one batch: the pairs are split into interleaved
     chunks, one per spawned worker, with min(jobs, pairs, cpu count) workers.
-    Budget-exceeded pairs are reported, never silently dropped; records
-    are sorted by pair id regardless of how the work was scheduled.
+    Budget-exceeded pairs are reported and, as in every verify sweep, are
+    failures; records are sorted by pair id however the work was scheduled.
     """
     monoids = [e.monoid for e in entries]
     pairs = [(i, j) for i in range(len(entries)) for j in range(i, len(entries))]
@@ -334,11 +355,8 @@ def run_experiment(entries, mode="groups", budget=DEFAULT_BUDGET, jobs=1):
     else:
         records = _experiment_chunk(monoids, pairs, budget)
     records.sort(key=lambda r: r.pair)
-    exceptions = [r for r in records
-                  if "budget-exceeded" not in (r.base_iso, r.power_iso)
-                  and r.base_iso != r.power_iso]
-    budget_hit = [r for r in records if "budget-exceeded" in (r.base_iso, r.power_iso)]
-    pb_fail = [r for r in records if r.pullback_ok is False]
+    hit = {r.pair for r in records if "budget-exceeded" in (r.base_iso, r.power_iso)}
+    exceptions = [r for r in records if r.pair not in hit and r.base_iso != r.power_iso]
     # an exception between cancellative entries contradicts the theorem; the
     # others (the known counterexamples) are findings
     gated = {r.pair for r in exceptions
@@ -346,12 +364,12 @@ def run_experiment(entries, mode="groups", budget=DEFAULT_BUDGET, jobs=1):
     summary = ExperimentSummary(
         mode=mode,
         records=records,
-        biconditional_holds=not exceptions and not budget_hit,
+        biconditional_holds=not exceptions and not hit,
         exceptions=exceptions,
-        budget_exceeded=budget_hit,
-        pullback_failures=pb_fail,
+        budget_exceeded=[r for r in records if r.pair in hit],
+        pullback_failures=[r for r in records if r.pullback_ok is False],
         cardinality_always_preserved=all(r.cardinality_preserving is not False for r in records),
-        failures=[r for r in records if r.pair in gated or r.pullback_ok is False],
+        failures=[r for r in records if r.pair in gated or r.pair in hit or r.pullback_ok is False],
         findings=len(exceptions) - len(gated),
     )
     return records, summary

@@ -6,9 +6,9 @@ wall-clock timestamp appears only in the header.
 
 Exit status, the same for verify and experiment: 0 when every gated
 assertion passed (expected counterexamples are findings, not failures), 1
-on an assertion failure or, under --expect-violation, when no finding
-occurred, 2 on a usage or input error, 141 (128 + SIGPIPE) when the
-reader of stdout went away.
+on an assertion failure, a search that hit its budget or, under
+--expect-violation, no finding, 2 on a usage or input error, 141
+(128 + SIGPIPE) when the reader of stdout went away.
 """
 
 import argparse

@@ -10,9 +10,9 @@ counterexamples themselves are regression-tested.
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
-from .census import (base_iso_status, census_monoids, find_power_isomorphism,
-                     groups_catalog, power_iso_facts, power_isomorphism)
-from .iso import DEFAULT_BUDGET, Coloring, enumerate_isomorphisms
+from .census import (base_iso_status, census_monoids, find_power_isomorphism, groups_catalog,
+                     power_iso_facts, power_isomorphism, power_isomorphisms, verdict)
+from .iso import DEFAULT_BUDGET, Coloring
 from .monoid import cyclic_group, cyclic_monoid, idempotent_monoid2, parse_monoid_spec
 from .powerset import format_subset, mask_of, parse_subset, reduced_power_monoid
 from .verify import (CheckResult, check_cross_relation, check_minimal_relation,
@@ -168,42 +168,38 @@ def _power_pairs(entries):
     return combinations_with_replacement(pms, 2), Coloring(pm.carrier for pm in pms)
 
 
-def _unproven(res):
-    return CheckResult("power_iso_search", res.subject, "fail", "budget exceeded: absence unproven")
-
-
 def suite_thm32(max_order=4, group_max=6, budget=DEFAULT_BUDGET):
     """Two-to-two property and pullback extraction for every isomorphism
     found between reduced power monoids: all of them over the census by
     exhaustive enumeration, one witness (and its inverse) per catalog pair.
 
-    Every extracted pullback also gets a full property report; the order
-    preservation it asserts carries no cancellativity hypothesis, which is
-    why the sweep covers the whole census and not just groups.
+    Every extracted pullback also gets a full property report (its order
+    preservation has no cancellativity hypothesis, hence the whole census);
+    a search that hit its budget adds its failing record.
     """
     rep = SuiteReport("thm32")
     preserving = []
 
     def handle(res):
-        pb = res.pullback
-        rep.add(res.two_to_two)
-        rep.add(CheckResult("pullback_extraction", f"{pb.source.name} -> {pb.target.name}",
-                            "pass" if pb.map[pb.source.identity] == pb.target.identity else "fail",
-                            f"g={pb.map}"))
-        rep.add(res.report.result())
-        preserving.append(res.cardinality_preserving)
+        if res.status == "iso":
+            pb = res.pullback
+            rep.add(res.two_to_two)
+            rep.add(CheckResult("pullback_extraction", res.report.subject,
+                                "pass" if pb.map[pb.source.identity] == pb.target.identity
+                                else "fail", f"g={pb.map}"))
+            preserving.append(res.cardinality_preserving)
+        if res.status != "absent":
+            rep.add(res.record())
 
     pairs, coloring = _power_pairs(census_monoids(max_order))
     for pm_src, pm_dst in pairs:
-        for witness in enumerate_isomorphisms(pm_src.carrier, pm_dst.carrier, budget, coloring):
-            handle(power_iso_facts(pm_src, pm_dst, witness))
+        for res in power_isomorphisms(pm_src, pm_dst, budget, coloring):
+            handle(res)
     pairs, coloring = _power_pairs(_catalog_groups(group_max, include_controls=True))
     for pm_src, pm_dst in pairs:
         res = power_isomorphism(pm_src, pm_dst, budget, coloring)
-        if res.status == "budget-exceeded":
-            rep.add(_unproven(res))
-        elif res.status == "iso":
-            handle(res)
+        handle(res)
+        if res.status == "iso":
             handle(power_iso_facts(pm_dst, pm_src, res.witness.inverse()))
     rep.notes.append(
         f"cardinality profile: {sum(preserving)}/{len(preserving)} observed isomorphisms "
@@ -215,15 +211,15 @@ def analyze_pair(h, k, budget=DEFAULT_BUDGET):
     """Single-pair power-isomorphism analysis.
 
     Returns (results, report_or_None): base and power isomorphism status
-    records plus, when a power isomorphism exists, the two-to-two and
-    pullback records and the pullback report.
+    records, failing on a budget hit (census.verdict), plus, when a power
+    isomorphism exists, the two-to-two and pullback records and the report.
     """
     base = base_iso_status(h, k, budget)
     res = find_power_isomorphism(h, k, budget)
-    results = [CheckResult("base_iso", res.subject, "pass", base),
-               CheckResult("power_iso", res.subject, "pass", res.status)]
+    results = [CheckResult("base_iso", res.subject, verdict(base), base),
+               CheckResult("power_iso", res.subject, verdict(res.status), res.status)]
     if res.status == "iso":
-        results += [res.two_to_two, res.report.result()]
+        results += [res.two_to_two, res.record()]
     return results, res.report
 
 
@@ -238,13 +234,7 @@ def suite_section4(group_max=6, budget=DEFAULT_BUDGET):
     rep = SuiteReport("section4")
     pairs, coloring = _power_pairs(_catalog_groups(group_max, include_controls=True))
     for pm_src, pm_dst in pairs:
-        res = power_isomorphism(pm_src, pm_dst, budget, coloring)
-        if res.status == "budget-exceeded":
-            rep.add(_unproven(res))
-        elif res.status == "absent":
-            rep.add(CheckResult("power_iso_search", res.subject, "pass", "proven-absent"))
-        else:
-            rep.add(res.report.result())
+        rep.add(power_isomorphism(pm_src, pm_dst, budget, coloring).record())
     results, report = analyze_pair(cyclic_group(2), idempotent_monoid2(), budget)
     rep.results.extend(results)
     witness = next((cx for flag, cx in (report.counterexamples if report else [])

@@ -307,6 +307,17 @@ def test_experiment_budget_exceeded_reported():
     assert not summary.biconditional_holds
 
 
+def test_thm32_budget_hit_is_failing_record():
+    # the census half's three order-2 searches hit the budget: one failing
+    # record each, and nothing raised
+    rep = suite_thm32(max_order=2, group_max=1, budget=1)
+    hits = [r for r in rep.results if r.checker == "power_iso_search"]
+    assert [r.subject for r in hits] == ["monoid2.0 vs monoid2.0", "monoid2.0 vs monoid2.1",
+                                         "monoid2.1 vs monoid2.1"]
+    assert all(r.failed and r.detail == "budget exceeded: absence unproven" for r in hits)
+    assert rep.failures == hits
+
+
 def test_experiment_groups_order8():
     # carrier size 128; the biconditional still holds with zero exceptions
     records, summary = run_experiment(groups_catalog(8))

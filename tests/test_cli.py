@@ -258,10 +258,28 @@ def test_experiment_jobs_flag(capsys):
 
 
 def test_experiment_budget_path(capsys):
-    code, out, _ = run_cli(capsys, "experiment", "groups", "--max-order", "4",
-                           "--budget", "10")
-    assert code == 0  # budget exhaustion is reported, not an assertion failure
-    assert "budget-exceeded" in out
+    # budget 1 stops the four self-pair searches: each is reported and, as
+    # an undecided pair, is a failure
+    code, out, err = run_cli(capsys, "experiment", "groups", "--max-order", "4",
+                             "--budget", "1")
+    assert code == 1 and err == ""
+    assert "# budget-exceeded pairs: 4" in out.splitlines()
+
+
+def test_verify_all_budget_hit_is_failure(capsys):
+    # every suite still reports; the budget hits are failing records
+    code, out, err = run_cli(capsys, "verify", "all", "--budget", "1")
+    summaries = [l.split()[2] for l in out.splitlines() if l.startswith("# summary:")]
+    assert summaries == [f"suite={name}" for name in SUITES]
+    assert code == 1 and err == ""
+
+
+def test_verify_pair_budget_hit_is_failure(capsys):
+    code, out, err = run_cli(capsys, "verify", "section4", "--pair", "z4:z4", "--budget", "1")
+    records = [l.split("\t")[:4] for l in out.splitlines() if not l.startswith("#")]
+    assert records == [["base_iso", "cyclic 4 vs cyclic 4", "fail", "budget-exceeded"],
+                       ["power_iso", "cyclic 4 vs cyclic 4", "fail", "budget-exceeded"]]
+    assert code == 1 and err == ""
 
 
 def test_verify_all_parallel_matches_serial(capsys):
