@@ -10,7 +10,7 @@ table per isomorphism class.
 
 from .errors import (NoIdentity, NotAssociative, PowmonError,
                      PreconditionViolated, SearchBudgetExceeded,
-                     SizeLimitExceeded, TwoToTwoViolation)
+                     SizeLimitExceeded)
 from .iso import IsoWitness, enumerate_isomorphisms, find_isomorphism
 from .kernels import backend
 from .monoid import (FiniteMonoid, cyclic_group, cyclic_monoid, dihedral_group,

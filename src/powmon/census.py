@@ -182,12 +182,15 @@ def verdict(status):
 @dataclass
 class PowerIsoResult:
     """Whether P_fin,1(H) ~ P_fin,1(K); the facts after pm_dst (witness, pullback g: H -> K)
-    are None unless status is "iso".  record() is its one record: a budget hit fails."""
+    are None unless status is "iso", and a failed check leaves the ones after it None.
+    record() decides the result: a budget hit, or a failed two-to-two or
+    extraction check, is a fail record (exit status 1), never an exception."""
     status: str                 # "iso" | "absent" | "budget-exceeded"
     witness: IsoWitness = None
     pm_src: object = None
     pm_dst: object = None
     two_to_two: CheckResult = None
+    extraction: CheckResult = None
     pullback: Pullback = None
     report: PullbackReport = None
     cardinality_preserving: bool = None
@@ -196,10 +199,15 @@ class PowerIsoResult:
     def subject(self):
         return f"{self.pm_src.base.name} vs {self.pm_dst.base.name}"
 
+    def checks(self):
+        """An "iso" result's records in the order decided, up to its first failure."""
+        return [r for r in (self.two_to_two, self.extraction, self.report and self.report.result())
+                if r is not None]
+
     def record(self):
-        """The pullback report's record if "iso", else a power_iso_search record."""
+        """The last of checks() if "iso", else a power_iso_search record."""
         if self.status == "iso":
-            return self.report.result()
+            return self.checks()[-1]
         detail = "proven-absent" if self.status == "absent" else "budget exceeded: absence unproven"
         return CheckResult("power_iso_search", self.subject, verdict(self.status), detail)
 
@@ -233,13 +241,16 @@ def power_isomorphism(pm_src, pm_dst, budget=DEFAULT_BUDGET, coloring=None):
 
 
 def power_iso_facts(pm_src, pm_dst, witness):
-    """The "iso" result for a known carrier isomorphism: its two-to-two
-    check, pullback, pullback report and cardinality profile."""
-    two_to_two = check_two_to_two(pm_src, pm_dst, witness)
-    pullback = extract_pullback(pm_src, pm_dst, witness)
-    return PowerIsoResult(
-        "iso", witness, pm_src, pm_dst, two_to_two, pullback, pullback_report(pullback),
-        cardinality_profile(pm_src, pm_dst, witness))
+    """The "iso" result for a known carrier isomorphism, the one place where
+    Theorem 3.2 is decided: check_two_to_two, then extract_pullback only if
+    it passed, then pullback_report only if extraction passed.  A failed
+    check is a fail record (exit status 1), never an exception."""
+    res = PowerIsoResult("iso", witness, pm_src, pm_dst, check_two_to_two(pm_src, pm_dst, witness),
+                         cardinality_preserving=cardinality_profile(pm_src, pm_dst, witness))
+    if not res.two_to_two.failed:
+        res.extraction, res.pullback = extract_pullback(pm_src, pm_dst, witness)
+        res.report = res.pullback and pullback_report(res.pullback)
+    return res
 
 
 def power_isomorphisms(pm_src, pm_dst, budget=DEFAULT_BUDGET, coloring=None):
@@ -320,7 +331,7 @@ def _experiment_pair(i, j, pm_h, pm_k, budget, bases, carriers):
     power_iso = {"iso": "yes", "absent": "no", "budget-exceeded": "budget-exceeded"}[res.status]
     return ExperimentRecord(
         (i, j), (pm_h.base.name, pm_k.base.name), base_iso, power_iso,
-        None if res.report is None else not res.report.gated_failures(),
+        None if res.status != "iso" else not res.record().failed,
         res.cardinality_preserving, None if res.witness is None else res.witness.map)
 
 

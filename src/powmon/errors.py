@@ -36,9 +36,3 @@ class SizeLimitExceeded(PowmonError):
 class PreconditionViolated(PowmonError):
     """Checker called with inputs outside its stated hypotheses."""
 
-
-class TwoToTwoViolation(PowmonError):
-    """A claimed power-monoid isomorphism maps some 2-element set elsewhere.
-
-    Impossible for a genuine isomorphism; signals a corrupted witness.
-    """

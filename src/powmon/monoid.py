@@ -243,7 +243,8 @@ def parse_table_text(text, name=None):
     """Parse the Cayley-table text format and validate the monoid.
 
     Line 1 is n; the next n lines hold n space-separated 0-based indices,
-    row a giving a*b for b = 0..n-1.  '#' starts a comment.
+    row a giving a*b for b = 0..n-1.  '#' starts a comment.  Anything but
+    comments and blank lines after row n is an error.
     """
     rows = []
     n = None
@@ -260,6 +261,8 @@ def parse_table_text(text, name=None):
                 raise ValueError(f"line {lineno}: order must be positive, got {n}")
             check_order(n)
             continue
+        if len(rows) == n:
+            raise ValueError(f"line {lineno}: unexpected content after the {n} table rows: {line!r}")
         try:
             row = [int(tok) for tok in line.split()]
         except ValueError:
@@ -270,8 +273,6 @@ def parse_table_text(text, name=None):
             if not (0 <= v < n):
                 raise ValueError(f"line {lineno}: entry {v} out of range [0, {n})")
         rows.append(row)
-        if len(rows) == n:
-            break
     if n is None:
         raise ValueError("empty table file")
     if len(rows) != n:

@@ -182,13 +182,9 @@ def suite_thm32(max_order=4, group_max=6, budget=DEFAULT_BUDGET):
 
     def handle(res):
         if res.status == "iso":
-            pb = res.pullback
-            rep.add(res.two_to_two)
-            rep.add(CheckResult("pullback_extraction", res.report.subject,
-                                "pass" if pb.map[pb.source.identity] == pb.target.identity
-                                else "fail", f"g={pb.map}"))
+            rep.results.extend(res.checks())
             preserving.append(res.cardinality_preserving)
-        if res.status != "absent":
+        elif res.status != "absent":
             rep.add(res.record())
 
     pairs, coloring = _power_pairs(census_monoids(max_order))
@@ -212,14 +208,15 @@ def analyze_pair(h, k, budget=DEFAULT_BUDGET):
 
     Returns (results, report_or_None): base and power isomorphism status
     records, failing on a budget hit (census.verdict), plus, when a power
-    isomorphism exists, the two-to-two and pullback records and the report.
+    isomorphism exists, its two-to-two record and the record that decides it.
     """
     base = base_iso_status(h, k, budget)
     res = find_power_isomorphism(h, k, budget)
     results = [CheckResult("base_iso", res.subject, verdict(base), base),
                CheckResult("power_iso", res.subject, verdict(res.status), res.status)]
     if res.status == "iso":
-        results += [res.two_to_two, res.record()]
+        decided = res.record()
+        results += [res.two_to_two] + ([] if decided is res.two_to_two else [decided])
     return results, res.report
 
 

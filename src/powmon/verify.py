@@ -5,12 +5,14 @@ witnesses.  Hypothesis gating is explicit: a conclusion is only asserted
 (can only flip status to "fail") when its stated hypotheses hold for the
 inputs; outside them, observed violations are recorded as informative
 findings.  That is how the known counterexamples surface without failing
-a run.
+a run.  A violated statement is a fail record (exit status 1), never an
+exception (exit status 2): that holds for a failed two-to-two or pullback
+extraction check too, which census.power_iso_facts decides in that order.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import PreconditionViolated, TwoToTwoViolation
+from .errors import PreconditionViolated
 from .powerset import elements_of, format_subset, setwise_product, subset_power
 
 
@@ -252,12 +254,12 @@ def check_two_to_two(pm_src, pm_dst, witness):
 
 
 class Pullback:
-    """The bijection g: H -> K carried by a power-monoid isomorphism.
+    """The bijection g: H -> K carried by a power-monoid isomorphism f.
 
     g(x) is the unique non-identity element of f({1_H, x}); g(1_H) = 1_K.
-    extract_pullback re-checks the two-to-two property defensively and
-    raises TwoToTwoViolation on a corrupted witness (impossible for a
-    genuine isomorphism).
+    Only extract_pullback builds one, when its check passes.  A witness
+    that fails two-to-two or extraction gets a fail record (exit status 1),
+    never an exception (exit status 2); census.power_iso_facts decides both.
     """
 
     def __init__(self, source, target, mapping):
@@ -270,21 +272,20 @@ class Pullback:
 
 
 def extract_pullback(pm_src, pm_dst, witness):
+    """(record, pullback): the one check that x -> y, where f({1_H, x}) =
+    {1_K, y}, is a bijection H -> K.  The witness must have passed
+    check_two_to_two (census.power_iso_facts calls this only then).  A
+    failure is a fail record (exit status 1) and no pullback, never raised.
+    """
     h, k = pm_src.base, pm_dst.base
-    mapping = [0] * h.n
-    mapping[h.identity] = k.identity
     kbit = 1 << k.identity
-    for x in range(h.n):
-        if x == h.identity:
-            continue
-        img = pm_dst.masks[witness.map[pm_src.pair_index(x)]]
-        if bin(img).count("1") != 2 or not img & kbit:
-            raise TwoToTwoViolation(
-                f"f({{1,{x}}}) = {{{format_subset(img)}}} is not of the form {{1, y}}")
-        mapping[x] = (img & ~kbit).bit_length() - 1
-    if sorted(mapping) != list(range(h.n)):
-        raise TwoToTwoViolation("extracted map is not a bijection")
-    return Pullback(h, k, mapping)
+    mapping = tuple(k.identity if x == h.identity else
+                    (pm_dst.masks[witness.map[pm_src.pair_index(x)]] & ~kbit).bit_length() - 1
+                    for x in range(h.n))
+    ok = sorted(mapping) == list(range(k.n))
+    return (CheckResult("pullback_extraction", f"{h.name} -> {k.name}", "pass" if ok else "fail",
+                        f"g={mapping}" + ("" if ok else " is not a bijection")),
+            Pullback(h, k, mapping) if ok else None)
 
 
 @dataclass
@@ -314,7 +315,7 @@ class PullbackReport:
 
     def holds(self, prop):
         prop = "torsion_hom" if prop == "full_hom" else prop
-        return all(flag != prop for flag, _ in self.counterexamples)
+        return prop not in dict(self.counterexamples)
 
     def gated_failures(self):
         return [prop for prop, hyp in self.GATES

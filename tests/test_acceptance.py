@@ -128,8 +128,8 @@ def test_criterion_7_counterexample_regression(capsys):
         pmh = reduced_power_monoid(cyclic_group(2))
         pmk = reduced_power_monoid(idempotent_monoid2())
         w = find_isomorphism(pmh.carrier, pmk.carrier)
-        rep = pullback_report(extract_pullback(pmh, pmk, w))
-        g = rep and extract_pullback(pmh, pmk, w).map
+        rep = pullback_report(extract_pullback(pmh, pmk, w)[1])
+        g = rep and extract_pullback(pmh, pmk, w)[1].map
         k = pmk.base
         if not (g[cyclic_group(2).power(1, 2)] != k.power(g[1], 2)):
             problems.append("g(x^2) == g(x)^2 unexpectedly")
@@ -187,7 +187,7 @@ def test_criterion_9_augmentation_functoriality():
                 if h is None:
                     continue
                 w = augment(h, pms[i], pms[j])   # re-validated on construction
-                pb = extract_pullback(pms[i], pms[j], w)
+                pb = extract_pullback(pms[i], pms[j], w)[1]
                 if pb.map != h.map:
                     problems.append(f"pullback of augmentation differs from base map "
                                     f"for {cat[i].name} -> {cat[j].name}")

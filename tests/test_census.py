@@ -179,13 +179,16 @@ def test_find_power_isomorphism_status(zoo):
 def test_power_isomorphism_facts(zoo):
     res = find_power_isomorphism(zoo["z2"], zoo["idem2"])
     assert res.two_to_two.status == "pass"
+    assert res.extraction.line() == "pullback_extraction\tcyclic 2 -> idem2\tpass\tg=(0, 1)"
     assert res.pullback.map == (0, 1)
+    assert res.checks() == [res.two_to_two, res.extraction, res.record()]
     assert res.report.holds("order_preserving") and not res.report.holds("power_compatible")
     assert res.cardinality_preserving is True
     assert res.subject == "cyclic 2 vs idem2"
     res = find_power_isomorphism(zoo["z4"], zoo["klein"])
-    assert (res.witness, res.two_to_two, res.pullback, res.report,
-            res.cardinality_preserving) == (None,) * 5
+    assert (res.witness, res.two_to_two, res.extraction, res.pullback, res.report,
+            res.cardinality_preserving) == (None,) * 6
+    assert res.checks() == []
 
 
 def test_power_isomorphism_needs_materialized_carriers():

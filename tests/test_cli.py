@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import powmon
+from powmon import census
 from powmon.cli import VERIFY_FLAGS, main, parse_monoid_spec
 from powmon.monoid import cyclic_group, direct_product
 from powmon.suites import CASES, SUITES
@@ -78,6 +80,13 @@ def test_construct_malformed_table_names_line(tmp_path, capsys):
     code, out, err = run_cli(capsys, "construct", "table", str(p))
     assert code == 2
     assert "line 3" in err
+
+
+def test_construct_table_with_trailing_row_is_input_error(tmp_path, capsys):
+    p = tmp_path / "extra.tbl"
+    p.write_text("2\n0 1\n1 0\n0 1 2\n")
+    code, out, err = run_cli(capsys, "construct", "table", str(p))
+    assert code == 2 and out == "" and "line 4: unexpected content" in err
 
 
 def test_construct_nonassociative_table_is_input_error(tmp_path, capsys):
@@ -280,6 +289,60 @@ def test_verify_pair_budget_hit_is_failure(capsys):
     assert records == [["base_iso", "cyclic 4 vs cyclic 4", "fail", "budget-exceeded"],
                        ["power_iso", "cyclic 4 vs cyclic 4", "fail", "budget-exceeded"]]
     assert code == 1 and err == ""
+
+
+def _swap_1_3(images):
+    # on a 4-element carrier this sends {0,1} to {0,1,2}: two-to-two fails
+    images[1], images[3] = images[3], images[1]
+    return images
+
+
+def _merge_pairs(images):
+    # {0,1} and {0,2} go to one {1, y}: two-to-two holds, the pullback is no bijection
+    images[2] = images[1]
+    return images
+
+
+@pytest.mark.parametrize("corrupt, failing, detail, skipped", [
+    (_swap_1_3, "two_to_two", "(size 3)", "pullback_extraction"),
+    (_merge_pairs, "pullback_extraction", "is not a bijection", "pullback_report"),
+])
+def test_thm32_corrupted_witness_is_a_fail_record(capsys, monkeypatch, corrupt, failing,
+                                                  detail, skipped):
+    # the first witness between any two order-3 bases is corrupted; each is
+    # a fail record, the checks after it are not run, and the report is complete
+    enumerate_real = census.enumerate_isomorphisms
+
+    def enumerate_corrupted(src, dst, *args, **kwargs):
+        witnesses = enumerate_real(src, dst, *args, **kwargs)
+        if src.n == 4 and witnesses:
+            witnesses[0] = types.SimpleNamespace(map=tuple(corrupt(list(witnesses[0].map))))
+        return witnesses
+
+    monkeypatch.setattr(census, "enumerate_isomorphisms", enumerate_corrupted)
+    code, out, err = run_cli(capsys, "verify", "thm32", "--max-order", "3", "--group-max", "1")
+    records = [l.split("\t") for l in out.splitlines() if not l.startswith("#")]
+    fails = [i for i, r in enumerate(records) if r[2] == "fail"]
+    assert code == 1 and err == "" and fails
+    for i in fails:
+        assert records[i][0] == failing and records[i][3].endswith(detail)
+        assert [r[0] for r in records[i + 1:i + 2]] != [skipped]
+    assert out.splitlines()[-2] == f"# summary: suite=thm32 cases={len(records)} failures={len(fails)}"
+
+
+def test_experiment_corrupted_witness_is_a_pullback_failure(capsys, monkeypatch):
+    find_real = census.find_isomorphism
+
+    def find_corrupted(src, dst, *args, **kwargs):
+        w = find_real(src, dst, *args, **kwargs)
+        return types.SimpleNamespace(map=tuple(_swap_1_3(list(w.map)))) if src.n == 4 else w
+
+    monkeypatch.setattr(census, "find_isomorphism", find_corrupted)
+    code, out, err = run_cli(capsys, "experiment", "groups", "--max-order", "3")
+    lines = out.splitlines()
+    assert code == 1 and err == ""
+    assert lines[lines.index("# pullback failures: 1") + 1] == "#   pullback failure: cyclic 3 vs cyclic 3"
+    assert "2:2\tcyclic 3\tcyclic 3\tyes\tyes\tfalse\tfalse" in lines
 
 
 def test_verify_all_parallel_matches_serial(capsys):

@@ -186,8 +186,12 @@ def test_table_text_errors():
         parse_table_text("2\n0 1\n1 7\n")
     with pytest.raises(ValueError):
         parse_table_text("# only a comment\n")
-    # comments and blank lines are fine
-    m = parse_table_text("# Z2\n\n2\n0 1  # row of 0\n1 0\n")
+    # after row n only comments and blank lines may follow
+    for text in ("2\n0 1\n1 0\n0 1 2\n", "2\n0 1\n1 0\n# done\n\n1 0\n", "2\n0 1\n1 0\nzap\n"):
+        with pytest.raises(ValueError, match=f"line {len(text.splitlines())}: unexpected content"):
+            parse_table_text(text)
+    # comments and blank lines are fine, after the rows too
+    m = parse_table_text("# Z2\n\n2\n0 1  # row of 0\n1 0\n\n# end\n")
     assert m.n == 2
 
 

@@ -1,14 +1,19 @@
 """Checker behavior on the worked examples and their oracles."""
 
+import copy
 import types
 
 import pytest
 
-from powmon.errors import PreconditionViolated, TwoToTwoViolation
+from powmon import suites
+from powmon.census import find_power_isomorphism
+from powmon.cli import main
+from powmon.errors import PreconditionViolated
 from powmon.iso import enumerate_isomorphisms, find_isomorphism
+from powmon.monoid import cyclic_group, direct_product
 from powmon.powerset import (mask_of, reduced_power_monoid, setwise_product,
                              subset_power)
-from powmon.verify import (PullbackReport, check_cross_relation,
+from powmon.verify import (Pullback, PullbackReport, check_cross_relation,
                            check_minimal_relation, check_order_stabilization,
                            check_shifted_power, check_solution_count,
                            check_two_to_two, count_equation_solutions,
@@ -211,14 +216,14 @@ def test_two_to_two_z2_idem_witness(zoo):
     w = find_isomorphism(pmh.carrier, pmk.carrier)
     assert w is not None
     assert check_two_to_two(pmh, pmk, w).status == "pass"
-    pb = extract_pullback(pmh, pmk, w)
+    pb = extract_pullback(pmh, pmk, w)[1]
     assert pb.map == (0, 1)  # 1 -> 1, x -> e
 
 
 def test_pullback_identity(zoo):
     pm = reduced_power_monoid(zoo["z6"])
     w = find_isomorphism(pm.carrier, pm.carrier)
-    pb = extract_pullback(pm, pm, w)
+    pb = extract_pullback(pm, pm, w)[1]
     assert pb.map == tuple(range(6))
 
 
@@ -226,7 +231,7 @@ def test_pullback_z3_automorphisms_fix_identity(zoo):
     pm = reduced_power_monoid(zoo["z3"])
     maps = set()
     for w in enumerate_isomorphisms(pm.carrier, pm.carrier):
-        pb = extract_pullback(pm, pm, w)
+        pb = extract_pullback(pm, pm, w)[1]
         assert pb.map[0] == 0 and sorted(pb.map) == [0, 1, 2]
         maps.add(pb.map)
     assert maps == {(0, 1, 2), (0, 2, 1)}
@@ -240,16 +245,21 @@ def test_pullback_rejects_corrupted_witness(zoo):
     j = pm.index_of(mask_of([0, 1, 2], 4))
     bad[i], bad[j] = bad[j], bad[i]
     fake = types.SimpleNamespace(map=tuple(bad))
-    with pytest.raises(TwoToTwoViolation):
-        extract_pullback(pm, pm, fake)
+    assert check_two_to_two(pm, pm, fake).line() == (
+        "two_to_two\tcyclic 4 -> cyclic 4\tfail\tx=1 -> 0,1,2 (size 3)")
+    # read anyway, it gives g(1) = g(2) = 2: a failing record, no pullback
+    rec, pb = extract_pullback(pm, pm, fake)
+    assert rec.line() == (
+        "pullback_extraction\tcyclic 4 -> cyclic 4\tfail\tg=(0, 2, 2, 3) is not a bijection")
+    assert pb is None
 
 
 def test_pullback_inverse(zoo):
     pmh = reduced_power_monoid(zoo["z6"])
     pmk = reduced_power_monoid(zoo["z2xz3"])
     w = find_isomorphism(pmh.carrier, pmk.carrier)
-    pb = extract_pullback(pmh, pmk, w)
-    inv = extract_pullback(pmk, pmh, w.inverse())
+    pb = extract_pullback(pmh, pmk, w)[1]
+    inv = extract_pullback(pmk, pmh, w.inverse())[1]
     assert [inv.map[pb.map[x]] for x in range(6)] == list(range(6))
 
 
@@ -257,7 +267,7 @@ def test_pullback_inverse(zoo):
 
 def test_report_identity_all_true(zoo):
     pm = reduced_power_monoid(zoo["q8"])
-    pb = extract_pullback(pm, pm, find_isomorphism(pm.carrier, pm.carrier))
+    pb = extract_pullback(pm, pm, find_isomorphism(pm.carrier, pm.carrier))[1]
     rep = pullback_report(pb)
     assert rep.holds("order_preserving") and rep.holds("power_compatible") and rep.holds("full_hom")
     assert not rep.gated_failures()
@@ -266,7 +276,7 @@ def test_report_identity_all_true(zoo):
 def test_report_z2_idem_counterexample(zoo):
     pmh = reduced_power_monoid(zoo["z2"])
     pmk = reduced_power_monoid(zoo["idem2"])
-    pb = extract_pullback(pmh, pmk, find_isomorphism(pmh.carrier, pmk.carrier))
+    pb = extract_pullback(pmh, pmk, find_isomorphism(pmh.carrier, pmk.carrier))[1]
     rep = pullback_report(pb)
     assert rep.holds("order_preserving")
     assert not rep.holds("power_compatible")
@@ -284,9 +294,9 @@ def test_report_s3_automorphisms(zoo):
     auts = enumerate_isomorphisms(pm.carrier, pm.carrier)
     pulls = set()
     for w in auts:
-        rep = pullback_report(extract_pullback(pm, pm, w))
+        rep = pullback_report(extract_pullback(pm, pm, w)[1])
         assert rep.holds("full_hom") and not rep.gated_failures()
-        pulls.add(extract_pullback(pm, pm, w).map)
+        pulls.add(extract_pullback(pm, pm, w)[1].map)
     assert pulls == set(brute_isomorphisms(d3.table, d3.table))
 
 
@@ -297,7 +307,7 @@ def test_full_hom_implies_torsion_hom(zoo):
         w = find_isomorphism(pmh.carrier, pmk.carrier)
         if w is None:
             continue
-        rep = pullback_report(extract_pullback(pmh, pmk, w))
+        rep = pullback_report(extract_pullback(pmh, pmk, w)[1])
         assert rep.holds("full_hom") == rep.holds("torsion_hom")
 
 
@@ -323,3 +333,84 @@ def test_report_properties_come_from_counterexamples():
     assert PullbackReport("h -> k", hyp, []).result().line() == (
         "pullback_report\th -> k\tpass\t" + "; ".join(
             f"{prop}=True" for prop, _ in PullbackReport.GATES))
+
+
+# --- every check name that verify all writes can fail ----------------------
+
+def _flat_perturbed():
+    """cyclic 3 whose flat says 0*0 = 1 while its table keeps 0*0 = 0:
+    setwise products read the flat, powers and orders read the table."""
+    m = copy.copy(cyclic_group(3))
+    m.flat = (1,) + m.flat[1:]
+    return m
+
+
+def _loop5():
+    """A loop of order 5 (a Latin square with identity 0) that is not
+    associative, so FiniteMonoid would refuse it: x=2 is y^2 for y=3, yet
+    x^3 = y^3 and 2 does not divide 3."""
+    m = copy.copy(cyclic_group(5))
+    m.table = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1), (3, 4, 1, 2, 0), (4, 2, 0, 1, 3))
+    m.name = "loop5"
+    return m
+
+
+def _pullback_records(images):
+    """check_two_to_two and extract_pullback of a duck-typed witness of
+    P(cyclic 3), given as the images of its carrier indices."""
+    pm = reduced_power_monoid(cyclic_group(3))
+    fake = types.SimpleNamespace(map=images)
+    return [check_two_to_two(pm, pm, fake), extract_pullback(pm, pm, fake)[0]]
+
+
+def _expected_violation(monkeypatch):
+    # both pinned counterexamples built from groups, where none occurs
+    monkeypatch.setattr(suites, "idempotent_monoid2", lambda: cyclic_group(2))
+    monkeypatch.setattr(suites, "cyclic_monoid", lambda index, period: cyclic_group(index + period))
+    return (suites.suite_section4(group_max=1).results
+            + suites.suite_lemma22(max_order=1, group_max=1).results)
+
+
+def _pair_solution_count(monkeypatch):
+    # each pinned count read off the next cyclic group
+    cyclic = suites.cyclic_group
+    monkeypatch.setattr(suites, "cyclic_group", lambda order: cyclic(order + 1))
+    return suites.suite_lemma31(max_order=1).results
+
+
+_Z6, _Z2XZ3 = cyclic_group(6), direct_product(cyclic_group(2), cyclic_group(3))
+
+# check name -> records, given monkeypatch, of an input violating its statement
+FAILING_INPUTS = {
+    "order_stabilization": lambda mp: [check_order_stabilization(_flat_perturbed(), 1)],
+    "shifted_power": lambda mp: [check_shifted_power(_flat_perturbed(), 1, 2, 1)],
+    "expected_violation": _expected_violation,
+    "cross_relation": lambda mp: [check_cross_relation(_flat_perturbed(), 1, 1, 1, 1)],
+    "minimal_relation": lambda mp: [check_minimal_relation(_loop5(), 2, 3)],
+    "equation_solutions": lambda mp: [check_solution_count(_flat_perturbed(), 0b011, 3)],
+    "pair_solution_count": _pair_solution_count,
+    # {0,1} -> {0,1,2} and {0,1,2} -> {0,1}
+    "two_to_two": lambda mp: _pullback_records((0, 3, 2, 1)),
+    # {0,1} and {0,2} both -> {0,1}: g = (0, 1, 1)
+    "pullback_extraction": lambda mp: _pullback_records((0, 1, 1, 3)),
+    # g(1) = 2 has order 2 in cyclic 4, but 1 has order 4
+    "pullback_report": lambda mp: [pullback_report(
+        Pullback(cyclic_group(4), cyclic_group(4), (0, 2, 1, 3))).result()],
+    "power_iso_search": lambda mp: [find_power_isomorphism(_Z6, _Z2XZ3, budget=1).record()],
+    "base_iso": lambda mp: suites.analyze_pair(_Z6, _Z2XZ3, budget=1)[0],
+    "power_iso": lambda mp: suites.analyze_pair(_Z6, _Z2XZ3, budget=1)[0],
+}
+
+
+@pytest.mark.parametrize("name", FAILING_INPUTS)
+def test_every_check_can_fail(monkeypatch, name):
+    records = [r for r in FAILING_INPUTS[name](monkeypatch) if r.checker == name]
+    assert records and any(r.failed for r in records), [r.line() for r in records]
+
+
+def test_failing_inputs_cover_every_check_name(capsys):
+    # a new check name in verify all needs an input above that fails it
+    assert main(["verify", "all"]) == 0
+    written = {line.split("\t")[0] for line in capsys.readouterr().out.splitlines()
+               if not line.startswith("#")}
+    assert written == set(FAILING_INPUTS)
