@@ -142,8 +142,12 @@ _CATALOG_SPECS = (
 )
 
 
+@lru_cache(maxsize=None)
 def groups_catalog(max_order):
     """The standard groups of each order <= max_order (max CATALOG_LIMIT).
+
+    The result is cached, so it is immutable: a tuple of frozen entries,
+    built and validated once per process and order.
 
     Entries tagged control_of are deliberate isomorphic duplicates (e.g.
     cyclic 2 x cyclic 3 alongside cyclic 6), kept so the experiments also
@@ -171,7 +175,7 @@ def groups_catalog(max_order):
             target = next(c.monoid for c in canon if c.name == e.control_of)
             if find_isomorphism(e.monoid, target, coloring=coloring) is None:
                 raise AssertionError(f"control {e.name} is not isomorphic to {e.control_of}")
-    return out
+    return tuple(out)
 
 
 def verdict(status):
@@ -183,8 +187,9 @@ def verdict(status):
 class PowerIsoResult:
     """Whether P_fin,1(H) ~ P_fin,1(K); the facts after pm_dst (witness, pullback g: H -> K)
     are None unless status is "iso", and a failed check leaves the ones after it None.
-    record() decides the result: a budget hit, or a failed two-to-two or
-    extraction check, is a fail record (exit status 1), never an exception."""
+    failed decides the result, and record() takes its status from it: a budget
+    hit, or a failed two-to-two or extraction check, is a fail record (exit
+    status 1), never an exception."""
     status: str                 # "iso" | "absent" | "budget-exceeded"
     witness: IsoWitness = None
     pm_src: object = None
@@ -199,6 +204,13 @@ class PowerIsoResult:
     def subject(self):
         return f"{self.pm_src.base.name} vs {self.pm_dst.base.name}"
 
+    @property
+    def failed(self):
+        """The verdict of record(), decided without formatting any record."""
+        if self.status != "iso":
+            return verdict(self.status) == "fail"
+        return self.two_to_two.failed or self.extraction.failed or self.report.failed
+
     def checks(self):
         """An "iso" result's records in the order decided, up to its first failure."""
         return [r for r in (self.two_to_two, self.extraction, self.report and self.report.result())
@@ -209,7 +221,8 @@ class PowerIsoResult:
         if self.status == "iso":
             return self.checks()[-1]
         detail = "proven-absent" if self.status == "absent" else "budget exceeded: absence unproven"
-        return CheckResult("power_iso_search", self.subject, verdict(self.status), detail)
+        return CheckResult("power_iso_search", self.subject, "fail" if self.failed else "pass",
+                           detail)
 
 
 def base_iso_status(h, k, budget=DEFAULT_BUDGET, coloring=None):
@@ -331,7 +344,7 @@ def _experiment_pair(i, j, pm_h, pm_k, budget, bases, carriers):
     power_iso = {"iso": "yes", "absent": "no", "budget-exceeded": "budget-exceeded"}[res.status]
     return ExperimentRecord(
         (i, j), (pm_h.base.name, pm_k.base.name), base_iso, power_iso,
-        None if res.status != "iso" else not res.record().failed,
+        None if res.status != "iso" else not res.failed,
         res.cardinality_preserving, None if res.witness is None else res.witness.map)
 
 

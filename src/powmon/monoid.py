@@ -1,8 +1,12 @@
 """Finite monoids as validated Cayley tables.
 
 Elements are dense indices 0..n-1.  The identity is detected from the
-table, never declared, so input files cannot lie about it.  Instances are
-immutable after construction and safe to share across threads.
+table, never declared, so input files cannot lie about it.  The table of
+an instance never changes after construction.  Derived facts (element
+power cycles, orders, units, and the subset power cycles that
+powmon.powerset keeps here) are cached lazily; every cache entry is a
+pure function of the table, so filling one twice stores the same value
+and instances stay safe to share across threads.
 """
 
 import math
@@ -11,6 +15,30 @@ from . import kernels
 from .errors import NoIdentity, NotAssociative, SizeLimitExceeded
 
 ORDER_LIMIT = 16   # largest order built from a spec or a table file
+
+
+def eventual_cycle(one, step):
+    """The eventually periodic sequence one, step(one), step(step(one)), ...
+
+    Returns (terms, start): terms holds the distinct terms in order, and
+    the next term equals terms[start].  step is called len(terms) times.
+    """
+    pos = {}
+    terms = []
+    x = one
+    while x not in pos:
+        pos[x] = len(terms)
+        terms.append(x)
+        x = step(x)
+    return tuple(terms), pos[x]
+
+
+def cycle_term(cycle, k):
+    """Term k >= 0 of the sequence that eventual_cycle returned as cycle."""
+    terms, start = cycle
+    if k >= len(terms):
+        k = start + (k - start) % (len(terms) - start)
+    return terms[k]
 
 
 def check_order(n):
@@ -24,7 +52,10 @@ class FiniteMonoid:
 
     Construction validates all three structural invariants: entries in
     range, associativity (with a witness triple on failure), and a unique
-    two-sided identity.
+    two-sided identity.  Powers are computed once per element: the first
+    call for a builds its power cycle, and power(a, k) for any k is then
+    an index computation.  subset_cycles maps a subset bitmask to its power
+    cycle under setwise product (filled by powerset.subset_power).
     """
 
     def __init__(self, table, name=None):
@@ -59,25 +90,30 @@ class FiniteMonoid:
         self._orders = None
         self._cancellative = None
         self._units = None
+        self._cycles = [None] * n
+        self.subset_cycles = {}
 
     def mul(self, a, b):
         return self.table[a][b]
 
+    def power_cycle(self, a):
+        """(powers, start): the distinct powers a^0 .. a^(ord-1) in order,
+        and the exponent start < ord with a^ord = a^start."""
+        cycle = self._cycles[a]
+        if cycle is None:
+            rows = self.table
+            cycle = self._cycles[a] = eventual_cycle(self.identity, lambda x: rows[x][a])
+        return cycle
+
     def power(self, a, k):
-        """a^k, with a^0 the identity."""
-        acc = self.identity
-        for _ in range(k):
-            acc = self.table[acc][a]
-        return acc
+        """a^k for k >= 0, with a^0 the identity."""
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
+        return cycle_term(self.power_cycle(a), k)
 
     def element_order(self, a):
         """Size of the cyclic submonoid {a^0, a^1, ...} generated by a."""
-        seen = {self.identity}
-        x = a
-        while x not in seen:
-            seen.add(x)
-            x = self.table[x][a]
-        return len(seen)
+        return len(self.power_cycle(a)[0])
 
     def orders(self):
         if self._orders is None:

@@ -10,7 +10,7 @@ order, so carriers are reproducible across runs.
 from . import kernels
 from .errors import SizeLimitExceeded
 from .iso import IsoWitness
-from .monoid import FiniteMonoid
+from .monoid import FiniteMonoid, cycle_term, eventual_cycle
 
 MATERIALIZE_LIMIT = 10   # largest base order of a power monoid
 
@@ -60,19 +60,23 @@ def setwise_product(m, x, y):
 def subset_power(m, x, k):
     """x^k under setwise product, with x^0 the singleton {identity}.
 
-    A power with acc*x == acc is x^k for every larger k, so the loop stops
-    there.  When x holds the identity the powers only grow, so that takes
-    at most |M| products for any k.
+    The powers of x are eventually periodic, since M has finitely many
+    subsets.  The first call for x builds their cycle, which m caches: the
+    distinct powers x^0, x^1, ... up to the first repeat, one product each.
+    Any k is then an index into the cycle.  When x holds the identity the
+    powers only grow, so they reach a fixed point within |M| products; without
+    it they may cycle, as {1} does in Z6.
     """
     if x == 0:
         raise ValueError("power of an empty subset")
-    acc = 1 << m.identity
-    for _ in range(k):
-        nxt = kernels.setwise_product(m.flat, m.n, acc, x)
-        if nxt == acc:
-            break
-        acc = nxt
-    return acc
+    if k < 0:
+        raise ValueError(f"negative exponent {k}")
+    cycle = m.subset_cycles.get(x)
+    if cycle is None:
+        flat, n = m.flat, m.n
+        cycle = m.subset_cycles[x] = eventual_cycle(
+            1 << m.identity, lambda acc: kernels.setwise_product(flat, n, acc, x))
+    return cycle_term(cycle, k)
 
 
 class PowerMonoid:

@@ -43,13 +43,9 @@ def _pair(m, x):
 def check_order_stabilization(m, z):
     """Least k >= 1 with {1,z}^k = {1,z}^(k-1) must equal the order of z."""
     ord_z = m.element_order(z)
-    prev = 1 << m.identity
+    pair = _pair(m, z)
     k = 1
-    while True:
-        cur = setwise_product(m, prev, _pair(m, z))
-        if cur == prev:
-            break
-        prev = cur
+    while subset_power(m, pair, k) != subset_power(m, pair, k - 1):
         k += 1
     ok = k == ord_z
     return CheckResult("order_stabilization", f"{m.name} z={z}",
@@ -81,10 +77,11 @@ def check_shifted_power(m, z, l, r):
     part2_gated = m.is_cancellative_element(z) and l <= ord_z
     if part2_gated:
         applied.append("part2")
+    later = [(s, subset_power(m, pair, s)) for s in range(l - 1, ord_z + 3)]
     for rp in range(0, l - 1):
         lhs = setwise_product(m, zl, subset_power(m, pair, rp))
-        for s in range(l - 1, ord_z + 3):
-            if lhs == subset_power(m, pair, s):
+        for s, power in later:
+            if lhs == power:
                 msg = f"l={l} r={rp} s={s}: sides equal"
                 if part2_gated:
                     failures.append("part2: " + msg)
@@ -200,28 +197,27 @@ def count_equation_solutions(m, s_mask, n_exp, universe="full"):
     if n_exp < 1:
         raise PreconditionViolated("need n >= 1")
     target = subset_power(m, s_mask, n_exp)
-    if universe == "full":
-        candidates = range(1, 1 << m.n)
-    else:
-        candidates = (a for a in range(1, 1 << m.n) if a & ebit)
-    solutions = [a for a in candidates if setwise_product(m, a, s_mask) == target]
+    # products[a] = A*S for the subset A with mask a, one OR per subset as in
+    # _pure.power_table: the subsets with top element x come after those
+    # below x, and A*S is (A minus x)*S united with x*S
+    products = [0]
+    for x in range(m.n):
+        xs = setwise_product(m, 1 << x, s_mask)
+        products += [prod | xs for prod in products]
+    solutions = [a for a, prod in enumerate(products)
+                 if prod == target and (universe == "full" or a & ebit)]
     k = bin(s_mask).count("1") - 1
     family = []
     family_ok = True
     if n_exp >= 3:
         base = subset_power(m, s_mask, n_exp - 1)
-        rest = elements_of(s_mask & ~ebit)
-        for t_bits in range(1 << k):
-            t_mask = 0
-            for i, e in enumerate(rest):
-                if t_bits >> i & 1:
-                    t_mask |= 1 << e
-            q = base & ~t_mask
-            family.append(q)
-            if q == 0 or setwise_product(m, q, s_mask) != target:
-                family_ok = False
-        if len(set(family)) != len(family):
-            family_ok = False
+        # t_masks[b] is the T holding the i-th non-identity element of S iff bit i of b is set
+        t_masks = [0]
+        for e in elements_of(s_mask & ~ebit):
+            t_masks += [t_mask | 1 << e for t_mask in t_masks]
+        family = [base & ~t_mask for t_mask in t_masks]
+        family_ok = (all(q and products[q] == target for q in family)
+                     and len(set(family)) == len(family))
     return SolutionCount(len(solutions), solutions, 1 << k,
                          universe == "full" and n_exp >= 3, family, family_ok)
 
@@ -321,13 +317,18 @@ class PullbackReport:
         return [prop for prop, hyp in self.GATES
                 if (hyp is None or self.hypotheses[hyp]) and not self.holds(prop)]
 
+    @property
+    def failed(self):
+        """The verdict of result(), decided without formatting it."""
+        return bool(self.gated_failures())
+
     def result(self):
         failures = self.gated_failures()
         detail = "; ".join(f"{prop}={self.holds(prop)}" for prop, _ in self.GATES)
         findings = [f"{flag} fails outside hypotheses: {cx}"
                     for flag, cx in self.counterexamples if flag not in failures]
         return CheckResult("pullback_report", self.subject,
-                           "fail" if failures else "pass", detail, findings)
+                           "fail" if self.failed else "pass", detail, findings)
 
 
 def pullback_report(pb):
@@ -345,15 +346,17 @@ def pullback_report(pb):
     cx = []
     for x in range(h.n):
         ox = h.element_order(x)
-        if ox != k.element_order(g[x]):
-            cx.append(("order_preserving",
-                       f"x={x}: ord_H={ox} ord_K={k.element_order(g[x])}"))
+        # the powers g(x)^l with l <= kk are gx_powers[:kk + 1]: a power past
+        # the end of the cycle repeats an earlier one
+        gx_powers = k.power_cycle(g[x])[0]
+        if ox != len(gx_powers):
+            cx.append(("order_preserving", f"x={x}: ord_H={ox} ord_K={len(gx_powers)}"))
         for kk in range(0, 2 * ox + 1):
             gxk = g[h.power(x, kk)]
-            if gxk != k.power(g[x], kk):
-                cx.append(("power_compatible",
-                           f"x={x} k={kk}: g(x^k)={gxk} g(x)^k={k.power(g[x], kk)}"))
-            if not any(gxk == k.power(g[x], l) for l in range(0, kk + 1)):
+            gx_k = k.power(g[x], kk)
+            if gxk != gx_k:
+                cx.append(("power_compatible", f"x={x} k={kk}: g(x^k)={gxk} g(x)^k={gx_k}"))
+            if gxk not in gx_powers[:kk + 1]:
                 cx.append(("bounded_power_image", f"x={x} k={kk}: no l <= k with g(x^k)=g(x)^l"))
     e = h.identity
     for x in range(h.n):

@@ -100,3 +100,45 @@ def brute_least_labelling(table):
         if best is None or seq < best:
             best = seq
     return best
+
+
+def brute_power(table, identity, a, k):
+    """a^k by k right multiplications, a^0 the identity."""
+    acc = identity
+    for _ in range(k):
+        acc = table[acc][a]
+    return acc
+
+
+def brute_reduced_exponent(seq, k):
+    """An exponent j < len(seq) with term j equal to term k of an eventually
+    periodic sequence of which seq holds terms 0 .. 2N for some N at or past
+    its index: the period p is the least p >= 1 with seq[N + p] == seq[N]."""
+    n = (len(seq) - 1) // 2
+    if k <= 2 * n:
+        return k
+    p = next(p for p in range(1, n + 1) if seq[n + p] == seq[n])
+    return n + (k - n) % p
+
+
+def brute_equation_solutions(table, identity, s, n_exp, universe):
+    """(solutions, family, family_ok) of A*S = S^n as in count_equation_solutions,
+    over frozensets: every non-empty A (holding the identity for universe
+    "reduced") in ascending bitmask order, and for n >= 3 the sets S^(n-1)
+    minus T for the subsets T of S minus the identity, T ranging in binary
+    counting order over those elements in ascending order."""
+    n = len(table)
+    as_set = lambda mask: frozenset(e for e in range(n) if mask >> e & 1)
+    target = brute_subset_power(table, identity, s, n_exp)
+    solutions = [a for a in range(1, 1 << n)
+                 if (universe == "full" or a >> identity & 1)
+                 and brute_setwise(table, as_set(a), s) == target]
+    if n_exp < 3:
+        return solutions, [], True
+    base = brute_subset_power(table, identity, s, n_exp - 1)
+    rest = sorted(s - {identity})
+    family = [base - {e for i, e in enumerate(rest) if bits >> i & 1}
+              for bits in range(1 << len(rest))]
+    family_ok = (all(q and brute_setwise(table, q, s) == target for q in family)
+                 and len(set(family)) == len(family))
+    return solutions, family, family_ok

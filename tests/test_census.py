@@ -3,18 +3,19 @@
 import dataclasses
 import os
 import random
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
 from powmon.census import (CensusEntry, canonical_key, census_monoids,
                            enumerate_monoids, find_power_isomorphism,
-                           groups_catalog, run_experiment)
+                           groups_catalog, power_iso_facts, run_experiment)
 from powmon.errors import SizeLimitExceeded
 from powmon.iso import IsoWitness, find_isomorphism
 from powmon.monoid import FiniteMonoid, cyclic_group, idempotent_monoid2
 from powmon.powerset import PowerMonoid, reduced_power_monoid
 from powmon.suites import suite_section4, suite_thm32
+from powmon.verify import Pullback, pullback_report
 
 from oracles import brute_valid_tables
 
@@ -191,6 +192,28 @@ def test_power_isomorphism_facts(zoo):
     assert res.checks() == []
 
 
+def test_failed_is_the_verdict_of_record(zoo):
+    # one result per outcome, each decided by .failed without formatting a record
+    pm = reduced_power_monoid(cyclic_group(3))
+    images = list(find_isomorphism(pm.carrier, pm.carrier).map)
+    swapped = images[:1] + images[3:4] + images[2:3] + images[1:2]    # two-to-two fails
+    merged = images[:2] + images[1:2] + images[3:]                     # not a bijection
+    iso = find_power_isomorphism(zoo["z4"], zoo["z4"])
+    # a pullback of z4 that is not a homomorphism, on gated (cancellative) bases
+    gated = dataclasses.replace(iso, report=pullback_report(
+        Pullback(zoo["z4"], zoo["z4"], (0, 2, 1, 3))))
+    results = [iso,
+               find_power_isomorphism(zoo["z2"], zoo["idem2"]),       # findings only
+               find_power_isomorphism(zoo["z4"], zoo["klein"]),
+               find_power_isomorphism(zoo["z6"], zoo["z2xz3"], budget=1),
+               power_iso_facts(pm, pm, SimpleNamespace(map=tuple(swapped))),
+               power_iso_facts(pm, pm, SimpleNamespace(map=tuple(merged))),
+               gated]
+    assert [r.failed for r in results] == [False, False, False, True, True, True, True]
+    assert [r.failed for r in results] == [r.record().failed for r in results]
+    assert gated.report.failed and not results[1].report.failed
+
+
 def test_power_isomorphism_needs_materialized_carriers():
     # above MATERIALIZE_LIMIT no carrier is built, so the routine refuses the pair
     with pytest.raises(SizeLimitExceeded):
@@ -245,8 +268,9 @@ def test_thm32_refines_each_batch_once(monkeypatch):
     census, catalog = len(census_monoids(3)), len(groups_catalog(4))
     batches = _count_refinements(monkeypatch)
     suite_thm32(max_order=3, group_max=4)
-    # census carriers, the catalog's validation and the catalog carriers
-    assert batches == [census, catalog, catalog]
+    # census carriers and catalog carriers: the catalog, built above, is
+    # cached with its validation
+    assert batches == [census, catalog]
 
 
 def test_experiment_tiny_groups():

@@ -2,11 +2,13 @@
 
 import pytest
 
+from powmon.census import census_monoids
 from powmon.errors import NoIdentity, NotAssociative
 from powmon.monoid import (FiniteMonoid, cyclic_monoid, direct_product,
                            format_table, parse_monoid_spec, parse_table_text)
 
-from oracles import brute_assoc_failure, brute_element_order
+from oracles import (brute_assoc_failure, brute_element_order, brute_power,
+                     brute_reduced_exponent)
 
 
 def test_trivial_monoid():
@@ -87,6 +89,21 @@ def test_element_order_examples(zoo):
         m = zoo[name]
         for a in range(m.n):
             assert m.element_order(a) == brute_element_order(m.table, m.identity, a)
+
+
+def test_power_matches_plain_loop():
+    # fresh cyclic monoids, and census monoids whose caches other tests may have filled
+    monoids = [e.monoid for e in census_monoids(4)] + [cyclic_monoid(2, 2), cyclic_monoid(1, 2)]
+    for m in monoids:
+        for a in range(m.n):
+            # a huge exponent first, so that it builds the cycle on fresh monoids
+            seq = [brute_power(m.table, m.identity, a, k) for k in range(2 * m.n + 1)]
+            assert m.power(a, 10 ** 12) == seq[brute_reduced_exponent(seq, 10 ** 12)], (m, a)
+            assert ([m.power(a, k) for k in range(3 * m.n + 1)]
+                    == [brute_power(m.table, m.identity, a, k) for k in range(3 * m.n + 1)])
+            assert m.element_order(a) == brute_element_order(m.table, m.identity, a)
+    with pytest.raises(ValueError):
+        monoids[-1].power(1, -1)
 
 
 def test_order_one_iff_identity(zoo):

@@ -14,12 +14,12 @@ import powmon
 from powmon.census import census_monoids
 from powmon.errors import SizeLimitExceeded
 from powmon.iso import find_isomorphism
-from powmon.monoid import cyclic_group
+from powmon.monoid import cyclic_group, idempotent_monoid2
 from powmon.powerset import (MATERIALIZE_LIMIT, augment, elements_of, format_subset,
                              full_power_semigroup, mask_of, parse_subset,
                              reduced_power_monoid, setwise_product, subset_power)
 
-from oracles import brute_setwise, brute_subset_power
+from oracles import brute_reduced_exponent, brute_setwise, brute_subset_power
 
 
 def to_set(mask):
@@ -83,12 +83,25 @@ def test_subset_power_examples(zoo):
         assert to_set(subset_power(cm, 0b0011, k)) == brute_subset_power(cm.table, 0, {0, 1}, k)
 
 
-def test_subset_power_stops_once_stable(zoo, monkeypatch):
+def test_subset_power_matches_oracle_for_every_mask():
+    for m in [e.monoid for e in census_monoids(3)] + [cyclic_group(6)]:
+        e = m.identity
+        for x in range(1, 1 << m.n):        # with and without the identity
+            xs = to_set(x)
+            seq = [frozenset([e])]
+            for _ in range(2 ** (m.n + 1)):
+                seq.append(brute_setwise(m.table, seq[-1], xs))
+            assert to_set(subset_power(m, x, 10 ** 12)) == seq[brute_reduced_exponent(seq, 10 ** 12)]
+            for k in range(2 * m.n + 3):
+                assert to_set(subset_power(m, x, k)) == brute_subset_power(m.table, e, xs, k)
+    with pytest.raises(ValueError):
+        subset_power(cyclic_group(2), 0b01, -1)
+
+
+def test_subset_power_stops_once_stable(monkeypatch):
+    # fresh monoids: the shared zoo's would bring powers cached by other tests
     from powmon import kernels
 
-    z6 = zoo["z6"]
-    x = mask_of([0, 1], 6)                  # holds the identity: x^5 = Z6 = x^k for k >= 5
-    stable = subset_power(z6, x, 5)
     calls = []
     product = kernels.setwise_product
 
@@ -96,14 +109,19 @@ def test_subset_power_stops_once_stable(zoo, monkeypatch):
         calls.append(args)
         return product(*args)
     monkeypatch.setattr(kernels, "setwise_product", counting)
-    assert subset_power(z6, x, 10 ** 12) == stable == (1 << 6) - 1
+    z6 = cyclic_group(6)
+    x = mask_of([0, 1], 6)                  # holds the identity: x^5 = Z6 = x^k for k >= 5
+    assert subset_power(z6, x, 10 ** 12) == subset_power(z6, x, 5) == (1 << 6) - 1
     assert len(calls) <= z6.n
-    # without the identity the powers may cycle and never repeat consecutively
+    # without the identity the powers may cycle and never repeat
+    # consecutively: {1} has the cycle {0}, {1}, ..., {5}, one product per term
     calls.clear()
     assert subset_power(z6, mask_of([1], 6), 7) == mask_of([1], 6)
-    assert len(calls) == 7
+    assert len(calls) <= 6
+    assert subset_power(z6, mask_of([1], 6), 10 ** 12) == mask_of([4], 6)
+    assert len(calls) <= 6
     # a repeat stops the loop with or without the identity: {e}^k = {e} for an idempotent e
-    idem2 = zoo["idem2"]
+    idem2 = idempotent_monoid2()
     e = 1 - idem2.identity
     assert subset_power(idem2, mask_of([e], 2), 10 ** 12) == mask_of([e], 2)
 

@@ -6,20 +6,20 @@ import types
 import pytest
 
 from powmon import suites
-from powmon.census import find_power_isomorphism
+from powmon.census import census_monoids, find_power_isomorphism
 from powmon.cli import main
 from powmon.errors import PreconditionViolated
 from powmon.iso import enumerate_isomorphisms, find_isomorphism
 from powmon.monoid import cyclic_group, direct_product
-from powmon.powerset import (mask_of, reduced_power_monoid, setwise_product,
-                             subset_power)
+from powmon.powerset import (elements_of, mask_of, reduced_power_monoid,
+                             setwise_product, subset_power)
 from powmon.verify import (Pullback, PullbackReport, check_cross_relation,
                            check_minimal_relation, check_order_stabilization,
                            check_shifted_power, check_solution_count,
                            check_two_to_two, count_equation_solutions,
                            extract_pullback, minimal_relation, pullback_report)
 
-from oracles import brute_isomorphisms, brute_subset_power
+from oracles import brute_equation_solutions, brute_isomorphisms, brute_subset_power
 
 
 # --- order stabilization (suite lemma21) ---------------------------------
@@ -194,6 +194,22 @@ def test_count_family_distinct_and_valid(zoo):
         sc = count_equation_solutions(m, full, 3, "full")
         assert sc.family_ok and len(sc.family) == 1 << (m.n - 1)
         assert not check_solution_count(m, full, 3, "full").failed
+
+
+def test_count_matches_oracle():
+    for entry in census_monoids(3):
+        m = entry.monoid
+        for s_mask in range(1, 1 << m.n):
+            if not s_mask >> m.identity & 1:
+                continue
+            for n_exp in range(1, 5):
+                for universe in ("full", "reduced"):
+                    sc = count_equation_solutions(m, s_mask, n_exp, universe)
+                    solutions, family, family_ok = brute_equation_solutions(
+                        m.table, m.identity, frozenset(elements_of(s_mask)), n_exp, universe)
+                    assert (sc.solutions, sc.count) == (solutions, len(solutions))
+                    assert [frozenset(elements_of(q)) for q in sc.family] == family
+                    assert sc.family_ok == family_ok
 
 
 # --- Thm 3.2 / Cor 3.3: two-to-two and pullbacks ---------------------------
