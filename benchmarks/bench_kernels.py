@@ -1,7 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the pure-Python kernels against the compiled extension, and
-the kernels the library selects (powmon.kernels, which may send a call
-to either backend).
+"""Benchmark the pure-Python kernels against the compiled extension.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeat N] [--full]
@@ -16,7 +14,7 @@ import argparse
 import time
 from collections import Counter
 
-from powmon import _pure, kernels
+from powmon import _pure
 from powmon.iso import refine_colors
 from powmon.monoid import cyclic_group, dihedral_group, direct_product, quaternion_group
 from powmon.powerset import reduced_power_monoid
@@ -89,19 +87,16 @@ def main():
 
     if _core is None:
         print("compiled backend not built; run: python setup.py build_ext --inplace")
-    print(f"powmon.kernels backend: {kernels.backend}")
-    print(f"{'case':<48} {'pure':>10} {'compiled':>10} {'speedup':>8} {'kernels':>10}")
+    print(f"{'case':<48} {'pure':>10} {'compiled':>10} {'speedup':>8}")
     for name, fn in bench_cases(args.full):
         tp = timed(lambda: fn(_pure), args.repeat)
-        ts = timed(lambda: fn(kernels), args.repeat)
         if _core is not None:
             # sanity: identical results before timing
-            assert fn(_pure) == fn(_core) == fn(kernels), name
+            assert fn(_pure) == fn(_core), name
             tc = timed(lambda: fn(_core), args.repeat)
-            print(f"{name:<48} {tp * 1e3:>8.1f}ms {tc * 1e3:>8.1f}ms {tp / tc:>7.1f}x "
-                  f"{ts * 1e3:>8.1f}ms")
+            print(f"{name:<48} {tp * 1e3:>8.1f}ms {tc * 1e3:>8.1f}ms {tp / tc:>7.1f}x")
         else:
-            print(f"{name:<48} {tp * 1e3:>8.1f}ms {'-':>10} {'-':>8} {ts * 1e3:>8.1f}ms")
+            print(f"{name:<48} {tp * 1e3:>8.1f}ms {'-':>10} {'-':>8}")
 
 
 if __name__ == "__main__":

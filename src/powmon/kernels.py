@@ -4,12 +4,8 @@ The hot loops live in powmon._pure (always available) and, when built, in
 the compiled twin powmon._core.  The compiled backend is preferred unless
 POWMON_PURE=1 forces the fallback.  Four kernels are backend-selected,
 with identical semantics on both; tests/test_kernels.py holds them to
-that.  On the compiled backend, power_table hands carriers of
-PURE_POWER_TABLE_MIN elements or more to the pure kernel, which is faster
-there (15 ms against 34 ms at 512 elements); the 16-element carriers of
-the order-5 census stay compiled, where they are about 14x faster.
-Monoid enumeration is always the pure one, which yields one table per
-isomorphism class.  _core.enumerate_tables still lists every raw
+that.  Monoid enumeration is always the pure one, which yields one table
+per isomorphism class.  _core.enumerate_tables still lists every raw
 labelling and stays unbound until _core.c is regenerated from _core.pyx.
 """
 
@@ -28,16 +24,8 @@ if os.environ.get("POWMON_PURE", "") not in ("1", "true", "yes"):
         _impl = _core
         backend = "compiled"
 
-PURE_POWER_TABLE_MIN = 256
-
-
-def _power_table(table, n, masks):
-    impl = _pure if len(masks) >= PURE_POWER_TABLE_MIN else _impl
-    return impl.power_table(table, n, masks)
-
-
 assoc_witness = _impl.assoc_witness
 setwise_product = _impl.setwise_product
-power_table = _pure.power_table if _impl is _pure else _power_table
+power_table = _impl.power_table
 iso_search = _impl.iso_search
 enumerate_tables = _pure.enumerate_tables

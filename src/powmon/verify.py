@@ -328,7 +328,7 @@ class PullbackReport:
         findings = [f"{flag} fails outside hypotheses: {cx}"
                     for flag, cx in self.counterexamples if flag not in failures]
         return CheckResult("pullback_report", self.subject,
-                           "fail" if self.failed else "pass", detail, findings)
+                           "fail" if failures else "pass", detail, findings)
 
 
 def pullback_report(pb):

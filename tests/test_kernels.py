@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from powmon import _pure, kernels
 from powmon.census import canonical_key, enumerate_monoids
 from powmon.iso import refine_colors
-from powmon.monoid import FiniteMonoid, cyclic_group, direct_product, quaternion_group
+from powmon.monoid import FiniteMonoid, cyclic_group, quaternion_group
 
 from oracles import (brute_least_labelling, brute_setwise, brute_valid_tables,
                      growing_square_cells)
@@ -122,23 +122,6 @@ def test_power_table_relabelled_identity(core, zoo, name, identity_to, kind):
     sets = [frozenset(i for i in range(m.n) if x >> i & 1) for x in masks]
     index = {s: i for i, s in enumerate(sets)}
     assert got == [index[brute_setwise(m.table, xs, ys)] for xs in sets for ys in sets]
-
-
-def test_power_table_dispatch_depends_on_size_only(core, monkeypatch):
-    # on the compiled backend, carriers of PURE_POWER_TABLE_MIN elements or
-    # more go to the pure kernel, whatever the base
-    monkeypatch.setattr(kernels, "_impl", core)
-    used = []
-    for name, impl in (("pure", _pure), ("compiled", core)):
-        real = impl.power_table
-        monkeypatch.setattr(impl, "power_table",
-                            lambda *args, name=name, real=real: used.append(name) or real(*args))
-    for base in (cyclic_group(8), cyclic_group(9),
-                 direct_product(cyclic_group(3), cyclic_group(3))):
-        masks = _carrier_masks(base, "reduced")
-        kernels._power_table(base.flat, base.n, masks)
-    assert kernels.PURE_POWER_TABLE_MIN == 256
-    assert used == ["compiled", "pure", "pure"]
 
 
 def _carrier_flat(base):
