@@ -90,7 +90,7 @@ class FiniteMonoid:
         self._orders = None
         self._cancellative = None
         self._units = None
-        self._cycles = [None] * n
+        self._cycles = {}
         self.subset_cycles = {}
 
     def mul(self, a, b):
@@ -99,7 +99,7 @@ class FiniteMonoid:
     def power_cycle(self, a):
         """(powers, start): the distinct powers a^0 .. a^(ord-1) in order,
         and the exponent start < ord with a^ord = a^start."""
-        cycle = self._cycles[a]
+        cycle = self._cycles.get(a)
         if cycle is None:
             rows = self.table
             cycle = self._cycles[a] = eventual_cycle(self.identity, lambda x: rows[x][a])
@@ -113,11 +113,14 @@ class FiniteMonoid:
 
     def element_order(self, a):
         """Size of the cyclic submonoid {a^0, a^1, ...} generated by a."""
-        return len(self.power_cycle(a)[0])
+        return self.orders()[a]
 
     def orders(self):
+        """Every element's order; the power cycles walked are not kept."""
         if self._orders is None:
-            self._orders = tuple(self.element_order(a) for a in range(self.n))
+            rows = self.table
+            self._orders = tuple(len(eventual_cycle(self.identity, lambda x: rows[x][a])[0])
+                                 for a in range(self.n))
         return self._orders
 
     def is_cancellative_element(self, a):
