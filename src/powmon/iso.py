@@ -15,6 +15,8 @@ is a proof).
 """
 
 from collections import Counter
+from itertools import chain
+from operator import add
 
 from . import kernels
 from .errors import SearchBudgetExceeded
@@ -61,22 +63,10 @@ class IsoWitness:
 
 def element_invariants(m):
     """Label-invariant vector per element, the seed partition for refinement."""
-    orders = m.orders()
     units = set(m.units())
     canc = set(m.cancellative_elements())
-    out = []
-    for a in range(m.n):
-        row = m.table[a]
-        col = tuple(r[a] for r in m.table)
-        out.append((
-            orders[a],
-            row[a] == a,
-            a in canc,
-            a in units,
-            len(set(row)),
-            len(set(col)),
-        ))
-    return out
+    return [(order, row[a] == a, a in canc, a in units, len(set(row)), len(set(col)))
+            for a, order, row, col in zip(range(m.n), m.orders(), m.table, zip(*m.table))]
 
 
 def refine_colors(monoids):
@@ -85,29 +75,37 @@ def refine_colors(monoids):
     Returns one color list per monoid; equal ids mean "not yet
     distinguished", comparable across the monoids because the id pool is
     shared.  Rounds split classes by the colors of products until stable.
+
+    A round keys element a by its color and the sorted triples
+    (cur[b], cur[ab], cur[ba]) over all b, each coded as the int
+    (cur[b]*p + cur[ab])*p + cur[ba], p being the previous round's color
+    count; the ab are the slice flat[a*n:(a+1)*n] of the flat table and
+    the ba its column flat[a::n], so each key is a few passes of builtins.
+    An element alone in its class across the batch cannot split, so it is
+    keyed (c,), as unique as its full key.  Keys are numbered in order of
+    first occurrence, so the ids are those that sorting the triples as
+    tuples gives.
     """
     pool = {}
-    def intern(sig):
-        if sig not in pool:
-            pool[sig] = len(pool)
-        return pool[sig]
-
-    colors = [[intern(sig) for sig in element_invariants(m)] for m in monoids]
-    total = len(pool)
+    colors = [[pool.setdefault(sig, len(pool)) for sig in element_invariants(m)] for m in monoids]
     while True:
-        pool.clear()
+        p = len(pool)
+        sizes = Counter(chain.from_iterable(colors))
+        pool = {}
         nxt = []
         for m, cur in zip(monoids, colors):
-            t = m.table
-            rng = range(m.n)
-            nxt.append([
-                intern((cur[a], tuple(sorted((cur[b], cur[t[a][b]], cur[t[b][a]]) for b in rng))))
-                for a in rng
-            ])
+            n, flat = m.n, m.flat
+            look = cur.__getitem__
+            look_p = [c * p for c in cur].__getitem__
+            b_pp = [c * p * p for c in cur]
+            keys = ((c,) if sizes[c] == 1 else
+                    (c, tuple(sorted(map(add, map(add, b_pp, map(look_p, flat[a * n:a * n + n])),
+                                         map(look, flat[a::n])))))
+                    for a, c in enumerate(cur))
+            nxt.append([pool.setdefault(k, len(pool)) for k in keys])
         colors = nxt
-        if len(pool) == total:
+        if len(pool) == p:
             return colors
-        total = len(pool)
 
 
 class Coloring:
@@ -119,7 +117,9 @@ class Coloring:
     monoid splits.  Searching with its slices therefore gives the same
     verdicts, witnesses and node counts as refining the pair alone.  A
     monoid's profile is its color multiset; a pair whose profiles differ
-    is proven non-isomorphic without search.
+    is proven non-isomorphic without search.  Each round sorts int-coded
+    product triples and keys the one-element classes of the batch by their
+    color alone (refine_colors).
     """
 
     def __init__(self, monoids):

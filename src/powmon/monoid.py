@@ -10,6 +10,7 @@ and instances stay safe to share across threads.
 """
 
 import math
+from itertools import chain
 
 from . import kernels
 from .errors import NoIdentity, NotAssociative, SizeLimitExceeded
@@ -66,17 +67,16 @@ class FiniteMonoid:
         for row in rows:
             if len(row) != n:
                 raise ValueError(f"table is not square: got a row of length {len(row)}, expected {n}")
-            for v in row:
-                if not (0 <= v < n):
-                    raise ValueError(f"table entry {v} out of range [0, {n})")
-        rng = range(n)
-        identities = [e for e in rng
-                      if all(rows[e][b] == b for b in rng) and all(rows[a][e] == a for a in rng)]
+            if min(row) < 0 or max(row) >= n:
+                v = next(v for v in row if not 0 <= v < n)
+                raise ValueError(f"table entry {v} out of range [0, {n})")
+        ident = tuple(range(n))
+        identities = [e for e, col in enumerate(zip(*rows)) if rows[e] == ident and col == ident]
         if len(identities) != 1:
             # >1 is impossible for a genuine magma identity; treat as a
             # validation failure either way
             raise NoIdentity(f"found {len(identities)} two-sided identities, need exactly 1")
-        flat = tuple(v for row in rows for v in row)
+        flat = tuple(chain.from_iterable(rows))
         w = kernels.assoc_witness(flat, n)
         if w >= 0:
             c = w % n
@@ -118,32 +118,31 @@ class FiniteMonoid:
     def orders(self):
         """Every element's order; the power cycles walked are not kept."""
         if self._orders is None:
-            rows = self.table
-            self._orders = tuple(len(eventual_cycle(self.identity, lambda x: rows[x][a])[0])
-                                 for a in range(self.n))
+            e = self.identity
+            self._orders = tuple(len(eventual_cycle(e, col.__getitem__)[0])
+                                 for col in zip(*self.table))
         return self._orders
 
     def is_cancellative_element(self, a):
         """True iff left and right multiplication by a are injective."""
-        full = set(range(self.n))
-        return set(self.table[a]) == full and {row[a] for row in self.table} == full
+        return a in self.cancellative_elements()
 
     def cancellative_elements(self):
         if self._cancellative is None:
-            self._cancellative = tuple(a for a in range(self.n) if self.is_cancellative_element(a))
+            n = self.n
+            self._cancellative = tuple(a for a, row, col in zip(range(n), self.table, zip(*self.table))
+                                       if len(set(row)) == n == len(set(col)))
         return self._cancellative
 
     def is_cancellative(self):
         return len(self.cancellative_elements()) == self.n
 
     def units(self):
-        """Elements with a two-sided inverse."""
+        """Elements with a two-sided inverse: in a finite monoid, uv = e
+        forces vu = e, so those whose row holds the identity."""
         if self._units is None:
             e = self.identity
-            self._units = tuple(
-                u for u in range(self.n)
-                if any(self.table[u][v] == e and self.table[v][u] == e for v in range(self.n))
-            )
+            self._units = tuple(u for u, row in enumerate(self.table) if e in row)
         return self._units
 
     def is_group(self):

@@ -52,13 +52,28 @@ def check_order_stabilization(m, z):
                        "pass" if ok else "fail", f"k={k} ord={ord_z}")
 
 
-def check_shifted_power(m, z, l, r):
+def shifted_power_scan(m, z, l):
+    """The pairs (r', s), in order, with r' < l-1 <= s <= ord(z)+2 and
+    {1,z^l}{1,z}^r' = {1,z}^s: the part-2 scan of check_shifted_power,
+    which does not depend on its r."""
+    zl = 1 << m.identity | 1 << m.power(z, l)
+    pair = _pair(m, z)
+    later = [(s, subset_power(m, pair, s)) for s in range(l - 1, m.element_order(z) + 3)]
+    equal = []
+    for rp in range(0, l - 1):
+        lhs = setwise_product(m, zl, subset_power(m, pair, rp))
+        equal.extend((rp, s) for s, power in later if lhs == power)
+    return equal
+
+
+def check_shifted_power(m, z, l, r, scan=None):
     """{1,z^l}{1,z}^r = {1,z}^(l+r) for r >= l-1; and never equals any
     {1,z}^s with r < l-1 <= s when z is cancellative and l <= ord(z).
 
     The inequality scan runs over all r' < l-1 and s in [l-1, ord+2]
     regardless of hypotheses; without them its violations are findings,
-    not failures.
+    not failures.  scan, if given, is shifted_power_scan(m, z, l), so a
+    caller checking several r for one (z, l) scans once.
     """
     if l < 1:
         raise PreconditionViolated("need l >= 1")
@@ -77,16 +92,12 @@ def check_shifted_power(m, z, l, r):
     part2_gated = m.is_cancellative_element(z) and l <= ord_z
     if part2_gated:
         applied.append("part2")
-    later = [(s, subset_power(m, pair, s)) for s in range(l - 1, ord_z + 3)]
-    for rp in range(0, l - 1):
-        lhs = setwise_product(m, zl, subset_power(m, pair, rp))
-        for s, power in later:
-            if lhs == power:
-                msg = f"l={l} r={rp} s={s}: sides equal"
-                if part2_gated:
-                    failures.append("part2: " + msg)
-                else:
-                    findings.append("non-cancellative violation of part 2: " + msg)
+    for rp, s in shifted_power_scan(m, z, l) if scan is None else scan:
+        msg = f"l={l} r={rp} s={s}: sides equal"
+        if part2_gated:
+            failures.append("part2: " + msg)
+        else:
+            findings.append("non-cancellative violation of part 2: " + msg)
     if failures:
         status = "fail"
     elif applied:

@@ -142,3 +142,58 @@ def brute_equation_solutions(table, identity, s, n_exp, universe):
     family_ok = (all(q and brute_setwise(table, q, s) == target for q in family)
                  and len(set(family)) == len(family))
     return solutions, family, family_ok
+
+
+def brute_identity(table):
+    """The two-sided identity of a row-of-rows monoid table."""
+    n = len(table)
+    return next(e for e in range(n) if all(table[e][b] == b == table[b][e] for b in range(n)))
+
+
+def brute_units(table):
+    """Elements u with some v such that uv = vu = e, ascending."""
+    n, e = len(table), brute_identity(table)
+    return tuple(u for u in range(n)
+                 if any(table[u][v] == e and table[v][u] == e for v in range(n)))
+
+
+def brute_cancellative_elements(table):
+    """Elements a with ab = ac or ba = ca only for b = c, ascending."""
+    n = len(table)
+    return tuple(a for a in range(n)
+                 if all(table[a][b] != table[a][c] and table[b][a] != table[c][a]
+                        for b in range(n) for c in range(b + 1, n)))
+
+
+def brute_element_invariants(table):
+    """Per element: order, idempotency, cancellativity, unit status and the
+    sizes of its row and column images."""
+    n, e = len(table), brute_identity(table)
+    units, canc = brute_units(table), brute_cancellative_elements(table)
+    return [(brute_element_order(table, e, a), table[a][a] == a, a in canc, a in units,
+             len({table[a][b] for b in range(n)}), len({table[b][a] for b in range(n)}))
+            for a in range(n)]
+
+
+def brute_refine_colors(tables):
+    """Joint colour refinement of row-of-rows tables with tuple signatures.
+
+    Colours start from brute_element_invariants.  A round keys element a by
+    its colour and the sorted tuples (cur[b], cur[ab], cur[ba]) over all b,
+    and numbers the keys of the whole batch in order of first occurrence;
+    rounds stop once the number of colours stays the same.
+    """
+    pool = {}
+    def intern(sig):
+        return pool.setdefault(sig, len(pool))
+    colors = [[intern(sig) for sig in brute_element_invariants(t)] for t in tables]
+    total = len(pool)
+    while True:
+        pool.clear()
+        colors = [[intern((cur[a], tuple(sorted((cur[b], cur[t[a][b]], cur[t[b][a]])
+                                               for b in range(len(t))))))
+                   for a in range(len(t))]
+                  for t, cur in zip(tables, colors)]
+        if len(pool) == total:
+            return colors
+        total = len(pool)

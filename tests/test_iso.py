@@ -1,17 +1,18 @@
 """Isomorphism search against the permutation-scan oracle."""
 
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import pytest
 
-from powmon.census import census_monoids
+from powmon.census import census_monoids, groups_catalog
 from powmon.errors import SearchBudgetExceeded
-from powmon.iso import (Coloring, IsoWitness, enumerate_isomorphisms, find_isomorphism,
-                        refine_colors)
+from powmon.iso import (Coloring, IsoWitness, element_invariants, enumerate_isomorphisms,
+                        find_isomorphism, refine_colors)
+from powmon.monoid import cyclic_group
 from powmon.powerset import reduced_power_monoid
 
-from oracles import brute_isomorphisms
+from oracles import brute_element_invariants, brute_isomorphisms, brute_refine_colors
 
 
 def test_self_isomorphism_is_found(zoo):
@@ -81,10 +82,18 @@ def _same_partition(a, b):
     return len(set(a)) == len(set(b)) == len(set(zip(a, b)))
 
 
+def _carriers(entries):
+    return [reduced_power_monoid(e.monoid).carrier for e in entries]
+
+
+def _census_bases_and_carriers(max_order):
+    bases = [e.monoid for e in census_monoids(max_order)]
+    return bases + [reduced_power_monoid(m).carrier for m in bases]
+
+
 def test_batch_coloring_restricts_to_pairwise_refinement():
     # the census <= 4 bases and their carriers, refined as one batch
-    monoids = [e.monoid for e in census_monoids(4)]
-    monoids += [reduced_power_monoid(m).carrier for m in monoids]
+    monoids = _census_bases_and_carriers(4)
     batch = Coloring(monoids)
     for m1, m2 in combinations_with_replacement(monoids, 2):
         c1, c2 = refine_colors([m1, m2])
@@ -93,9 +102,36 @@ def test_batch_coloring_restricts_to_pairwise_refinement():
 
 
 def test_batch_coloring_gives_the_pairwise_witnesses():
-    entries = census_monoids(3)
-    carriers = [reduced_power_monoid(e.monoid).carrier for e in entries]
+    carriers = _carriers(census_monoids(3))
     batch = Coloring(carriers)
     for m1, m2 in combinations_with_replacement(carriers, 2):
         assert ([w.map for w in enumerate_isomorphisms(m1, m2, coloring=batch)]
                 == [w.map for w in enumerate_isomorphisms(m1, m2)])
+
+
+@pytest.mark.parametrize("batch", [
+    lambda: _census_bases_and_carriers(4),
+    # the order-5 bases tell apart codes that drop the factor p of cur[ab]
+    lambda: _census_bases_and_carriers(5),
+    lambda: _carriers(groups_catalog(8)),
+    lambda: [reduced_power_monoid(cyclic_group(6)).carrier],
+    lambda: [cyclic_group(1)],
+], ids=["census4-bases-and-carriers", "census5-bases-and-carriers", "catalog8-carriers",
+        "one-monoid", "order-1"])
+def test_refine_colors_matches_tuple_oracle(batch):
+    # the same colour lists, ids and order included, not only the same partition
+    monoids = batch()
+    assert refine_colors(monoids) == brute_refine_colors([m.table for m in monoids])
+
+
+def test_refine_colors_keys_batch_singletons_like_the_oracle():
+    monoids = _carriers(census_monoids(3))
+    colors = refine_colors(monoids)
+    # classes with one element across the batch reach the last round
+    assert 1 in Counter(chain.from_iterable(colors)).values()
+    assert colors == brute_refine_colors([m.table for m in monoids])
+
+
+def test_element_invariants_match_oracle():
+    for e in census_monoids(4) + list(groups_catalog(8)):
+        assert element_invariants(e.monoid) == brute_element_invariants(e.monoid.table)

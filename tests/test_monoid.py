@@ -2,13 +2,13 @@
 
 import pytest
 
-from powmon.census import census_monoids
+from powmon.census import census_monoids, groups_catalog
 from powmon.errors import NoIdentity, NotAssociative
 from powmon.monoid import (FiniteMonoid, cyclic_monoid, direct_product,
                            format_table, parse_monoid_spec, parse_table_text)
 
-from oracles import (brute_assoc_failure, brute_element_order, brute_power,
-                     brute_reduced_exponent)
+from oracles import (brute_assoc_failure, brute_cancellative_elements, brute_element_order,
+                     brute_power, brute_reduced_exponent, brute_units)
 
 
 def test_trivial_monoid():
@@ -48,6 +48,14 @@ def test_entries_out_of_range():
         FiniteMonoid([[0, 2], [1, 0]])
     with pytest.raises(ValueError):
         FiniteMonoid([[0, 1], [1]])
+    # the first offending entry in row order is reported, whichever bound it breaks
+    for rows, bad in (([[0, 1, 2], [1, 3, -1], [2, 0, 1]], 3),
+                      ([[0, 1, 2], [1, -1, 3], [2, 0, 1]], -1),
+                      ([[0, 1, 2], [1, 2, 0], [2, 0, 5]], 5),
+                      ([[0, 1, 2], [1, 2, 0], [-2, 7, 1]], -2)):
+        with pytest.raises(ValueError) as exc:
+            FiniteMonoid(rows)
+        assert str(exc.value) == f"table entry {bad} out of range [0, 3)"
 
 
 def test_cyclic_monoid_index2_period2():
@@ -136,6 +144,15 @@ def test_units_and_inverse(zoo):
     assert z6.units() == tuple(range(6))
     assert zoo["idem2"].units() == (0,)
     assert zoo["cm12"].units() == (0,)
+
+
+def test_units_and_cancellative_elements_match_oracles():
+    for e in census_monoids(4) + list(groups_catalog(8)):
+        m = e.monoid
+        assert m.units() == brute_units(m.table)
+        canc = brute_cancellative_elements(m.table)
+        assert m.cancellative_elements() == canc
+        assert [a for a in range(m.n) if m.is_cancellative_element(a)] == list(canc)
 
 
 def test_cancellative_elements_are_units(zoo):
