@@ -196,11 +196,17 @@ def enumerate_tables(n):
     differ (every earlier cell known and equal) is smaller in T^sigma.  So
     each class yields exactly its least labelling in cell order, and the
     tables come out as a list of flat tuples in increasing cell order.
+    The associativity pruning finds the known cells that hold a given
+    value through an index, where[v], instead of scanning all n*n cells.
     """
     t = [-1] * (n * n)
     for i in range(n):
         t[i] = i
         t[i * n] = i
+    # where[v] lists the known cells (x, y) holding v: the identity row and
+    # column, and each assigned cell while it holds v
+    where = [[(0, v), (v, 0)] for v in range(n)]
+    where[0] = [(0, 0)]
 
     # complete the top-left (m+1)x(m+1) block before moving on
     cells = []
@@ -241,22 +247,18 @@ def enumerate_tables(n):
                 r = t[x * n + v]
                 if l >= 0 and r >= 0 and l != r:
                     return False
-        for x in range(n):
-            xn = x * n
-            for y in range(n):
-                w = t[xn + y]
-                if w == p:
-                    yq = t[y * n + q]
-                    if yq >= 0:
-                        r = t[xn + yq]
-                        if r >= 0 and r != v:
-                            return False
-                if w == q:
-                    px = t[pn + x]
-                    if px >= 0:
-                        l = t[px * n + y]
-                        if l >= 0 and l != v:
-                            return False
+        for x, y in where[p]:
+            yq = t[y * n + q]
+            if yq >= 0:
+                r = t[x * n + yq]
+                if r >= 0 and r != v:
+                    return False
+        for x, y in where[q]:
+            px = t[pn + x]
+            if px >= 0:
+                l = t[px * n + y]
+                if l >= 0 and l != v:
+                    return False
         return True
 
     def leader(known, active):
@@ -290,10 +292,12 @@ def enumerate_tables(n):
         idx = pos[d]
         for v in range(n):
             t[idx] = v
+            where[v].append((p, q))
             if consistent(p, q, v):
                 kept = leader(d + 1, active)
                 if kept is not None:
                     rec(d + 1, kept)
+            where[v].pop()
         t[idx] = -1
 
     if n == 1:

@@ -17,7 +17,8 @@ from .monoid import cyclic_group, cyclic_monoid, idempotent_monoid2, parse_monoi
 from .powerset import format_subset, mask_of, parse_subset, reduced_power_monoid
 from .verify import (CheckResult, check_cross_relation, check_minimal_relation,
                      check_order_stabilization, check_shifted_power,
-                     check_solution_count, count_equation_solutions, shifted_power_scan)
+                     check_solution_count, count_equation_solutions, shifted_power_scan,
+                     subset_translates)
 
 
 @dataclass
@@ -101,17 +102,20 @@ def suite_lemma22(max_order=4, group_max=8):
 
 
 def suite_lemma24(group_max=8):
-    """Both cross-relation identities for every admissible (x, y, r, s)."""
+    """Both cross-relation identities for every admissible (x, y, r, s),
+    with one product memo per group."""
     rep = SuiteReport("lemma24")
     for entry in _catalog_groups(group_max):
         m = entry.monoid
+        # powers[a] lists a^1 .. a^ord(a); products is shared by the group's cases
+        powers = [[m.power(a, k) for k in range(1, m.element_order(a) + 1)] for a in range(m.n)]
+        products = {}
         for x in range(m.n):
             for y in range(m.n):
-                for r in range(1, m.element_order(x) + 1):
-                    xr = m.power(x, r)
-                    for s in range(1, m.element_order(y) + 1):
-                        if xr == m.power(y, s):
-                            rep.add(check_cross_relation(m, x, y, r, s))
+                for r, xr in enumerate(powers[x], 1):
+                    for s, ys in enumerate(powers[y], 1):
+                        if xr == ys:
+                            rep.add(check_cross_relation(m, x, y, r, s, products))
     return rep
 
 
@@ -132,7 +136,8 @@ LEMMA31_EXPONENTS = (3, 4)
 def suite_lemma31(max_order=4):
     """Solution counts of AS = S^n for n in LEMMA31_EXPONENTS over the
     census, plus pinned counts for the two-element sets X = {1, x} (d = 2,
-    3, and 2 with the exact solution pair, by the order of x)."""
+    3, and 2 with the exact solution pair, by the order of x).  The
+    products A*S are built once per S for both exponents."""
     rep = SuiteReport("lemma31")
     for entry in census_monoids(max_order):
         m = entry.monoid
@@ -140,8 +145,9 @@ def suite_lemma31(max_order=4):
         for s_mask in range(1, 1 << m.n):
             if not s_mask & ebit:
                 continue
+            translates = subset_translates(m, s_mask)
             for n_exp in LEMMA31_EXPONENTS:
-                rep.add(check_solution_count(m, s_mask, n_exp, "full"))
+                rep.add(check_solution_count(m, s_mask, n_exp, "full", translates))
     for order, want_count, want_solutions in (
             (2, 2, None),
             (3, 3, None),

@@ -109,30 +109,40 @@ def check_shifted_power(m, z, l, r, scan=None):
                        status, detail, findings)
 
 
-def check_cross_relation(m, x, y, r, s):
+def check_cross_relation(m, x, y, r, s, products=None):
     """Both product identities that follow from x^r = y^s.
 
     {1,x}^(r-1){1,xy}{1,y}^s   = {1,x}^r{1,y}^(s+1)
     {1,x}^r{1,xy}{1,y}^(s-1)   = {1,x}^(r+1){1,y}^s
+
+    Each side is multiplied out left to right from its first factor.
+    products, if given, memoizes those setwise products: it maps a pair
+    of masks (a, b) to the mask of a*b.  Its entries hold for m only, so a
+    caller checking many cases of one monoid passes one dict for them all
+    and drops it afterwards.
     """
     if r < 1 or s < 1:
         raise PreconditionViolated("need r, s >= 1")
     if m.power(x, r) != m.power(y, s):
         raise PreconditionViolated(f"x^{r} != y^{s} for x={x}, y={y} in {m.name}")
+    if products is None:
+        products = {}
     px, py = _pair(m, x), _pair(m, y)
     pxy = (1 << m.identity) | (1 << m.mul(x, y))
-    def chain(*masks):
-        acc = 1 << m.identity
+    def side(acc, *masks):
         for mk in masks:
-            acc = setwise_product(m, acc, mk)
+            key = (acc, mk)
+            acc = products.get(key)
+            if acc is None:
+                acc = products[key] = setwise_product(m, *key)
         return acc
     bad = []
-    lhs1 = chain(subset_power(m, px, r - 1), pxy, subset_power(m, py, s))
-    rhs1 = chain(subset_power(m, px, r), subset_power(m, py, s + 1))
+    lhs1 = side(subset_power(m, px, r - 1), pxy, subset_power(m, py, s))
+    rhs1 = side(subset_power(m, px, r), subset_power(m, py, s + 1))
     if lhs1 != rhs1:
         bad.append(f"eq1: {format_subset(lhs1)} != {format_subset(rhs1)}")
-    lhs2 = chain(subset_power(m, px, r), pxy, subset_power(m, py, s - 1))
-    rhs2 = chain(subset_power(m, px, r + 1), subset_power(m, py, s))
+    lhs2 = side(subset_power(m, px, r), pxy, subset_power(m, py, s - 1))
+    rhs2 = side(subset_power(m, px, r + 1), subset_power(m, py, s))
     if lhs2 != rhs2:
         bad.append(f"eq2: {format_subset(lhs2)} != {format_subset(rhs2)}")
     return CheckResult("cross_relation", f"{m.name} x={x} y={y} r={r} s={s}",
@@ -164,8 +174,9 @@ def minimal_relation(m, x, y):
     for a in (x, y):
         if not m.is_cancellative_element(a):
             raise PreconditionViolated(f"element {a} of {m.name} is not cancellative")
-    sols = [(c, d) for c in range(1, ox + 1) for d in range(1, oy + 1)
-            if m.power(x, c) == m.power(y, d)]
+    xs = [m.power(x, c) for c in range(1, ox + 1)]
+    ys = [m.power(y, d) for d in range(1, oy + 1)]
+    sols = [(c, d) for c, xc in enumerate(xs, 1) for d, yd in enumerate(ys, 1) if xc == yd]
     r = min(c for c, _ in sols)
     s = min(d for c, d in sols if c == r)
     v = min(d for _, d in sols)
@@ -193,12 +204,30 @@ class SolutionCount:
     family_ok: bool
 
 
-def count_equation_solutions(m, s_mask, n_exp, universe="full"):
+def subset_translates(m, s_mask):
+    """A*S for every subset A of m, as a list indexed by the mask of A
+    (entry 0, the empty A, is 0), for a non-empty S given by s_mask.
+
+    One OR per subset, as in _pure.power_table: the subsets with top
+    element x come after those below x, and A*S is (A minus x)*S united
+    with x*S.
+    """
+    products = [0]
+    for x in range(m.n):
+        xs = setwise_product(m, 1 << x, s_mask)
+        products += [prod | xs for prod in products]
+    return products
+
+
+def count_equation_solutions(m, s_mask, n_exp, universe="full", translates=None):
     """Solutions A of A*S = S^n, plus the constructed family (S^(n-1) \\ T)*S = S^n.
 
     S must contain the identity.  The lower bound 2^(|S|-1) is asserted by
     callers only when it applies (universe "full", n >= 3); the family is
     checked for validity and pairwise distinctness whenever n >= 3.
+    translates, if given, is subset_translates(m, s_mask), which does not
+    depend on n or the universe, so a caller counting several exponents
+    for one S builds it once.
     """
     ebit = 1 << m.identity
     if not s_mask & ebit:
@@ -208,13 +237,7 @@ def count_equation_solutions(m, s_mask, n_exp, universe="full"):
     if n_exp < 1:
         raise PreconditionViolated("need n >= 1")
     target = subset_power(m, s_mask, n_exp)
-    # products[a] = A*S for the subset A with mask a, one OR per subset as in
-    # _pure.power_table: the subsets with top element x come after those
-    # below x, and A*S is (A minus x)*S united with x*S
-    products = [0]
-    for x in range(m.n):
-        xs = setwise_product(m, 1 << x, s_mask)
-        products += [prod | xs for prod in products]
+    products = subset_translates(m, s_mask) if translates is None else translates
     solutions = [a for a, prod in enumerate(products)
                  if prod == target and (universe == "full" or a & ebit)]
     k = bin(s_mask).count("1") - 1
@@ -233,8 +256,9 @@ def count_equation_solutions(m, s_mask, n_exp, universe="full"):
                          universe == "full" and n_exp >= 3, family, family_ok)
 
 
-def check_solution_count(m, s_mask, n_exp, universe="full"):
-    sc = count_equation_solutions(m, s_mask, n_exp, universe)
+def check_solution_count(m, s_mask, n_exp, universe="full", translates=None):
+    """count_equation_solutions as a record; translates is passed on to it."""
+    sc = count_equation_solutions(m, s_mask, n_exp, universe, translates)
     bad = []
     if sc.bound_applies and sc.count < sc.bound:
         bad.append(f"count {sc.count} < bound {sc.bound}")

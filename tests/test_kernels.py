@@ -185,12 +185,19 @@ def test_enumerate_tables_one_per_class_brute(n):
     assert len(tables) == len(raw_keys)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_enumerate_tables_yields_least_labellings(n):
     cells = growing_square_cells(n)
     for flat in _pure.enumerate_tables(n):
         table = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
         assert brute_least_labelling(table) == tuple(table[a][b] for a, b in cells)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_tables_increase_in_cell_order(n):
+    cells = growing_square_cells(n)
+    seqs = [tuple(flat[a * n + b] for a, b in cells) for flat in _pure.enumerate_tables(n)]
+    assert all(p < q for p, q in zip(seqs, seqs[1:]))
 
 
 def test_enumeration_is_pure_on_every_backend():

@@ -6,7 +6,7 @@ import types
 import pytest
 
 from powmon import suites
-from powmon.census import census_monoids, find_power_isomorphism
+from powmon.census import census_monoids, find_power_isomorphism, groups_catalog
 from powmon.cli import main
 from powmon.errors import PreconditionViolated
 from powmon.iso import enumerate_isomorphisms, find_isomorphism
@@ -17,9 +17,11 @@ from powmon.verify import (Pullback, PullbackReport, check_cross_relation,
                            check_minimal_relation, check_order_stabilization,
                            check_shifted_power, check_solution_count,
                            check_two_to_two, count_equation_solutions,
-                           extract_pullback, minimal_relation, pullback_report)
+                           extract_pullback, minimal_relation, pullback_report,
+                           subset_translates)
 
-from oracles import brute_equation_solutions, brute_isomorphisms, brute_subset_power
+from oracles import (brute_equation_solutions, brute_isomorphisms, brute_setwise,
+                     brute_subset_power)
 
 
 # --- order stabilization (suite lemma21) ---------------------------------
@@ -103,6 +105,48 @@ def test_cross_relation_precondition(zoo):
         check_cross_relation(zoo["z6"], 1, 2, 1, 1)  # 1 != 2
     with pytest.raises(PreconditionViolated):
         check_cross_relation(zoo["z6"], 0, 0, 0, 1)
+
+
+def _lemma24_cases(group_max):
+    """(m, cases) per non-control catalog group: every (x, y, r, s) with
+    1 <= r <= ord(x), 1 <= s <= ord(y) and x^r = y^s, as suite_lemma24 visits them."""
+    for entry in groups_catalog(group_max):
+        if entry.control_of is None:
+            m = entry.monoid
+            order = m.element_order
+            yield m, [(x, y, r, s) for x in range(m.n) for y in range(m.n)
+                      for r in range(1, order(x) + 1) for s in range(1, order(y) + 1)
+                      if m.power(x, r) == m.power(y, s)]
+
+
+def test_cross_relation_shared_products_match_unshared():
+    total = 0
+    for m, cases in _lemma24_cases(8):
+        products = {}
+        for case in cases:
+            assert (check_cross_relation(m, *case, products).line()
+                    == check_cross_relation(m, *case).line())
+        total += len(cases)
+    assert total == suites.suite_lemma24(8).cases == 1210
+
+
+def test_cross_relation_sides_match_oracle():
+    # each side is read back from a fresh products dict, prefix by prefix
+    for m, cases in _lemma24_cases(6):
+        t, e = m.table, m.identity
+        for x, y, r, s in cases:
+            products = {}
+            assert not check_cross_relation(m, x, y, r, s, products).failed
+            px = lambda k: brute_subset_power(t, e, {e, x}, k)
+            py = lambda k: brute_subset_power(t, e, {e, y}, k)
+            pxy = frozenset({e, t[x][y]})
+            for factors in ((px(r - 1), pxy, py(s)), (px(r), py(s + 1)),
+                            (px(r), pxy, py(s - 1)), (px(r + 1), py(s))):
+                got, want = mask_of(factors[0], m.n), factors[0]
+                for f in factors[1:]:
+                    got = products[got, mask_of(f, m.n)]
+                    want = brute_setwise(t, want, f)
+                    assert got == mask_of(want, m.n)
 
 
 # --- minimal relations (suite prop25) --------------------------------------
@@ -210,6 +254,30 @@ def test_count_matches_oracle():
                     assert (sc.solutions, sc.count) == (solutions, len(solutions))
                     assert [frozenset(elements_of(q)) for q in sc.family] == family
                     assert sc.family_ok == family_ok
+
+
+def test_subset_translates_match_oracle():
+    for entry in census_monoids(3):
+        m = entry.monoid
+        for s_mask in range(1, 1 << m.n):
+            translates = subset_translates(m, s_mask)
+            assert len(translates) == 1 << m.n
+            for a, prod in enumerate(translates):
+                want = brute_setwise(m.table, elements_of(a), elements_of(s_mask))
+                assert prod == mask_of(want, m.n)
+
+
+def test_count_with_translates_matches_count_without():
+    for entry in census_monoids(3):
+        m = entry.monoid
+        for s_mask in range(1, 1 << m.n):
+            if not s_mask >> m.identity & 1:
+                continue
+            translates = subset_translates(m, s_mask)
+            for n_exp in (3, 4):
+                for universe in ("full", "reduced"):
+                    assert (count_equation_solutions(m, s_mask, n_exp, universe, translates)
+                            == count_equation_solutions(m, s_mask, n_exp, universe))
 
 
 # --- Thm 3.2 / Cor 3.3: two-to-two and pullbacks ---------------------------
