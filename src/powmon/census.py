@@ -8,18 +8,18 @@ kept as positive controls for the experiments.
 """
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 
 from . import kernels
 from .errors import SearchBudgetExceeded, SizeLimitExceeded
-from .iso import (DEFAULT_BUDGET, Coloring, IsoWitness, element_invariants,
-                  enumerate_isomorphisms, find_isomorphism)
+from .iso import (DEFAULT_BUDGET, Coloring, element_invariants, enumerate_isomorphisms,
+                  find_isomorphism)
 from .monoid import FiniteMonoid, parse_monoid_spec
 from .powerset import reduced_power_monoid
-from .verify import (CheckResult, Pullback, PullbackReport, cardinality_profile,
-                     check_two_to_two, extract_pullback, pullback_report)
+from .verify import (CheckResult, cardinality_profile, check_two_to_two, extract_pullback,
+                     pullback_report)
 
 ENUMERATION_LIMIT = 5
 CATALOG_LIMIT = 8
@@ -38,12 +38,13 @@ def check_catalog_order(n):
         raise SizeLimitExceeded(f"catalog order {n} exceeds the group catalog limit {CATALOG_LIMIT}")
 
 
-@dataclass(frozen=True)
-class CensusEntry:
-    monoid: FiniteMonoid
-    canonical_key: bytes     # None for group catalog entries
-    tags: MappingProxyType   # read-only: group, commutative, cancellative
-    control_of: str = None   # set on deliberate isomorphic catalog duplicates
+class CensusEntry(namedtuple("CensusEntry", "monoid canonical_key tags control_of",
+                               defaults=(None,))):
+    """A read-only census or catalog entry: the monoid, its canonical_key
+    (None for group catalog entries), its read-only tags (group,
+    commutative, cancellative) and, on a deliberate isomorphic catalog
+    duplicate, control_of, the name of the entry it repeats."""
+    __slots__ = ()
 
     @property
     def name(self):
@@ -183,22 +184,18 @@ def verdict(status):
     return "fail" if status == "budget-exceeded" else "pass"
 
 
-@dataclass
-class PowerIsoResult:
-    """Whether P_fin,1(H) ~ P_fin,1(K); the facts after pm_dst (witness, pullback g: H -> K)
-    are None unless status is "iso", and a failed check leaves the ones after it None.
+class PowerIsoResult(namedtuple("PowerIsoResult", "status witness pm_src pm_dst two_to_two "
+                                 "extraction pullback report cardinality_preserving",
+                                 defaults=(None,) * 8)):
+    """Whether P_fin,1(H) ~ P_fin,1(K); status is "iso", "absent" or
+    "budget-exceeded".  The facts after pm_dst (the IsoWitness, the
+    two-to-two and extraction CheckResults, the Pullback g: H -> K, its
+    PullbackReport and whether the witness preserves |X|) are None unless
+    status is "iso", and a failed check leaves the ones after it None.
     failed decides the result, and record() takes its status from it: a budget
     hit, or a failed two-to-two or extraction check, is a fail record (exit
     status 1), never an exception."""
-    status: str                 # "iso" | "absent" | "budget-exceeded"
-    witness: IsoWitness = None
-    pm_src: object = None
-    pm_dst: object = None
-    two_to_two: CheckResult = None
-    extraction: CheckResult = None
-    pullback: Pullback = None
-    report: PullbackReport = None
-    cardinality_preserving: bool = None
+    __slots__ = ()
 
     @property
     def subject(self):
@@ -258,12 +255,14 @@ def power_iso_facts(pm_src, pm_dst, witness):
     Theorem 3.2 is decided: check_two_to_two, then extract_pullback only if
     it passed, then pullback_report only if extraction passed.  A failed
     check is a fail record (exit status 1), never an exception."""
-    res = PowerIsoResult("iso", witness, pm_src, pm_dst, check_two_to_two(pm_src, pm_dst, witness),
-                         cardinality_preserving=cardinality_profile(pm_src, pm_dst, witness))
-    if not res.two_to_two.failed:
-        res.extraction, res.pullback = extract_pullback(pm_src, pm_dst, witness)
-        res.report = res.pullback and pullback_report(res.pullback)
-    return res
+    two_to_two = check_two_to_two(pm_src, pm_dst, witness)
+    preserving = cardinality_profile(pm_src, pm_dst, witness)
+    extraction = pullback = report = None
+    if not two_to_two.failed:
+        extraction, pullback = extract_pullback(pm_src, pm_dst, witness)
+        report = pullback and pullback_report(pullback)
+    return PowerIsoResult("iso", witness, pm_src, pm_dst, two_to_two, extraction, pullback, report,
+                          preserving)
 
 
 def power_isomorphisms(pm_src, pm_dst, budget=DEFAULT_BUDGET, coloring=None):
@@ -280,15 +279,13 @@ def find_power_isomorphism(h, k, budget=DEFAULT_BUDGET):
     return power_isomorphism(reduced_power_monoid(h), reduced_power_monoid(k), budget)
 
 
-@dataclass
-class ExperimentRecord:
-    pair: tuple                 # (i, j) indices into the census
-    names: tuple
-    base_iso: str               # "yes" | "no" | "budget-exceeded"
-    power_iso: str              # "yes" | "no" | "budget-exceeded"
-    pullback_ok: bool = None    # None when there is no power iso to check
-    cardinality_preserving: bool = None
-    witness_map: tuple = None
+class ExperimentRecord(namedtuple("ExperimentRecord", "pair names base_iso power_iso pullback_ok "
+                                     "cardinality_preserving witness_map",
+                                     defaults=(None,) * 3)):
+    """One census pair: its (i, j) indices into the census, their names, and
+    base_iso and power_iso, each "yes", "no" or "budget-exceeded".  The
+    facts after them are None when there is no power isomorphism to check."""
+    __slots__ = ()
 
     HEADER = "pair\tH\tK\tbase_iso\tpower_iso\tpullback_ok\tcardinality_preserving"
 
@@ -300,17 +297,12 @@ class ExperimentRecord:
             fmt(self.cardinality_preserving)))
 
 
-@dataclass
-class ExperimentSummary:
-    mode: str
-    records: list
-    biconditional_holds: bool
-    exceptions: list            # records violating "power iso <=> base iso"
-    budget_exceeded: list
-    pullback_failures: list
-    cardinality_always_preserved: bool
-    failures: list
-    findings: int
+class ExperimentSummary(namedtuple("ExperimentSummary", "mode records biconditional_holds exceptions "
+                                      "budget_exceeded pullback_failures "
+                                      "cardinality_always_preserved failures findings")):
+    """The records of an experiment and what they add up to; exceptions are
+    the records violating "power iso <=> base iso"."""
+    __slots__ = ()
 
     @property
     def pairs(self):

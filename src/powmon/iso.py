@@ -6,8 +6,9 @@ classes, and every assignment propagates the products it forces.  Classes
 start from per-element invariants (order, idempotency, cancellativity,
 unit status) and are refined by the coloring of row and column patterns,
 so most non-isomorphic pairs are rejected before any search.  A batch of
-monoids is refined once (Coloring); each pair is then decided from its
-slices of that coloring.
+monoids is split into buckets by order and invariant multiset, and each
+bucket is refined once, when a pair inside it first needs colors
+(Coloring); each pair is then decided from its slices of that coloring.
 
 "Proven absent" and "budget exceeded" are distinct outcomes: absence is
 only reported after an exhausted search (or an invariant mismatch, which
@@ -109,31 +110,51 @@ def refine_colors(monoids):
 
 
 class Coloring:
-    """The stable joint coloring of a batch of monoids, refined once.
+    """The stable coloring of a batch of monoids, refined bucket by bucket.
 
-    Restricted to any two monoids of the batch it is the partition that
-    refine_colors([m1, m2]) gives: a round of refinement reads only each
-    monoid's own table, and the batch stops only once no class of any
-    monoid splits.  Searching with its slices therefore gives the same
-    verdicts, witnesses and node counts as refining the pair alone.  A
-    monoid's profile is its color multiset; a pair whose profiles differ
-    is proven non-isomorphic without search.  Each round sorts int-coded
-    product triples and keys the one-element classes of the batch by their
-    color alone (refine_colors).
+    The monoids are grouped into buckets by their order and the multiset
+    of their element_invariants, the round-0 colors of refine_colors.  A
+    bucket is refined with refine_colors the first time a pair inside it
+    needs colors, so its color ids are comparable only within the bucket.
+
+    Refinement only splits classes, so two monoids in different buckets
+    have different final profiles (color multisets) and are proven
+    non-isomorphic without search, as a profile mismatch is.  Restricted
+    to any two monoids of a bucket, the bucket's coloring is the partition
+    that refine_colors([m1, m2]) gives: a round reads only each monoid's
+    own table, and the bucket stops only once no class of any member
+    splits.  Searching with its colors therefore gives the same verdicts,
+    witnesses and node counts as refining the pair alone.
     """
 
     def __init__(self, monoids):
-        monoids = list(monoids)
-        self._index = {id(m): i for i, m in enumerate(monoids)}
-        self._monoids = monoids     # keeps the ids in _index valid
-        self.colors = refine_colors(monoids)
-        self.profiles = [tuple(sorted(Counter(c).items())) for c in self.colors]
+        self._bucket = {}       # id(m) -> the members of m's bucket
+        buckets = {}
+        for m in monoids:
+            if id(m) not in self._bucket:
+                key = (m.n, tuple(sorted(element_invariants(m))))
+                self._bucket[id(m)] = buckets.setdefault(key, [])
+                self._bucket[id(m)].append(m)   # also keeps the ids valid
+        self._colors = {}       # id(m) -> colors, for the members of refined buckets
+        self._profiles = {}
+
+    def _refine(self, m):
+        if id(m) not in self._colors:
+            bucket = self._bucket[id(m)]
+            for b, colors in zip(bucket, refine_colors(bucket)):
+                self._colors[id(b)] = colors
+                self._profiles[id(b)] = tuple(sorted(Counter(colors).items()))
+
+    def may_be_isomorphic(self, m1, m2):
+        """False if m1 and m2 are proven non-isomorphic by their colors."""
+        if self._bucket[id(m1)] is not self._bucket[id(m2)]:
+            return False
+        self._refine(m1)
+        return self._profiles[id(m1)] == self._profiles[id(m2)]
 
     def colors_of(self, m):
-        return self.colors[self._index[id(m)]]
-
-    def profile(self, m):
-        return self.profiles[self._index[id(m)]]
+        self._refine(m)
+        return self._colors[id(m)]
 
 
 def _search(m1, m2, budget, max_results, coloring):
@@ -141,7 +162,7 @@ def _search(m1, m2, budget, max_results, coloring):
         return True, [], 0
     if coloring is None:
         coloring = Coloring([m1, m2])
-    if coloring.profile(m1) != coloring.profile(m2):
+    if not coloring.may_be_isomorphic(m1, m2):
         return True, [], 0
     c1, c2 = coloring.colors_of(m1), coloring.colors_of(m2)
     sizes = Counter(c1)
@@ -155,9 +176,21 @@ def find_isomorphism(m1, m2, budget=DEFAULT_BUDGET, coloring=None):
     coloring is a Coloring of a batch holding m1 and m2; without one, the
     pair is refined as a batch of two.
 
+    A self-pair (m1 is m2) within a budget of at least m1.n nodes gets the
+    identity, which is what the search would return.  Both sides have the
+    same colors, and the search visits the elements of one color in
+    increasing order.  So when it reaches a variable a, the map so far is
+    the identity and every element of a's color below a is taken: a's
+    smallest free candidate of its own color is a itself.  Mapping a to a
+    forces only x*y -> x*y, which never conflicts.  The search thus
+    returns the identity after at most n nodes, without backtracking.  The
+    witness is validated all the same.
+
     Raises SearchBudgetExceeded if the node budget ran out first; callers
     needing certainty (census experiments) must treat that as unknown.
     """
+    if m1 is m2 and budget >= m1.n:
+        return IsoWitness(m1, m1, range(m1.n))
     exhausted, maps, nodes = _search(m1, m2, budget, 1, coloring)
     if maps:
         return IsoWitness(m1, m2, maps[0])

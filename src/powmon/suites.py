@@ -7,7 +7,6 @@ records; suites that pin them assert the finding occurs, so the
 counterexamples themselves are regression-tested.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .census import (base_iso_status, census_monoids, find_power_isomorphism, groups_catalog,
@@ -21,11 +20,13 @@ from .verify import (CheckResult, check_cross_relation, check_minimal_relation,
                      subset_translates)
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    results: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    """A suite's check records, in sweep order, and its notes."""
+
+    def __init__(self, name, results=None):
+        self.name = name
+        self.results = [] if results is None else results
+        self.notes = []
 
     def add(self, result):
         self.results.append(result)

@@ -10,20 +10,17 @@ exception (exit status 2): that holds for a failed two-to-two or pullback
 extraction check too, which census.power_iso_facts decides in that order.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import PreconditionViolated
 from .powerset import elements_of, format_subset, setwise_product, subset_power
 
 
-@dataclass
-class CheckResult:
-    """Line-oriented checker outcome: pass, fail, or not-applicable."""
-    checker: str
-    subject: str
-    status: str
-    detail: str = ""
-    findings: list = field(default_factory=list)
+class CheckResult(namedtuple("CheckResult", "checker subject status detail findings",
+                             defaults=("", ()))):
+    """Line-oriented checker outcome: status is pass, fail, or n/a;
+    findings are the violations seen outside the checked hypotheses."""
+    __slots__ = ()
 
     def line(self):
         parts = [self.checker, self.subject, self.status, self.detail]
@@ -149,8 +146,7 @@ def check_cross_relation(m, x, y, r, s, products=None):
                        "fail" if bad else "pass", "; ".join(bad))
 
 
-@dataclass
-class MinimalRelation:
+class MinimalRelation(namedtuple("MinimalRelation", "r s u v counterexample", defaults=(None,))):
     """Minimal exponents r, s, u, v with x^r = y^s and x^u = y^v.
 
     r is the least positive exponent of x equal to any positive power of
@@ -162,11 +158,7 @@ class MinimalRelation:
     to the order, and (ord(x), ord(y)) is itself a solution, so the grid
     covers every integer solution.
     """
-    r: int
-    s: int
-    u: int
-    v: int
-    counterexample: tuple = None
+    __slots__ = ()
 
 
 def minimal_relation(m, x, y):
@@ -193,15 +185,13 @@ def check_minimal_relation(m, x, y):
                        "fail" if rel.counterexample else "pass", detail)
 
 
-@dataclass
-class SolutionCount:
-    """Exhaustive count of subsets A with A*S = S^n over a chosen universe."""
-    count: int
-    solutions: list            # masks, ascending
-    bound: int                 # 2^(|S|-1)
-    bound_applies: bool        # full universe and n >= 3
-    family: list               # the constructed solutions (S^(n-1) \ T)
-    family_ok: bool
+class SolutionCount(namedtuple("SolutionCount",
+                               "count solutions bound bound_applies family family_ok")):
+    """Exhaustive count of subsets A with A*S = S^n over a chosen universe:
+    the solutions as ascending masks, the bound 2^(|S|-1), which applies
+    over the full universe with n >= 3, and the constructed solutions
+    (S^(n-1) \\ T) in family."""
+    __slots__ = ()
 
 
 def subset_translates(m, s_mask):
@@ -319,8 +309,7 @@ def extract_pullback(pm_src, pm_dst, witness):
             Pullback(h, k, mapping) if ok else None)
 
 
-@dataclass
-class PullbackReport:
+class PullbackReport(namedtuple("PullbackReport", "subject hypotheses counterexamples")):
     """Pullback properties, each decided by its recorded counterexamples.
 
     A property holds iff no counterexample to it was recorded.
@@ -329,10 +318,9 @@ class PullbackReport:
     gate is met (see gated_failures).  full_hom reads torsion_hom's
     counterexamples: on finite inputs every element is torsion, so the two
     observe the same products, but they are gated differently.
+    counterexamples holds (property, description) pairs.
     """
-    subject: str
-    hypotheses: dict
-    counterexamples: list       # (property, description) pairs
+    __slots__ = ()
 
     GATES = (
         ("order_preserving", None),

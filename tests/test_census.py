@@ -1,6 +1,5 @@
 """Monoid enumeration, canonical keys, the group catalog, experiments."""
 
-import dataclasses
 import os
 import random
 from types import MappingProxyType, SimpleNamespace
@@ -11,7 +10,7 @@ from powmon.census import (CensusEntry, canonical_key, census_monoids,
                            enumerate_monoids, find_power_isomorphism,
                            groups_catalog, power_iso_facts, run_experiment)
 from powmon.errors import SizeLimitExceeded
-from powmon.iso import IsoWitness, find_isomorphism
+from powmon.iso import IsoWitness, element_invariants, find_isomorphism
 from powmon.monoid import FiniteMonoid, cyclic_group, idempotent_monoid2
 from powmon.powerset import PowerMonoid, reduced_power_monoid
 from powmon.suites import suite_section4, suite_thm32
@@ -46,7 +45,7 @@ def test_enumeration_rejects_two_tables_of_one_class(monkeypatch):
 def test_census_entries_are_immutable():
     entries = enumerate_monoids(2)
     assert isinstance(entries, tuple) and entries is enumerate_monoids(2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         entries[0].tags = {}
     with pytest.raises(TypeError):
         entries[0].tags["group"] = not entries[0].tags["group"]
@@ -200,7 +199,7 @@ def test_failed_is_the_verdict_of_record(zoo):
     merged = images[:2] + images[1:2] + images[3:]                     # not a bijection
     iso = find_power_isomorphism(zoo["z4"], zoo["z4"])
     # a pullback of z4 that is not a homomorphism, on gated (cancellative) bases
-    gated = dataclasses.replace(iso, report=pullback_report(
+    gated = iso._replace(report=pullback_report(
         Pullback(zoo["z4"], zoo["z4"], (0, 2, 1, 3))))
     results = [iso,
                find_power_isomorphism(zoo["z2"], zoo["idem2"]),       # findings only
@@ -251,26 +250,42 @@ def _count_refinements(monkeypatch):
     refine = iso.refine_colors
 
     def counting(monoids):
-        batches.append(len(monoids))
+        batches.append(list(monoids))
         return refine(monoids)
     monkeypatch.setattr(iso, "refine_colors", counting)
     return batches
 
 
+def _refined_once_in_own_bucket(batches):
+    # no monoid is refined twice, and each refinement is of one bucket: the
+    # monoids of one order and one multiset of element invariants
+    refined = [id(m) for batch in batches for m in batch]
+    assert len(refined) == len(set(refined))
+    for batch in batches:
+        assert len({(m.n, tuple(sorted(element_invariants(m)))) for m in batch}) == 1
+
+
 def test_experiment_refines_bases_and_carriers_once(monkeypatch):
-    entries = census_monoids(3)
     batches = _count_refinements(monkeypatch)
-    run_experiment(entries, mode="monoids", jobs=1)
-    assert batches == [len(entries), len(entries)]
+    run_experiment(census_monoids(3), mode="monoids", jobs=1)
+    assert batches
+    _refined_once_in_own_bucket(batches)
 
 
 def test_thm32_refines_each_batch_once(monkeypatch):
-    census, catalog = len(census_monoids(3)), len(groups_catalog(4))
+    groups_catalog(4)       # cached with its validation, as suite_thm32 finds it
     batches = _count_refinements(monkeypatch)
     suite_thm32(max_order=3, group_max=4)
-    # census carriers and catalog carriers: the catalog, built above, is
-    # cached with its validation
-    assert batches == [census, catalog]
+    assert batches
+    _refined_once_in_own_bucket(batches)
+
+
+def test_group_experiment_refines_few_elements(monkeypatch):
+    # the catalog's only non-trivial bucket is z6 with z2xz3, bases and
+    # carriers; self-pairs need no colors
+    batches = _count_refinements(monkeypatch)
+    run_experiment(groups_catalog.__wrapped__(8))
+    assert sum(m.n for batch in batches for m in batch) <= 100
 
 
 def test_experiment_tiny_groups():

@@ -13,7 +13,7 @@ import pytest
 
 import powmon
 from powmon import census
-from powmon.cli import VERIFY_FLAGS, main, parse_monoid_spec
+from powmon.cli import VERIFY_FLAGS, _params, main, parse_monoid_spec
 from powmon.monoid import cyclic_group, direct_product
 from powmon.suites import CASES, SUITES
 
@@ -173,6 +173,24 @@ def test_verify_flags_are_suite_and_case_parameters():
     # --jobs is read by `verify all` itself
     assert set(VERIFY_FLAGS) - params == {"jobs"}
     assert params - set(VERIFY_FLAGS) == set()
+
+
+def test_params_are_the_signature():
+    for fn in [*SUITES.values(), *CASES.values()]:
+        assert _params(fn) == tuple(inspect.signature(fn).parameters)
+
+
+def test_cli_imports_without_dataclasses_or_inspect():
+    # each costs start-up time in every run of the command
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import powmon.cli\n"
+            "assert not {'dataclasses', 'inspect'} & (set(sys.modules) - before), sys.modules.keys()\n")
+    src = str(Path(powmon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_max_order_leaves_catalog_suites_alone(capsys):

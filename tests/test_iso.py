@@ -7,8 +7,8 @@ import pytest
 
 from powmon.census import census_monoids, groups_catalog
 from powmon.errors import SearchBudgetExceeded
-from powmon.iso import (Coloring, IsoWitness, element_invariants, enumerate_isomorphisms,
-                        find_isomorphism, refine_colors)
+from powmon.iso import (Coloring, IsoWitness, _search, element_invariants,
+                        enumerate_isomorphisms, find_isomorphism, refine_colors)
 from powmon.monoid import cyclic_group
 from powmon.powerset import reduced_power_monoid
 
@@ -20,6 +20,17 @@ def test_self_isomorphism_is_found(zoo):
         w = find_isomorphism(m, m)
         assert w is not None
         assert w.map[m.identity] == m.identity
+
+
+def test_self_pair_witness_is_the_first_search_result():
+    # the census <= 5 and catalog <= 8 bases and carriers: the identity that
+    # find_isomorphism returns is the search's first map, reached without
+    # backtracking
+    bases = [e.monoid for e in census_monoids(5) + list(groups_catalog(8))]
+    for m in bases + [reduced_power_monoid(b).carrier for b in bases]:
+        exhausted, maps, nodes = _search(m, m, m.n, 1, None)
+        assert exhausted and nodes <= m.n
+        assert find_isomorphism(m, m).map == tuple(maps[0])
 
 
 def test_cyclic4_vs_klein_absent(zoo):
@@ -92,13 +103,16 @@ def _census_bases_and_carriers(max_order):
 
 
 def test_batch_coloring_restricts_to_pairwise_refinement():
-    # the census <= 4 bases and their carriers, refined as one batch
+    # the census <= 4 bases and their carriers as one batch; a bucket holds
+    # the monoids of one order and one multiset of element invariants
     monoids = _census_bases_and_carriers(4)
     batch = Coloring(monoids)
+    bucket = {id(m): (m.n, sorted(element_invariants(m))) for m in monoids}
     for m1, m2 in combinations_with_replacement(monoids, 2):
         c1, c2 = refine_colors([m1, m2])
-        assert _same_partition(batch.colors_of(m1) + batch.colors_of(m2), c1 + c2)
-        assert (batch.profile(m1) == batch.profile(m2)) == (Counter(c1) == Counter(c2))
+        assert batch.may_be_isomorphic(m1, m2) == (Counter(c1) == Counter(c2))
+        if bucket[id(m1)] == bucket[id(m2)]:
+            assert _same_partition(batch.colors_of(m1) + batch.colors_of(m2), c1 + c2)
 
 
 def test_batch_coloring_gives_the_pairwise_witnesses():
