@@ -18,8 +18,8 @@ from .monoid import (FiniteMonoid, cyclic_group, cyclic_monoid, dihedral_group,
                      klein_group, parse_monoid_spec, parse_table_file,
                      parse_table_text, quaternion_group)
 from .powerset import (PowerMonoid, augment, elements_of, format_subset,
-                       full_power_semigroup, mask_of, parse_subset,
-                       reduced_power_monoid, setwise_product, subset_power)
+                       mask_of, parse_subset, reduced_power_monoid,
+                       setwise_product, subset_power)
 from .census import (CensusEntry, ExperimentRecord, canonical_key,
                      census_monoids, enumerate_monoids, find_power_isomorphism,
                      groups_catalog, run_experiment)

@@ -7,15 +7,14 @@ groups of order <= 8 is classical), with deliberate isomorphic duplicates
 kept as positive controls for the experiments.
 """
 
-import os
 from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 
 from . import kernels
 from .errors import SearchBudgetExceeded, SizeLimitExceeded
-from .iso import (DEFAULT_BUDGET, Coloring, element_invariants, enumerate_isomorphisms,
-                  find_isomorphism)
+from .iso import (DEFAULT_BUDGET, Coloring, enumerate_isomorphisms, find_isomorphism,
+                  invariants_of)
 from .monoid import FiniteMonoid, parse_monoid_spec
 from .powerset import reduced_power_monoid
 from .verify import (CheckResult, cardinality_profile, check_two_to_two, extract_pullback,
@@ -70,7 +69,7 @@ def canonical_key(m):
     from itertools import permutations, product
 
     n = m.n
-    vecs = element_invariants(m)
+    vecs = invariants_of(m)
     classes = {}
     for a in range(n):
         classes.setdefault(vecs[a], []).append(a)
@@ -340,37 +339,30 @@ def _experiment_pair(i, j, pm_h, pm_k, budget, bases, carriers):
         res.cardinality_preserving, None if res.witness is None else res.witness.map)
 
 
-def _experiment_chunk(monoids, pairs, budget):
-    pms = [reduced_power_monoid(m) for m in monoids]
-    bases = Coloring(monoids)
-    carriers = Coloring(pm.carrier for pm in pms)
-    return [_experiment_pair(i, j, pms[i], pms[j], budget, bases, carriers) for i, j in pairs]
+# --jobs and run_experiment's jobs= accept only 1; they remain because
+# perfbench's workloads pass them, and go once perfbench stops doing so
+def check_jobs(jobs):
+    """Raise ValueError unless jobs is 1: every run is decided in this process."""
+    if jobs != 1:
+        raise ValueError(f"--jobs must be 1, got {jobs}: every run is decided in one process")
 
 
 def run_experiment(entries, mode="groups", budget=DEFAULT_BUDGET, jobs=1):
     """Decide base and power isomorphism for every unordered census pair.
 
-    Returns (records, summary).  Each entry's reduced power monoid is
-    built once per worker, and the bases and the carriers are each refined
-    once per worker as one batch: the pairs are split into interleaved
-    chunks, one per spawned worker, with min(jobs, pairs, cpu count) workers.
-    Budget-exceeded pairs are reported and, as in every verify sweep, are
-    failures; records are sorted by pair id however the work was scheduled.
+    Returns (records, summary), the records in pair order.  Each entry's
+    reduced power monoid is built once, and the bases and the carriers are
+    each refined once as one batch.  Budget-exceeded pairs are reported
+    and, as in every verify sweep, are failures.  jobs must be 1
+    (check_jobs).
     """
+    check_jobs(jobs)
     monoids = [e.monoid for e in entries]
-    pairs = [(i, j) for i in range(len(entries)) for j in range(i, len(entries))]
-    workers = min(jobs, len(pairs), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-        chunks = [pairs[k::workers] for k in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-            records = [r for chunk in pool.map(_experiment_chunk, [monoids] * len(chunks),
-                                               chunks, [budget] * len(chunks))
-                       for r in chunk]
-    else:
-        records = _experiment_chunk(monoids, pairs, budget)
-    records.sort(key=lambda r: r.pair)
+    pms = [reduced_power_monoid(m) for m in monoids]
+    bases = Coloring(monoids)
+    carriers = Coloring(pm.carrier for pm in pms)
+    records = [_experiment_pair(i, j, pms[i], pms[j], budget, bases, carriers)
+               for i in range(len(pms)) for j in range(i, len(pms))]
     hit = {r.pair for r in records if "budget-exceeded" in (r.base_iso, r.power_iso)}
     exceptions = [r for r in records if r.pair not in hit and r.base_iso != r.power_iso]
     # an exception between cancellative entries contradicts the theorem; the

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .census import (census_monoids, check_catalog_order, check_census_order,
+from .census import (census_monoids, check_catalog_order, check_census_order, check_jobs,
                      groups_catalog, run_experiment)
 from .errors import PowmonError
 from .iso import DEFAULT_BUDGET
@@ -109,7 +109,7 @@ def _config(given):
 
 
 # each verify flag goes to the suite or case parameter of the same name;
-# --jobs is read by `verify all` itself
+# --jobs, which must be 1, is read by `verify all` itself
 VERIFY_FLAGS = ("max_order", "group_max", "budget", "jobs",
                 "pair", "monoid", "subset", "n", "universe")
 
@@ -152,23 +152,18 @@ def cmd_verify(args):
         check_census_order(given["max_order"])
     if "group_max" in given:
         check_catalog_order(given["group_max"])
+    check_jobs(given.get("jobs", 1))
     calls = [(fn, {k: v for k, v in given.items() if k in _params(fn)}) for fn in runs.values()]
-    title, config = f"verify {args.suite}", _config(given)
-    if given.get("jobs", 1) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        workers = min(given["jobs"], len(calls), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, **kwargs) for fn, kwargs in calls]   # report order fixed
-            return _report(args, title, config, (fut.result() for fut in futures))
-    return _report(args, title, config, (fn(**kwargs) for fn, kwargs in calls))
+    return _report(args, f"verify {args.suite}", _config(given),
+                   (fn(**kwargs) for fn, kwargs in calls))
 
 
 def cmd_experiment(args):
     max_order = args.max_order or (6 if args.mode == "groups" else 2)
-    if args.mode == "groups":
-        entries = groups_catalog(max_order)
-    else:
-        entries = census_monoids(max_order)
+    groups = args.mode == "groups"
+    (check_catalog_order if groups else check_census_order)(max_order)
+    check_jobs(args.jobs)
+    entries = groups_catalog(max_order) if groups else census_monoids(max_order)
     _, summary = run_experiment(entries, mode=args.mode, budget=args.budget, jobs=args.jobs)
     return _report(args, f"experiment {args.mode}",
                    _config(_set_flags(args, ("max_order", "budget", "jobs"))), [summary])
@@ -192,7 +187,8 @@ def main(argv=None):
     p.add_argument("--max-order", type=int, default=None, dest="max_order")
     p.add_argument("--group-max", type=int, default=None, dest="group_max")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="worker processes of verify all")
+    # --jobs accepts only 1 (check_jobs); it stays while perfbench passes it
+    p.add_argument("--jobs", type=int, default=None, help="must be 1: one process decides every suite")
     p.add_argument("--out", default=None)
     p.add_argument("--pair", default=None, help="section4 single pair, e.g. z2:idem2")
     p.add_argument("--monoid", default=None, help="lemma31 single-case monoid spec")
@@ -207,7 +203,7 @@ def main(argv=None):
     p.add_argument("mode", choices=["groups", "monoids"])
     p.add_argument("--max-order", type=int, default=None, dest="max_order")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="must be 1: one process decides every pair")
     p.add_argument("--out", default=None)
     p.add_argument("--expect-violation", action="store_true", dest="expect_violation")
     p.set_defaults(fn=cmd_experiment)

@@ -70,6 +70,13 @@ def element_invariants(m):
             for a, order, row, col in zip(range(m.n), m.orders(), m.table, zip(*m.table))]
 
 
+def invariants_of(m):
+    """element_invariants(m) as a tuple, computed once per monoid and kept on it."""
+    if m.invariants is None:
+        m.invariants = tuple(element_invariants(m))
+    return m.invariants
+
+
 def refine_colors(monoids):
     """Jointly refine element colors across several monoids.
 
@@ -88,7 +95,7 @@ def refine_colors(monoids):
     tuples gives.
     """
     pool = {}
-    colors = [[pool.setdefault(sig, len(pool)) for sig in element_invariants(m)] for m in monoids]
+    colors = [[pool.setdefault(sig, len(pool)) for sig in invariants_of(m)] for m in monoids]
     while True:
         p = len(pool)
         sizes = Counter(chain.from_iterable(colors))
@@ -132,7 +139,7 @@ class Coloring:
         buckets = {}
         for m in monoids:
             if id(m) not in self._bucket:
-                key = (m.n, tuple(sorted(element_invariants(m))))
+                key = (m.n, tuple(sorted(invariants_of(m))))
                 self._bucket[id(m)] = buckets.setdefault(key, [])
                 self._bucket[id(m)].append(m)   # also keeps the ids valid
         self._colors = {}       # id(m) -> colors, for the members of refined buckets

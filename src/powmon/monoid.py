@@ -3,10 +3,11 @@
 Elements are dense indices 0..n-1.  The identity is detected from the
 table, never declared, so input files cannot lie about it.  The table of
 an instance never changes after construction.  Derived facts (element
-power cycles, orders, units, and the subset power cycles that
-powmon.powerset keeps here) are cached lazily; every cache entry is a
-pure function of the table, so filling one twice stores the same value
-and instances stay safe to share across threads.
+power cycles, orders, units, and the subset power cycles and element
+invariants that powmon.powerset and powmon.iso keep here) are cached
+lazily; every cache entry is a pure function of the table, so filling one
+twice stores the same value and instances stay safe to share across
+threads.
 """
 
 import math
@@ -56,7 +57,9 @@ class FiniteMonoid:
     two-sided identity.  Powers are computed once per element: the first
     call for a builds its power cycle, and power(a, k) for any k is then
     an index computation.  subset_cycles maps a subset bitmask to its power
-    cycle under setwise product (filled by powerset.subset_power).
+    cycle under setwise product (filled by powerset.subset_power), and
+    invariants is the tuple of iso.element_invariants (filled by
+    iso.invariants_of).
     """
 
     def __init__(self, table, name=None):
@@ -92,6 +95,7 @@ class FiniteMonoid:
         self._units = None
         self._cycles = {}
         self.subset_cycles = {}
+        self.invariants = None
 
     def mul(self, a, b):
         return self.table[a][b]

@@ -1,10 +1,9 @@
 """Subsets of a finite monoid under setwise multiplication.
 
 A subset is an int bitmask over element indices (bit i set iff element i
-belongs).  Only non-empty subsets are elements of the power structures;
-the reduced power monoid restricts further to subsets containing the
-identity.  Carrier element indices are assigned in increasing bitmask
-order, so carriers are reproducible across runs.
+belongs).  The reduced power monoid carries the subsets containing the
+identity, which are never empty.  Carrier element indices are assigned
+in increasing bitmask order, so carriers are reproducible across runs.
 """
 
 from . import kernels
@@ -80,35 +79,29 @@ def subset_power(m, x, k):
 
 
 class PowerMonoid:
-    """A power structure of a base monoid, itself a finite monoid.
+    """The reduced power monoid of a base monoid, itself a finite monoid.
 
-    kind "reduced" carries the 2^(n-1) subsets containing the identity;
-    kind "full" carries all 2^n - 1 non-empty subsets.  The carrier is a
-    validated FiniteMonoid whose element i is masks[i], built at
+    It carries the 2^(n-1) subsets containing the identity.  The carrier is
+    a validated FiniteMonoid whose element i is masks[i], built at
     construction; bases above MATERIALIZE_LIMIT raise SizeLimitExceeded.
     """
 
-    def __init__(self, base, kind):
-        if kind not in ("reduced", "full"):
-            raise ValueError(f"unknown power monoid kind {kind!r}")
+    kind = "reduced"    # the only kind; perfbench's carrier notes read it
+
+    def __init__(self, base):
         n = base.n
         if n > MATERIALIZE_LIMIT:
             raise SizeLimitExceeded(
                 f"base order {n} exceeds the power monoid limit {MATERIALIZE_LIMIT}")
         ebit = 1 << base.identity
-        if kind == "reduced":
-            masks = tuple(x for x in range(1, 1 << n) if x & ebit)
-        else:
-            masks = tuple(range(1, 1 << n))
+        masks = tuple(x for x in range(1, 1 << n) if x & ebit)
         self.base = base
-        self.kind = kind
         self.masks = masks
         self.index = {mask: i for i, mask in enumerate(masks)}
         m = len(masks)
         flat = kernels.power_table(base.flat, n, masks)
         table = [flat[i * m:(i + 1) * m] for i in range(m)]
-        tag = "reduced power" if kind == "reduced" else "full power"
-        self.carrier = FiniteMonoid(table, name=f"{tag}({base.name})")
+        self.carrier = FiniteMonoid(table, name=f"reduced power({base.name})")
         if self.masks[self.carrier.identity] != ebit:
             raise AssertionError("carrier identity is not the singleton {identity}")
 
@@ -126,20 +119,12 @@ class PowerMonoid:
         return self.index[(1 << self.base.identity) | (1 << x)]
 
     def __repr__(self):
-        return f"PowerMonoid({self.kind}, base={self.base.name}, size={len(self.masks)})"
+        return f"PowerMonoid(base={self.base.name}, size={len(self.masks)})"
 
 
 def reduced_power_monoid(base):
     """The reduced finitary power monoid of a finite base monoid."""
-    return PowerMonoid(base, "reduced")
-
-
-def full_power_semigroup(base):
-    """The large power semigroup of a finite base monoid (all non-empty subsets).
-
-    For a base monoid this is again a monoid, with identity {identity}.
-    """
-    return PowerMonoid(base, "full")
+    return PowerMonoid(base)
 
 
 def augment(base_witness, pm_src=None, pm_dst=None):

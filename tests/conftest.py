@@ -5,8 +5,6 @@ import shutil
 import subprocess
 import sys
 import sysconfig
-import types
-from concurrent import futures
 from pathlib import Path
 
 import pytest
@@ -75,31 +73,3 @@ def core(request, tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replaces concurrent.futures.ProcessPoolExecutor with a stand-in that
-    runs the work inline, and returns the max_workers of each pool made, so
-    a test can ask for many jobs without starting a process."""
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers=None, mp_context=None):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args, **kwargs):
-            result = fn(*args, **kwargs)
-            return types.SimpleNamespace(result=lambda: result)
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", InlinePool)
-    return sizes

@@ -1,25 +1,33 @@
-"""The traced benchmark wraps powmon functions by name; each name must resolve.
+"""The benchmark calls powmon by name; each name it uses must still work.
 
 perfbench/spans.py lists its targets as (module, attribute) pairs and
-reads PowerMonoid.kind for its carrier notes.  A rename in powmon breaks
-only the traced runs, so the names are checked here.
+reads PowerMonoid.kind for its carrier notes.  perfbench/child.py runs
+the CLI with the argv of perfbench/workloads.py and calls run_experiment
+with jobs=1.  A rename in powmon breaks only the benchmark runs, so these
+are checked here.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from powmon import cli
+from powmon.census import census_monoids, groups_catalog, run_experiment
 from powmon.monoid import cyclic_group
 from powmon.powerset import reduced_power_monoid
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _spans():
+    return _perfbench("spans")
 
 
 def test_span_targets_resolve():
@@ -34,3 +42,14 @@ def test_span_targets_resolve():
 def test_carrier_note_reads_power_monoid():
     pm = reduced_power_monoid(cyclic_group(2))
     assert pm.kind and _spans()._carrier_note((pm,), None).startswith(pm.kind + ":")
+
+
+def test_benchmark_entry_points_run(capsys):
+    workloads = _perfbench("workloads")
+    assert cli.main(list(workloads.WORKLOADS["verify-all"].argv)) == 0
+    capsys.readouterr()
+    records, _ = run_experiment(groups_catalog(3), mode="groups",
+                                budget=workloads.GROUPS_BUDGET, jobs=1)
+    assert records
+    records, _ = run_experiment(census_monoids(2), mode="monoids", jobs=1)
+    assert records

@@ -278,10 +278,30 @@ def test_experiment_expect_violation_reads_as_verify(capsys):
     assert out.splitlines()[-1] == "# expect-violation: FAILED (no violation finding occurred)"
 
 
-def test_experiment_jobs_flag(capsys):
-    code, out, _ = run_cli(capsys, "experiment", "monoids", "--max-order", "2",
-                           "--jobs", "2")
-    assert code == 0 and "exceptions: 1" in out
+@pytest.mark.parametrize("argv", [
+    ("verify", "all", "--max-order", "2", "--group-max", "3"),
+    ("experiment", "monoids", "--max-order", "2"),
+])
+def test_jobs_1_changes_only_the_config(capsys, argv):
+    body = lambda text: [l for l in text.splitlines()
+                         if not l.startswith(("# generated:", "# config:"))]
+    code, plain, _ = run_cli(capsys, *argv)
+    code_1, jobs_1, _ = run_cli(capsys, *argv, "--jobs", "1")
+    assert code == code_1 == 0 and body(plain) == body(jobs_1)
+    assert "jobs=1" in jobs_1.splitlines()[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "all", "--jobs", "2"),
+    ("verify", "all", "--max-order", "2", "--jobs", "1000000"),
+    ("experiment", "monoids", "--jobs", "2"),
+    ("experiment", "groups", "--max-order", "4", "--jobs", "3"),
+])
+def test_jobs_other_than_1_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "report.tsv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2 and err.startswith(f"error: --jobs must be 1, got {argv[-1]}")
+    assert out == "" and not target.exists()
 
 
 def test_experiment_budget_path(capsys):
@@ -364,27 +384,6 @@ def test_experiment_corrupted_witness_is_a_pullback_failure(capsys, monkeypatch)
     assert code == 1 and err == ""
     assert lines[lines.index("# pullback failures: 1") + 1] == "#   pullback failure: cyclic 3 vs cyclic 3"
     assert "2:2\tcyclic 3\tcyclic 3\tyes\tyes\tfalse\tfalse" in lines
-
-
-def test_verify_all_parallel_matches_serial(capsys):
-    _, serial, _ = run_cli(capsys, "verify", "all", "--max-order", "2",
-                           "--group-max", "3")
-    _, parallel, _ = run_cli(capsys, "verify", "all", "--max-order", "2",
-                             "--group-max", "3", "--jobs", "3")
-    records = lambda text: [l for l in text.splitlines() if not l.startswith("#")]
-    assert records(serial) == records(parallel)
-
-
-@pytest.mark.parametrize("cpus, workers", [(64, 7), (3, 3)])   # 7 suites
-def test_verify_all_workers_capped(capsys, monkeypatch, pool_sizes, cpus, workers):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    _, serial, _ = run_cli(capsys, "verify", "all", "--max-order", "2", "--group-max", "3")
-    code, parallel, _ = run_cli(capsys, "verify", "all", "--max-order", "2",
-                                "--group-max", "3", "--jobs", "1000000")
-    assert code == 0 and pool_sizes == [workers]
-    assert "jobs=1000000" in parallel
-    records = lambda text: [l for l in text.splitlines() if not l.startswith("#")]
-    assert records(serial) == records(parallel)
 
 
 def test_experiment_body_deterministic(capsys):

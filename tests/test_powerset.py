@@ -16,8 +16,8 @@ from powmon.errors import SizeLimitExceeded
 from powmon.iso import find_isomorphism
 from powmon.monoid import cyclic_group, idempotent_monoid2
 from powmon.powerset import (MATERIALIZE_LIMIT, augment, elements_of, format_subset,
-                             full_power_semigroup, mask_of, parse_subset,
-                             reduced_power_monoid, setwise_product, subset_power)
+                             mask_of, parse_subset, reduced_power_monoid, setwise_product,
+                             subset_power)
 
 from oracles import brute_reduced_exponent, brute_setwise, brute_subset_power
 
@@ -173,8 +173,6 @@ def test_reduced_power_monoid_sizes(zoo):
         pm = reduced_power_monoid(m)
         assert len(pm) == 1 << (m.n - 1)
         assert pm.carrier.n == len(pm)
-        fp = full_power_semigroup(m)
-        assert len(fp) == (1 << m.n) - 1
 
 
 def test_reduced_trivial_and_z2(zoo):
@@ -194,11 +192,11 @@ def test_reduced_z3(zoo):
 def test_carrier_agrees_with_setwise(zoo):
     for name in ("z4", "d3", "cm22"):
         m = zoo[name]
-        for pm in (reduced_power_monoid(m), full_power_semigroup(m)):
-            for i in range(len(pm)):
-                for j in range(len(pm)):
-                    expected = setwise_product(m, pm.masks[i], pm.masks[j])
-                    assert pm.masks[pm.carrier.table[i][j]] == expected
+        pm = reduced_power_monoid(m)
+        for i in range(len(pm)):
+            for j in range(len(pm)):
+                expected = setwise_product(m, pm.masks[i], pm.masks[j])
+                assert pm.masks[pm.carrier.table[i][j]] == expected
 
 
 def test_carrier_identity_is_singleton(zoo):
@@ -218,8 +216,6 @@ def test_size_limit():
     for n in (11, 17):
         with pytest.raises(SizeLimitExceeded):
             reduced_power_monoid(cyclic_group(n))
-        with pytest.raises(SizeLimitExceeded):
-            full_power_semigroup(cyclic_group(n))
 
 
 def test_group_carriers_build_without_numpy():
