@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Pin the order-6 report bodies of the census suites, with time and peak memory.
+
+Usage:
+    python benchmarks/order6.py [RUN ...]      RUN: lemma21 lemma22 lemma31 thm32 (default: all)
+
+Each RUN is `powmon verify RUN --max-order 6`, made in a child process of
+its own that raises census.ENUMERATION_LIMIT to 6 in that process only.
+stdout goes to a sink that hashes the report body and keeps nothing.  The
+body is every line, with its newline, but the `# generated:` and
+`# config:` header lines, as in tests/test_cli.py::test_report_body_digest.
+For each run this prints the body's sha256, the wall time and the child's
+peak resident memory (VmHWM), and exits 1 when a digest differs from its
+pin, a run exits non-zero, or a peak exceeds its bound.  It is not part of
+the test suite: thm32 alone takes minutes.
+"""
+
+import contextlib
+import hashlib
+import json
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+# run -> (sha256 of the order-6 body, peak-RSS bound in MB)
+PINS = {
+    "lemma21": ("49c99f8bdd5130c2ce39764b7b24eb3047d2db8f5928150aaeeafc72ae947e2b", 64),
+    "lemma22": ("597aaeeaea1e52a44fb72b1ff0a4227f994cf5d80085d6a4bc04588e9da8dedf", 64),
+    "lemma31": ("1d6739cbfb829e90b4d3f3668f4413ff01f8eafa2b8719e83a3b93a2464d0dc4", 64),
+    "thm32": ("83b00affa8680234c851379a7798b1c590be08a06c9bfb6bea3ba2f88a0d7abf", 256),
+}
+
+SKIPPED = ("# generated:", "# config:")
+
+
+class BodyHash:
+    """A text stream that hashes the report body line by line; it keeps
+    only the unfinished line, since print writes a line and its newline
+    in two calls."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.tail = ""
+
+    def write(self, text):
+        *lines, self.tail = (self.tail + text).split("\n")
+        for line in lines:
+            if not line.startswith(SKIPPED):
+                self.sha.update(line.encode() + b"\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def hexdigest(self):
+        return self.sha.hexdigest()
+
+
+def body_digest(argv):
+    """(exit status, body sha256) of `powmon ARGV` run in this process."""
+    from powmon import cli
+
+    sink = BodyHash()
+    with contextlib.redirect_stdout(sink):
+        code = cli.main(list(argv))
+    return code, sink.hexdigest()
+
+
+def peak_rss_mb():
+    with open("/proc/self/status") as fh:
+        kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    return kb / 1024
+
+
+def child(run):
+    """Make one run at order 6 and print its result as one JSON line."""
+    from powmon import census
+
+    census.ENUMERATION_LIMIT = 6
+    t0 = time.perf_counter()
+    code, digest = body_digest(["verify", run, "--max-order", "6"])
+    wall = time.perf_counter() - t0
+    print(json.dumps({"code": code, "digest": digest, "wall_s": wall, "peak_mb": peak_rss_mb()}))
+
+
+def main(runs):
+    unknown = [r for r in runs if r not in PINS]
+    if unknown:
+        sys.exit(f"unknown run {', '.join(unknown)}: choose from {' '.join(PINS)}")
+    bad = 0
+    print("run\texit\tdigest\twall_s\tpeak_mb\tverdict")
+    for run in runs or PINS:
+        proc = subprocess.run([sys.executable, __file__, "--child", run],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"{run}\tchild failed ({proc.returncode}): {proc.stderr.strip()}")
+            bad += 1
+            continue
+        res = json.loads(proc.stdout)
+        digest, bound = PINS[run]
+        problems = [text for failed, text in ((res["code"] != 0, f"exit {res['code']}"),
+                                              (res["digest"] != digest, "digest differs"),
+                                              (res["peak_mb"] > bound, f"peak above {bound} MB"))
+                    if failed]
+        bad += bool(problems)
+        print(f"{run}\t{res['code']}\t{res['digest']}\t{res['wall_s']:.1f}\t"
+              f"{res['peak_mb']:.0f}\t{'; '.join(problems) or 'ok'}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    if sys.argv[1:2] == ["--child"]:
+        child(sys.argv[2])
+    else:
+        sys.exit(main(sys.argv[1:]))

@@ -279,8 +279,7 @@ def find_power_isomorphism(h, k, budget=DEFAULT_BUDGET):
 
 
 class ExperimentRecord(namedtuple("ExperimentRecord", "pair names base_iso power_iso pullback_ok "
-                                     "cardinality_preserving witness_map",
-                                     defaults=(None,) * 3)):
+                                     "cardinality_preserving")):
     """One census pair: its (i, j) indices into the census, their names, and
     base_iso and power_iso, each "yes", "no" or "budget-exceeded".  The
     facts after them are None when there is no power isomorphism to check."""
@@ -335,8 +334,7 @@ def _experiment_pair(i, j, pm_h, pm_k, budget, bases, carriers):
     power_iso = {"iso": "yes", "absent": "no", "budget-exceeded": "budget-exceeded"}[res.status]
     return ExperimentRecord(
         (i, j), (pm_h.base.name, pm_k.base.name), base_iso, power_iso,
-        None if res.status != "iso" else not res.failed,
-        res.cardinality_preserving, None if res.witness is None else res.witness.map)
+        None if res.status != "iso" else not res.failed, res.cardinality_preserving)
 
 
 # --jobs and run_experiment's jobs= accept only 1; they remain because

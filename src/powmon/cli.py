@@ -56,21 +56,46 @@ class Report:
             self.fh.close()
 
 
-def _report(args, title, config, reports):
-    """Write the lines of each report (suite or experiment) and return the exit
-    status: 1 on a failure, or under --expect-violation when nothing was found."""
+def _records(suite, notes):
+    """Yield the suite's records, then add the notes it returns to `notes`."""
+    notes.extend((yield from suite) or ())
+
+
+def _report(args, title, config, suites):
+    """Write each suite, given as (name, generator), and return the exit status.
+
+    Each record's line is written as the suite yields it; only counters
+    are kept: cases and failures per suite, findings over the run.  After
+    a suite's records come its `# summary:` line and the notes its
+    generator returns.  An error a suite raises propagates after the
+    lines already written.
+    """
     failures = findings = 0
     with Report(args.out, title, config) as out:
-        for rep in reports:
-            for line in rep.lines():
-                out.emit(line)
-            failures += len(rep.failures)
-            findings += rep.findings
-        if args.expect_violation and findings == 0:
+        for name, suite in suites:
+            cases = failed = 0
+            notes = []
+            for r in _records(suite, notes):
+                out.emit(r.line())
+                cases += 1
+                failed += r.failed
+                # violations seen outside their hypotheses, pinned counterexamples included
+                findings += len(r.findings) + (r.checker == "expected_violation" and not r.failed)
+            out.emit(f"# summary: suite={name} cases={cases} failures={failed}")
+            for note in notes:
+                out.emit(f"# note: {note}")
+            failures += failed
+        return _status(args, out, failures, findings)
+
+
+def _status(args, out, failures, findings):
+    """The exit status: 1 on a failure, or under --expect-violation when
+    nothing was found; the --expect-violation verdict goes to `out`."""
+    if args.expect_violation:
+        if findings == 0:
             out.emit("# expect-violation: FAILED (no violation finding occurred)")
             return 1
-        if args.expect_violation:
-            out.emit(f"# expect-violation: ok ({findings} findings)")
+        out.emit(f"# expect-violation: ok ({findings} findings)")
     return 1 if failures else 0
 
 
@@ -90,7 +115,7 @@ def cmd_construct(args):
     spec = args.spec
     if spec[0] == "table" and len(spec) == 2:
         m = parse_table_file(spec[1])
-    elif len(spec) == 1:
+    elif len(spec) == 1 and spec[0] != "table":
         m = parse_monoid_spec(spec[0])
     else:
         raise ValueError("construct expects: SPEC (such as cmon2.2 or z2xz3) | table PATH")
@@ -153,9 +178,9 @@ def cmd_verify(args):
     if "group_max" in given:
         check_catalog_order(given["group_max"])
     check_jobs(given.get("jobs", 1))
-    calls = [(fn, {k: v for k, v in given.items() if k in _params(fn)}) for fn in runs.values()]
-    return _report(args, f"verify {args.suite}", _config(given),
-                   (fn(**kwargs) for fn, kwargs in calls))
+    suites = [(name, fn(**{k: v for k, v in given.items() if k in _params(fn)}))
+              for name, fn in runs.items()]
+    return _report(args, f"verify {args.suite}", _config(given), suites)
 
 
 def cmd_experiment(args):
@@ -165,8 +190,11 @@ def cmd_experiment(args):
     check_jobs(args.jobs)
     entries = groups_catalog(max_order) if groups else census_monoids(max_order)
     _, summary = run_experiment(entries, mode=args.mode, budget=args.budget, jobs=args.jobs)
-    return _report(args, f"experiment {args.mode}",
-                   _config(_set_flags(args, ("max_order", "budget", "jobs"))), [summary])
+    with Report(args.out, f"experiment {args.mode}",
+                _config(_set_flags(args, ("max_order", "budget", "jobs")))) as out:
+        for line in summary.lines():
+            out.emit(line)
+        return _status(args, out, len(summary.failures), summary.findings)
 
 
 def main(argv=None):

@@ -1,12 +1,17 @@
 """Exhaustive verification suites, one per checked statement family.
 
-Each suite sweeps its stated scope, returns every checker record, and
-counts failures of gated assertions only.  Expected counterexamples (the
-non-cancellative cases) surface as findings inside otherwise passing
-records; suites that pin them assert the finding occurs, so the
-counterexamples themselves are regression-tested.
+Each suite, and each single case, is a generator: it sweeps its stated
+scope and yields every checker record as it is decided, in sweep order,
+so `list(suite(...))` holds exactly its records.  Its return value is its
+notes, a tuple of lines (None when it has none).  Nothing here keeps the
+records: cli._report writes each one as it arrives and counts cases,
+failures (of gated assertions only) and findings.  Expected
+counterexamples (the non-cancellative cases) surface as findings inside
+otherwise passing records; suites that pin them assert the finding
+occurs, so the counterexamples themselves are regression-tested.
 """
 
+from collections import Counter
 from itertools import combinations_with_replacement
 
 from .census import (base_iso_status, census_monoids, find_power_isomorphism, groups_catalog,
@@ -20,39 +25,6 @@ from .verify import (CheckResult, check_cross_relation, check_minimal_relation,
                      subset_translates)
 
 
-class SuiteReport:
-    """A suite's check records, in sweep order, and its notes."""
-
-    def __init__(self, name, results=None):
-        self.name = name
-        self.results = [] if results is None else results
-        self.notes = []
-
-    def add(self, result):
-        self.results.append(result)
-
-    @property
-    def cases(self):
-        return len(self.results)
-
-    @property
-    def failures(self):
-        return [r for r in self.results if r.failed]
-
-    @property
-    def findings(self):
-        """Violations seen outside their hypotheses, pinned counterexamples included."""
-        return sum(len(r.findings) for r in self.results) + sum(
-            1 for r in self.results if r.checker == "expected_violation" and not r.failed)
-
-    def lines(self):
-        out = [r.line() for r in self.results]
-        out.append(f"# summary: suite={self.name} cases={self.cases} "
-                   f"failures={len(self.failures)}")
-        out.extend(f"# note: {n}" for n in self.notes)
-        return out
-
-
 def _catalog_groups(max_order, include_controls=False):
     return [e for e in groups_catalog(max_order)
             if include_controls or e.control_of is None]
@@ -60,12 +32,10 @@ def _catalog_groups(max_order, include_controls=False):
 
 def suite_lemma21(max_order=5):
     """Stabilization index of {1,z} equals ord(z), across the full census."""
-    rep = SuiteReport("lemma21")
     for entry in census_monoids(max_order):
         m = entry.monoid
         for z in range(m.n):
-            rep.add(check_order_stabilization(m, z))
-    return rep
+            yield check_order_stabilization(m, z)
 
 
 def suite_lemma22(max_order=4, group_max=8):
@@ -79,33 +49,30 @@ def suite_lemma22(max_order=4, group_max=8):
     inequality genuinely fails for its non-cancellative generator, and the
     suite asserts that finding occurs.
     """
-    rep = SuiteReport("lemma22")
     for entry in census_monoids(max_order):
         m = entry.monoid
         for z in range(m.n):
             for l in range(1, m.element_order(z) + 1):
                 scan = shifted_power_scan(m, z, l)
                 for r in range(max(0, l - 1), l + 4):
-                    rep.add(check_shifted_power(m, z, l, r, scan))
+                    yield check_shifted_power(m, z, l, r, scan)
     for entry in _catalog_groups(group_max):
         m = entry.monoid
         for z in range(m.n):
             for l in range(1, m.element_order(z) + 1):
-                rep.add(check_shifted_power(m, z, l, l - 1))
+                yield check_shifted_power(m, z, l, l - 1)
     cm = cyclic_monoid(2, 2)
     pinned = check_shifted_power(cm, 1, 3, 1)
     expected = [f for f in pinned.findings if "l=3 r=1" in f]
-    rep.add(CheckResult(
+    yield CheckResult(
         "expected_violation", "cyclic_monoid(2,2) z=1 l=3",
         "pass" if (not pinned.failed and expected) else "fail",
-        expected[0] if expected else "missing the non-cancellative part-2 violation"))
-    return rep
+        expected[0] if expected else "missing the non-cancellative part-2 violation")
 
 
 def suite_lemma24(group_max=8):
     """Both cross-relation identities for every admissible (x, y, r, s),
     with one product memo per group."""
-    rep = SuiteReport("lemma24")
     for entry in _catalog_groups(group_max):
         m = entry.monoid
         # powers[a] lists a^1 .. a^ord(a); products is shared by the group's cases
@@ -116,19 +83,16 @@ def suite_lemma24(group_max=8):
                 for r, xr in enumerate(powers[x], 1):
                     for s, ys in enumerate(powers[y], 1):
                         if xr == ys:
-                            rep.add(check_cross_relation(m, x, y, r, s, products))
-    return rep
+                            yield check_cross_relation(m, x, y, r, s, products)
 
 
 def suite_prop25(group_max=8):
     """Minimal relation exponents and their divisibility conclusion."""
-    rep = SuiteReport("prop25")
     for entry in _catalog_groups(group_max):
         m = entry.monoid
         for x in range(m.n):
             for y in range(m.n):
-                rep.add(check_minimal_relation(m, x, y))
-    return rep
+                yield check_minimal_relation(m, x, y)
 
 
 LEMMA31_EXPONENTS = (3, 4)
@@ -139,7 +103,6 @@ def suite_lemma31(max_order=4):
     census, plus pinned counts for the two-element sets X = {1, x} (d = 2,
     3, and 2 with the exact solution pair, by the order of x).  The
     products A*S are built once per S for both exponents."""
-    rep = SuiteReport("lemma31")
     for entry in census_monoids(max_order):
         m = entry.monoid
         ebit = 1 << m.identity
@@ -148,7 +111,7 @@ def suite_lemma31(max_order=4):
                 continue
             translates = subset_translates(m, s_mask)
             for n_exp in LEMMA31_EXPONENTS:
-                rep.add(check_solution_count(m, s_mask, n_exp, "full", translates))
+                yield check_solution_count(m, s_mask, n_exp, "full", translates)
     for order, want_count, want_solutions in (
             (2, 2, None),
             (3, 3, None),
@@ -165,9 +128,8 @@ def suite_lemma31(max_order=4):
                              mask_of([g.identity, x, g.power(x, 2)], g.n)))
             ok = ok and sorted(sc.solutions) == pinned
             detail += " solutions=" + " ".join(format_subset(a) for a in sorted(sc.solutions))
-        rep.add(CheckResult("pair_solution_count", f"cyclic {order} x=1 n=3 reduced",
-                            "pass" if ok else "fail", detail))
-    return rep
+        yield CheckResult("pair_solution_count", f"cyclic {order} x=1 n=3 reduced",
+                          "pass" if ok else "fail", detail)
 
 
 def _power_pairs(entries):
@@ -175,6 +137,18 @@ def _power_pairs(entries):
     built once, and the joint coloring of their carriers."""
     pms = [reduced_power_monoid(e.monoid) for e in entries]
     return combinations_with_replacement(pms, 2), Coloring(pm.carrier for pm in pms)
+
+
+def _thm32_records(res, preserving):
+    """The records of one PowerIsoResult: its checks when it found an
+    isomorphism, none when absence was proven, else its failing record.
+    An isomorphism whose checks all passed adds its cardinality fact to
+    the Counter `preserving`."""
+    if res.status == "iso":
+        if not res.failed:
+            preserving[res.cardinality_preserving] += 1
+        return res.checks()
+    return [] if res.status == "absent" else [res.record()]
 
 
 def suite_thm32(max_order=4, group_max=6, budget=DEFAULT_BUDGET):
@@ -187,31 +161,20 @@ def suite_thm32(max_order=4, group_max=6, budget=DEFAULT_BUDGET):
     a search that hit its budget adds its failing record.  The cardinality
     note counts only the isomorphisms whose checks all passed.
     """
-    rep = SuiteReport("thm32")
-    preserving = []
-
-    def handle(res):
-        if res.status == "iso":
-            rep.results.extend(res.checks())
-            if not res.failed:
-                preserving.append(res.cardinality_preserving)
-        elif res.status != "absent":
-            rep.add(res.record())
-
+    preserving = Counter()
     pairs, coloring = _power_pairs(census_monoids(max_order))
     for pm_src, pm_dst in pairs:
         for res in power_isomorphisms(pm_src, pm_dst, budget, coloring):
-            handle(res)
+            yield from _thm32_records(res, preserving)
     pairs, coloring = _power_pairs(_catalog_groups(group_max, include_controls=True))
     for pm_src, pm_dst in pairs:
         res = power_isomorphism(pm_src, pm_dst, budget, coloring)
-        handle(res)
+        yield from _thm32_records(res, preserving)
         if res.status == "iso":
-            handle(power_iso_facts(pm_dst, pm_src, res.witness.inverse()))
-    rep.notes.append(
-        f"cardinality profile: {sum(preserving)}/{len(preserving)} observed isomorphisms "
-        "preserve subset size (measured only; the question is open)")
-    return rep
+            yield from _thm32_records(power_iso_facts(pm_dst, pm_src, res.witness.inverse()),
+                                      preserving)
+    return (f"cardinality profile: {preserving[True]}/{preserving.total()} observed isomorphisms "
+            "preserve subset size (measured only; the question is open)",)
 
 
 def analyze_pair(h, k, budget=DEFAULT_BUDGET):
@@ -239,20 +202,18 @@ def suite_section4(group_max=6, budget=DEFAULT_BUDGET):
     orders but not squares, recorded as a finding since the pair is not
     cancellative.
     """
-    rep = SuiteReport("section4")
     pairs, coloring = _power_pairs(_catalog_groups(group_max, include_controls=True))
     for pm_src, pm_dst in pairs:
-        rep.add(power_isomorphism(pm_src, pm_dst, budget, coloring).record())
+        yield power_isomorphism(pm_src, pm_dst, budget, coloring).record()
     results, report = analyze_pair(cyclic_group(2), idempotent_monoid2(), budget)
-    rep.results.extend(results)
+    yield from results
     witness = next((cx for flag, cx in (report.counterexamples if report else [])
                     if flag == "power_compatible"), None)
     ok = witness is not None and report.holds("order_preserving")
-    rep.add(CheckResult("expected_violation", "cyclic 2 vs idem2", "pass" if ok else "fail",
-                        f"order_preserving=true power_compatible=false [{witness or 'missing'}]"))
-    rep.notes.append("infinite-order branches of the order-preservation statement "
-                     "are structurally inapplicable to finite inputs")
-    return rep
+    yield CheckResult("expected_violation", "cyclic 2 vs idem2", "pass" if ok else "fail",
+                      f"order_preserving=true power_compatible=false [{witness or 'missing'}]")
+    return ("infinite-order branches of the order-preservation statement "
+            "are structurally inapplicable to finite inputs",)
 
 
 def case_section4(pair, budget=DEFAULT_BUDGET):
@@ -264,7 +225,7 @@ def case_section4(pair, budget=DEFAULT_BUDGET):
         h, k = map(parse_monoid_spec, specs)
     except ValueError as exc:
         raise ValueError(f"bad pair {pair!r}: {exc}")
-    return SuiteReport("section4", analyze_pair(h, k, budget)[0])
+    yield from analyze_pair(h, k, budget)[0]
 
 
 def case_lemma31(monoid, subset=None, n=3, universe="full"):
@@ -272,7 +233,7 @@ def case_lemma31(monoid, subset=None, n=3, universe="full"):
     literal S such as 0,1 (default: the whole monoid)."""
     m = parse_monoid_spec(monoid)
     s_mask = parse_subset(subset, m.n) if subset else (1 << m.n) - 1
-    return SuiteReport("lemma31", [check_solution_count(m, s_mask, n, universe)])
+    yield check_solution_count(m, s_mask, n, universe)
 
 
 SUITES = {
@@ -285,5 +246,6 @@ SUITES = {
     "section4": suite_section4,
 }
 
-# single cases, each run in place of its suite when its first parameter is given
+# SUITES and CASES hold generator functions (see the module docstring);
+# a single case runs in place of its suite when its first parameter is given
 CASES = {"section4": case_section4, "lemma31": case_lemma31}

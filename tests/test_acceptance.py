@@ -36,17 +36,17 @@ def criterion(num, desc, limit_s, fn):
 
 def test_criterion_1_lemma21():
     def run():
-        rep = suite_lemma21(max_order=5)
-        return [f.line() for f in rep.failures]
+        records = list(suite_lemma21(max_order=5))
+        return [f.line() for f in records if f.failed]
     criterion(1, "stabilization equals order, census <= 5 (lemma21)", 60, run)
 
 
 def test_criterion_2_lemma22():
     def run():
         problems = []
-        rep = suite_lemma22(max_order=5, group_max=8)
-        problems += [f.line() for f in rep.failures]
-        pinned = [r for r in rep.results if r.checker == "expected_violation"]
+        records = list(suite_lemma22(max_order=5, group_max=8))
+        problems += [f.line() for f in records if f.failed]
+        pinned = [r for r in records if r.checker == "expected_violation"]
         if not pinned or pinned[0].failed:
             problems.append("missing the pinned non-cancellative violation at l=3")
         # the example itself, by direct computation
@@ -61,17 +61,17 @@ def test_criterion_2_lemma22():
 def test_criterion_3_lemma24_prop25():
     def run():
         problems = []
-        problems += [f.line() for f in suite_lemma24(group_max=8).failures]
-        problems += [f.line() for f in suite_prop25(group_max=8).failures]
+        problems += [f.line() for f in suite_lemma24(group_max=8) if f.failed]
+        problems += [f.line() for f in suite_prop25(group_max=8) if f.failed]
         return problems
     criterion(3, "cross relations and minimal relations, groups <= 8", 300, run)
 
 
 def test_criterion_4_lemma31():
     def run():
-        rep = suite_lemma31(max_order=4)
-        problems = [f.line() for f in rep.failures]
-        pinned = [r for r in rep.results if r.checker == "pair_solution_count"]
+        records = list(suite_lemma31(max_order=4))
+        problems = [f.line() for f in records if f.failed]
+        pinned = [r for r in records if r.checker == "pair_solution_count"]
         if len(pinned) < 5:
             problems.append("missing pinned pair-count cases")
         return problems
@@ -80,9 +80,9 @@ def test_criterion_4_lemma31():
 
 def test_criterion_5_thm32():
     def run():
-        rep = suite_thm32(max_order=4, group_max=6)
-        problems = [f.line() for f in rep.failures]
-        if not any(r.checker == "two_to_two" for r in rep.results):
+        records = list(suite_thm32(max_order=4, group_max=6))
+        problems = [f.line() for f in records if f.failed]
+        if not any(r.checker == "two_to_two" for r in records):
             problems.append("no isomorphisms were exercised")
         return problems
     criterion(5, "two-to-two and pullback extraction", 600, run)
@@ -105,7 +105,7 @@ def test_criterion_6_section4_thm51():
         rec = next(r for r in records if r.pair == (i, j))
         if not (rec.base_iso == "yes" and rec.power_iso == "yes"):
             problems.append("positive control pair not confirmed isomorphic")
-        problems += [f.line() for f in suite_section4(group_max=6).failures]
+        problems += [f.line() for f in suite_section4(group_max=6) if f.failed]
         return problems
     criterion(6, "pullbacks are isomorphisms: experiment over groups <= 6", 900, run)
 

@@ -244,7 +244,7 @@ def test_experiment_builds_each_carrier_once(monkeypatch):
 
 def test_section4_builds_each_carrier_once(monkeypatch):
     built = _count_power_monoids(monkeypatch)
-    suite_section4(group_max=5)
+    list(suite_section4(group_max=5))
     assert len(built) <= len(groups_catalog(5)) + 2   # plus the pinned z2/idem2 pair
 
 
@@ -280,7 +280,7 @@ def test_experiment_refines_bases_and_carriers_once(monkeypatch):
 def test_thm32_refines_each_batch_once(monkeypatch):
     groups_catalog(4)       # cached with its validation, as suite_thm32 finds it
     batches = _count_refinements(monkeypatch)
-    suite_thm32(max_order=3, group_max=4)
+    list(suite_thm32(max_order=3, group_max=4))
     assert batches
     _refined_once_in_own_bucket(batches)
 
@@ -333,16 +333,22 @@ def test_experiment_order5_monoids():
     assert sum(r.base_iso == "yes" for r in records) == 273
 
 
-def test_experiment_witnesses_revalidate():
-    entries = groups_catalog(4)
-    records, _ = run_experiment(entries)
+def test_experiment_witnesses_revalidate(monkeypatch):
+    # the records keep no witness: catch each result as the experiment decides it
+    from powmon import census
+    decided = []
+    decide = census.power_isomorphism
+
+    def recording(*args):
+        decided.append(decide(*args))
+        return decided[-1]
+    monkeypatch.setattr(census, "power_isomorphism", recording)
+    records, _ = run_experiment(groups_catalog(4))
+    assert [r.power_iso == "yes" for r in records] == [res.status == "iso" for res in decided]
     seen = 0
-    for r in records:
-        if r.witness_map is not None:
-            i, j = r.pair
-            src = reduced_power_monoid(entries[i].monoid).carrier
-            dst = reduced_power_monoid(entries[j].monoid).carrier
-            IsoWitness(src, dst, r.witness_map)  # raises if invalid
+    for res in decided:
+        if res.witness is not None:
+            IsoWitness(res.pm_src.carrier, res.pm_dst.carrier, res.witness.map)  # raises if invalid
             seen += 1
     assert seen >= 5
 
@@ -357,12 +363,12 @@ def test_experiment_budget_exceeded_reported():
 def test_thm32_budget_hit_is_failing_record():
     # the census half's three order-2 searches hit the budget: one failing
     # record each, and nothing raised
-    rep = suite_thm32(max_order=2, group_max=1, budget=1)
-    hits = [r for r in rep.results if r.checker == "power_iso_search"]
+    records = list(suite_thm32(max_order=2, group_max=1, budget=1))
+    hits = [r for r in records if r.checker == "power_iso_search"]
     assert [r.subject for r in hits] == ["monoid2.0 vs monoid2.0", "monoid2.0 vs monoid2.1",
                                          "monoid2.1 vs monoid2.1"]
     assert all(r.failed and r.detail == "budget exceeded: absence unproven" for r in hits)
-    assert rep.failures == hits
+    assert [r for r in records if r.failed] == hits
 
 
 def test_experiment_groups_order8():

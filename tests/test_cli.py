@@ -1,6 +1,7 @@
 """CLI contract: report shape, exit codes, determinism."""
 
 import hashlib
+import importlib.util
 import inspect
 import os
 import re
@@ -16,6 +17,7 @@ from powmon import census
 from powmon.cli import VERIFY_FLAGS, _params, main, parse_monoid_spec
 from powmon.monoid import cyclic_group, direct_product
 from powmon.suites import CASES, SUITES
+from powmon.verify import CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +253,19 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
 
 
+def test_records_are_written_as_they_are_decided(capsys, monkeypatch):
+    # a suite that raises after its first record: that record is already written
+    record = CheckResult("order_stabilization", "streamed", "pass", "k=1")
+
+    def one_record_then_error():
+        yield record
+        raise ValueError("failed after one record")
+    monkeypatch.setitem(SUITES, "lemma21", one_record_then_error)
+    code, out, err = run_cli(capsys, "verify", "lemma21")
+    assert code == 2 and err == "error: failed after one record\n"
+    assert out.splitlines()[3:] == [record.line()]
+
+
 def test_experiment_groups_small(capsys):
     code, out, _ = run_cli(capsys, "experiment", "groups", "--max-order", "4")
     assert code == 0
@@ -410,6 +425,21 @@ def test_report_body_digest(capsys, argv, digest):
     assert code == 0 and hashlib.sha256(body.encode()).hexdigest() == digest
 
 
+def test_order6_script_hashes_the_report_body(capsys):
+    # benchmarks/order6.py pins the order-6 bodies by its sink's hash,
+    # which must be the body digest above
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "order6.py"
+    spec = importlib.util.spec_from_file_location("order6", path)
+    order6 = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(order6)
+    argv = ("verify", "lemma21", "--max-order", "2")
+    code, digest = order6.body_digest(argv)
+    _, out, _ = run_cli(capsys, *argv)
+    body = "".join(l for l in out.splitlines(keepends=True)
+                   if not l.startswith(("# generated:", "# config:")))
+    assert code == 0 and digest == hashlib.sha256(body.encode()).hexdigest()
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.tsv"
     code, out, _ = run_cli(capsys, "verify", "lemma21", "--max-order", "2",
@@ -429,6 +459,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
     ("experiment", "groups", "--max-order", "0"),
     ("experiment", "monoids", "--budget", "-1"),
     ("experiment", "monoids", "--jobs", "0"),
+    ("construct", "table"),                             # without its PATH
 ])
 def test_usage_error_exit_code(tmp_path, capsys, argv):
     target = tmp_path / "report.tsv"
@@ -436,4 +467,6 @@ def test_usage_error_exit_code(tmp_path, capsys, argv):
     assert code == 2 and err.startswith("error: ")
     if argv[0] != "construct":
         assert f"{argv[2]} must be at least 1, got {argv[3]}" in err
+    elif argv[1] == "table":
+        assert err.startswith("error: construct expects: SPEC")
     assert out == "" and not target.exists()   # rejected before the report is opened
