@@ -132,7 +132,11 @@ def iso_search(t1, t2, n, c1, c2, var_order, budget, max_results):
             fwd[x] = -1
 
     def close(a, b):
-        # Assign a -> b plus every forced consequence; -1 on conflict.
+        # Assign a -> b plus every forced consequence; -1 on conflict.  A
+        # forced pair (u, v) is stacked only while fwd[u] != v.  A settled
+        # pair would be popped and skipped, since inside one close only the
+        # rollback of a conflict unassigns, and close then returns -1; so
+        # leaving it out keeps the maps, visit order and node counts.
         mark = len(assigned)
         stack = [(a, b)]
         while stack:
@@ -153,8 +157,12 @@ def iso_search(t1, t2, n, c1, c2, var_order, budget, max_results):
             yn = y * n
             for p in assigned:
                 fp = fwd[p]
-                stack.append((t1[xn + p], t2[yn + fp]))
-                stack.append((t1[p * n + x], t2[fp * n + y]))
+                u, v = t1[xn + p], t2[yn + fp]
+                if fwd[u] != v:
+                    stack.append((u, v))
+                u, v = t1[p * n + x], t2[fp * n + y]
+                if fwd[u] != v:
+                    stack.append((u, v))
         return len(assigned) - mark
 
     def rec(pos):

@@ -84,6 +84,7 @@ class PowerMonoid:
     It carries the 2^(n-1) subsets containing the identity.  The carrier is
     a validated FiniteMonoid whose element i is masks[i], built at
     construction; bases above MATERIALIZE_LIMIT raise SizeLimitExceeded.
+    sizes[i] is the number of base elements in masks[i].
     """
 
     kind = "reduced"    # the only kind; perfbench's carrier notes read it
@@ -97,6 +98,7 @@ class PowerMonoid:
         masks = tuple(x for x in range(1, 1 << n) if x & ebit)
         self.base = base
         self.masks = masks
+        self.sizes = [mask.bit_count() for mask in masks]
         self.index = {mask: i for i, mask in enumerate(masks)}
         m = len(masks)
         flat = kernels.power_table(base.flat, n, masks)

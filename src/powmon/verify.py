@@ -13,6 +13,7 @@ extraction check too, which census.power_iso_facts decides in that order.
 from collections import namedtuple
 
 from .errors import PreconditionViolated
+from .monoid import cycle_term
 from .powerset import elements_of, format_subset, setwise_product, subset_power
 
 
@@ -266,10 +267,9 @@ def check_two_to_two(pm_src, pm_dst, witness):
     for x in range(pm_src.base.n):
         if x == pm_src.base.identity:
             continue
-        img = pm_dst.masks[witness.map[pm_src.pair_index(x)]]
-        size = bin(img).count("1")
-        if size != 2:
-            bad.append(f"x={x} -> {format_subset(img)} (size {size})")
+        i = witness.map[pm_src.pair_index(x)]
+        if pm_dst.sizes[i] != 2:
+            bad.append(f"x={x} -> {format_subset(pm_dst.masks[i])} (size {pm_dst.sizes[i]})")
     return CheckResult("two_to_two", f"{pm_src.base.name} -> {pm_dst.base.name}",
                        "fail" if bad else "pass", "; ".join(bad))
 
@@ -332,13 +332,22 @@ class PullbackReport(namedtuple("PullbackReport", "subject hypotheses counterexa
         ("full_hom", "both_groups"),
     )
 
+    def _failing(self):
+        """The properties in GATES that fail, decided in one pass over the
+        counterexamples; full_hom reads torsion_hom's."""
+        seen = {prop for prop, _ in self.counterexamples}
+        return {prop for prop, _ in self.GATES
+                if ("torsion_hom" if prop == "full_hom" else prop) in seen}
+
+    def _gated(self, failing):
+        return [prop for prop, hyp in self.GATES
+                if (hyp is None or self.hypotheses[hyp]) and prop in failing]
+
     def holds(self, prop):
-        prop = "torsion_hom" if prop == "full_hom" else prop
-        return prop not in dict(self.counterexamples)
+        return prop not in self._failing()
 
     def gated_failures(self):
-        return [prop for prop, hyp in self.GATES
-                if (hyp is None or self.hypotheses[hyp]) and not self.holds(prop)]
+        return self._gated(self._failing())
 
     @property
     def failed(self):
@@ -346,8 +355,9 @@ class PullbackReport(namedtuple("PullbackReport", "subject hypotheses counterexa
         return bool(self.gated_failures())
 
     def result(self):
-        failures = self.gated_failures()
-        detail = "; ".join(f"{prop}={self.holds(prop)}" for prop, _ in self.GATES)
+        failing = self._failing()
+        failures = self._gated(failing)
+        detail = "; ".join(f"{prop}={prop not in failing}" for prop, _ in self.GATES)
         findings = [f"{flag} fails outside hypotheses: {cx}"
                     for flag, cx in self.counterexamples if flag not in failures]
         return CheckResult("pullback_report", self.subject,
@@ -366,30 +376,40 @@ def pullback_report(pb):
         "both_cancellative": h.is_cancellative() and k.is_cancellative(),
         "both_groups": h.is_group() and k.is_group(),
     }
+    image = g.__getitem__
     cx = []
     for x in range(h.n):
-        ox = h.element_order(x)
-        # the powers g(x)^l with l <= kk are gx_powers[:kk + 1]: a power past
-        # the end of the cycle repeats an earlier one
-        gx_powers = k.power_cycle(g[x])[0]
+        cycle, gx_cycle = h.power_cycle(x), k.power_cycle(g[x])
+        powers, gx_powers = cycle[0], gx_cycle[0]
+        ox = len(powers)
         if ox != len(gx_powers):
             cx.append(("order_preserving", f"x={x}: ord_H={ox} ord_K={len(gx_powers)}"))
+        # g carries the powers of x onto those of g(x), with the same tail:
+        # then g(x^k) = g(x)^k for every k, and nothing fails for this x
+        if cycle[1] == gx_cycle[1] and tuple(map(image, powers)) == gx_powers:
+            continue
+        # the powers of g(x) are distinct up to the cycle's end, so some
+        # l <= kk has g(x)^l = g(x^kk) iff its first exponent is <= kk
+        first = {p: l for l, p in enumerate(gx_powers)}
         for kk in range(0, 2 * ox + 1):
-            gxk = g[h.power(x, kk)]
-            gx_k = k.power(g[x], kk)
+            gxk = g[cycle_term(cycle, kk)]
+            gx_k = cycle_term(gx_cycle, kk)
             if gxk != gx_k:
                 cx.append(("power_compatible", f"x={x} k={kk}: g(x^k)={gxk} g(x)^k={gx_k}"))
-            if gxk not in gx_powers[:kk + 1]:
+            if first.get(gxk, kk + 1) > kk:
                 cx.append(("bounded_power_image", f"x={x} k={kk}: no l <= k with g(x^k)=g(x)^l"))
     e = h.identity
-    for x in range(h.n):
-        for y in range(h.n):
-            if g[h.mul(x, y)] != k.mul(g[x], g[y]):
-                cx.append(("torsion_hom",
-                           f"x={x} y={y}: g(xy)={g[h.mul(x, y)]} g(x)g(y)={k.mul(g[x], g[y])}"))
-                if h.mul(h.power(x, 2), h.power(y, 2)) != e:
+    h_rows, k_rows = h.table, k.table
+    squares = [row[x] for x, row in enumerate(h_rows)]
+    for x, row in enumerate(h_rows):
+        # g(xy) and g(x)g(y) for every y, from the rows of x and g(x)
+        k_row = k_rows[g[x]]
+        for y, gxy, gxgy in zip(range(h.n), map(image, row), map(k_row.__getitem__, g)):
+            if gxy != gxgy:
+                cx.append(("torsion_hom", f"x={x} y={y}: g(xy)={gxy} g(x)g(y)={gxgy}"))
+                if h_rows[squares[x]][squares[y]] != e:
                     cx.append(("product_dichotomy", f"x={x} y={y}: g(xy)!=g(x)g(y) and x^2y^2 != 1"))
-                if h.power(x, 2) == e or h.power(y, 2) == e:
+                if squares[x] == e or squares[y] == e:
                     cx.append(("involution_product", f"x={x} y={y}: square hypothesis holds yet g(xy)!=g(x)g(y)"))
     return PullbackReport(f"{h.name} -> {k.name}", hyp, cx)
 
@@ -400,5 +420,5 @@ def cardinality_profile(pm_src, pm_dst, witness):
     Whether power-monoid isomorphisms must preserve cardinality is open;
     the census only reports what it sees.
     """
-    return all(bin(pm_src.masks[i]).count("1") == bin(pm_dst.masks[witness.map[i]]).count("1")
-               for i in range(len(pm_src.masks)))
+    sizes = pm_dst.sizes
+    return [sizes[i] for i in witness.map] == pm_src.sizes

@@ -110,6 +110,48 @@ def brute_power(table, identity, a, k):
     return acc
 
 
+def brute_pullback_counterexamples(h_table, k_table, g):
+    """The (property, description) pairs of verify.pullback_report for a
+    bijection g between row-of-rows tables, in its order and text, cell by
+    cell: every power by brute_power, and a bounded image by a scan of the
+    exponents l <= k."""
+    n = len(h_table)
+    eh, ek = brute_identity(h_table), brute_identity(k_table)
+    cx = []
+    for x in range(n):
+        ox = brute_element_order(h_table, eh, x)
+        ogx = brute_element_order(k_table, ek, g[x])
+        if ox != ogx:
+            cx.append(("order_preserving", f"x={x}: ord_H={ox} ord_K={ogx}"))
+        for k in range(2 * ox + 1):
+            gxk = g[brute_power(h_table, eh, x, k)]
+            gx_k = brute_power(k_table, ek, g[x], k)
+            if gxk != gx_k:
+                cx.append(("power_compatible", f"x={x} k={k}: g(x^k)={gxk} g(x)^k={gx_k}"))
+            if all(brute_power(k_table, ek, g[x], l) != gxk for l in range(k + 1)):
+                cx.append(("bounded_power_image", f"x={x} k={k}: no l <= k with g(x^k)=g(x)^l"))
+    for x in range(n):
+        for y in range(n):
+            gxy, gxgy = g[h_table[x][y]], k_table[g[x]][g[y]]
+            if gxy != gxgy:
+                cx.append(("torsion_hom", f"x={x} y={y}: g(xy)={gxy} g(x)g(y)={gxgy}"))
+                x2, y2 = brute_power(h_table, eh, x, 2), brute_power(h_table, eh, y, 2)
+                if h_table[x2][y2] != eh:
+                    cx.append(("product_dichotomy", f"x={x} y={y}: g(xy)!=g(x)g(y) and x^2y^2 != 1"))
+                if x2 == eh or y2 == eh:
+                    cx.append(("involution_product",
+                               f"x={x} y={y}: square hypothesis holds yet g(xy)!=g(x)g(y)"))
+    return cx
+
+
+def brute_preserves_sizes(src_masks, dst_masks, mapping):
+    """Whether mapping[i] indexes a subset of the size of src_masks[i] for
+    every i, counting the elements of each bitmask one bit at a time."""
+    def size(mask):
+        return sum(mask >> e & 1 for e in range(mask.bit_length()))
+    return all(size(a) == size(dst_masks[mapping[i]]) for i, a in enumerate(src_masks))
+
+
 def brute_reduced_exponent(seq, k):
     """An exponent j < len(seq) with term j equal to term k of an eventually
     periodic sequence of which seq holds terms 0 .. 2N for some N at or past

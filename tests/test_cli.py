@@ -417,6 +417,9 @@ def test_experiment_body_deterministic(capsys):
      "129194aebe8eafbf2b341d8b82e4a077d94870a080f59fe56d61eb1a5629de86"),
     (("experiment", "groups", "--max-order", "8", "--budget", "10000000"),
      "191ef81e271ad8359a51e03cae72fbec160cf7d81d3f721f2a8e6a6f756ae878"),
+    # every census <= 5 carrier isomorphism and its Theorem 3.2 facts
+    (("verify", "thm32", "--max-order", "5"),
+     "305f6a7dec5cb7b4e840ee85219b31df6bc57ae21f98b8ffffe5ecf67970d81e"),
 ])
 def test_report_body_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)

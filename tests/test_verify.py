@@ -1,26 +1,29 @@
 """Checker behavior on the worked examples and their oracles."""
 
 import copy
+import itertools
 import types
+from collections import Counter
 
 import pytest
 
-from powmon import suites
+from powmon import census, suites
 from powmon.census import census_monoids, find_power_isomorphism, groups_catalog
 from powmon.cli import main
 from powmon.errors import PreconditionViolated
 from powmon.iso import enumerate_isomorphisms, find_isomorphism
-from powmon.monoid import cyclic_group, direct_product
+from powmon.monoid import cyclic_group, cyclic_monoid, direct_product
 from powmon.powerset import (elements_of, mask_of, reduced_power_monoid,
                              setwise_product, subset_power)
-from powmon.verify import (Pullback, PullbackReport, check_cross_relation,
+from powmon.verify import (Pullback, PullbackReport, cardinality_profile, check_cross_relation,
                            check_minimal_relation, check_order_stabilization,
                            check_shifted_power, check_solution_count,
                            check_two_to_two, count_equation_solutions,
                            extract_pullback, minimal_relation, pullback_report,
                            subset_translates)
 
-from oracles import (brute_equation_solutions, brute_isomorphisms, brute_setwise,
+from oracles import (brute_equation_solutions, brute_isomorphisms,
+                     brute_preserves_sizes, brute_pullback_counterexamples, brute_setwise,
                      brute_subset_power)
 
 
@@ -417,6 +420,48 @@ def test_report_properties_come_from_counterexamples():
     assert PullbackReport("h -> k", hyp, []).result().line() == (
         "pullback_report\th -> k\tpass\t" + "; ".join(
             f"{prop}=True" for prop, _ in PullbackReport.GATES))
+
+
+def test_pullback_facts_match_oracles(monkeypatch):
+    # every witness thm32 decides by default: each carrier isomorphism of
+    # census <= 4, and the witness and inverse of each catalog <= 6 pair
+    seen = []
+    facts = census.power_iso_facts
+    def record(pm_src, pm_dst, witness):
+        seen.append((pm_src, pm_dst, witness))
+        return facts(pm_src, pm_dst, witness)
+    monkeypatch.setattr(census, "power_iso_facts", record)
+    monkeypatch.setattr(suites, "power_iso_facts", record)
+    list(suites.suite_thm32())
+    flagged = set()
+    preserving = Counter()
+    for pm_src, pm_dst, w in seen:
+        preserves = cardinality_profile(pm_src, pm_dst, w)
+        assert preserves == brute_preserves_sizes(pm_src.masks, pm_dst.masks, w.map)
+        preserving[preserves] += 1
+        pb = extract_pullback(pm_src, pm_dst, w)[1]
+        cx = pullback_report(pb).counterexamples
+        assert cx == brute_pullback_counterexamples(pb.source.table, pb.target.table, pb.map)
+        flagged.update(prop for prop, _ in cx)
+    # 446 census isomorphisms, then a witness and its inverse per catalog pair
+    assert len(seen) == 446 + 2 * 10
+    # orders are preserved and powers bounded throughout; the product
+    # properties fail on the census's non-cancellative pairs
+    assert flagged == {"power_compatible", "product_dichotomy", "involution_product", "torsion_hom"}
+    assert preserving == {True: 466}
+    # bijections fixing the identity that no isomorphism carries fail the rest
+    for h, k in ((cyclic_group(4), cyclic_group(4)), (cyclic_group(4), cyclic_monoid(2, 2))):
+        for rest in itertools.permutations(range(1, 4)):
+            pb = Pullback(h, k, (0,) + rest)
+            cx = pullback_report(pb).counterexamples
+            assert cx == brute_pullback_counterexamples(h.table, k.table, pb.map)
+            flagged.update(prop for prop, _ in cx)
+    assert flagged == {prop for prop, _ in PullbackReport.GATES} - {"full_hom"}
+    # all of them preserve subset size; swapping {0,1} and {0,1,2} does not
+    pm = reduced_power_monoid(cyclic_group(3))
+    fake = types.SimpleNamespace(map=(0, 3, 2, 1))
+    assert not cardinality_profile(pm, pm, fake)
+    assert not brute_preserves_sizes(pm.masks, pm.masks, fake.map)
 
 
 # --- every check name that verify all writes can fail ----------------------
