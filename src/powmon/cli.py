@@ -104,9 +104,9 @@ def _describe(m, report):
     report.emit(format_table(m).rstrip("\n"))
     report.emit("identity: " + str(m.identity))
     report.emit("orders: " + " ".join(str(o) for o in m.orders()))
-    report.emit("cancellative elements: " + (format_subset(mask_of(m.cancellative_elements(), m.n))
-                                             if m.cancellative_elements() else "(none)"))
-    report.emit("units: " + format_subset(mask_of(m.units(), m.n)))
+    units = format_subset(mask_of(m.units(), m.n))   # also the cancellative elements
+    report.emit("cancellative elements: " + units)
+    report.emit("units: " + units)
     report.emit(f"group: {str(m.is_group()).lower()}")
     report.emit(f"commutative: {str(m.is_commutative()).lower()}")
 

@@ -3,8 +3,8 @@
 The search backtracks over element bijections, constrained by a joint
 partition refinement: elements may only map within matching refinement
 classes, and every assignment propagates the products it forces.  Classes
-start from per-element invariants (order, idempotency, cancellativity,
-unit status) and are refined by the coloring of row and column patterns,
+start from per-element invariants (order, idempotency, row and column
+image sizes) and are refined by the coloring of row and column patterns,
 so most non-isomorphic pairs are rejected before any search.  A batch of
 monoids is split into buckets by order and invariant multiset, and each
 bucket is refined once, when a pair inside it first needs colors
@@ -63,10 +63,12 @@ class IsoWitness:
 
 
 def element_invariants(m):
-    """Label-invariant vector per element, the seed partition for refinement."""
-    units = set(m.units())
-    canc = set(m.cancellative_elements())
-    return [(order, row[a] == a, a in canc, a in units, len(set(row)), len(set(col)))
+    """Per element (order, idempotent, |row image|, |column image|), the
+    seed partition for refinement.  Whether a cancels and whether it is a
+    unit both equal |row image| == n (FiniteMonoid.is_cancellative), which
+    rises with the third entry: listing them before it would give the same
+    partition, colour ids, bucket keys and sorted class order."""
+    return [(order, row[a] == a, len(set(row)), len(set(col)))
             for a, order, row, col in zip(range(m.n), m.orders(), m.table, zip(*m.table))]
 
 

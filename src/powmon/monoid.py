@@ -6,8 +6,7 @@ an instance never changes after construction.  Derived facts (element
 power cycles, orders, units, and the subset power cycles and element
 invariants that powmon.powerset and powmon.iso keep here) are cached
 lazily; every cache entry is a pure function of the table, so filling one
-twice stores the same value and instances stay safe to share across
-threads.
+twice stores the same value.
 """
 
 import math
@@ -17,6 +16,7 @@ from . import kernels
 from .errors import NoIdentity, NotAssociative, SizeLimitExceeded
 
 ORDER_LIMIT = 16   # largest order built from a spec or a table file
+TABLE_FILE_LIMIT = 1 << 16   # bytes read from a table file: a 16x16 table and its comments
 
 
 def eventual_cycle(one, step):
@@ -91,7 +91,6 @@ class FiniteMonoid:
         self.identity = identities[0]
         self.name = name or f"monoid[{n}]"
         self._orders = None
-        self._cancellative = None
         self._units = None
         self._cycles = {}
         self.subset_cycles = {}
@@ -127,19 +126,10 @@ class FiniteMonoid:
                                  for col in zip(*self.table))
         return self._orders
 
-    def is_cancellative_element(self, a):
-        """True iff left and right multiplication by a are injective."""
-        return a in self.cancellative_elements()
-
-    def cancellative_elements(self):
-        if self._cancellative is None:
-            n = self.n
-            self._cancellative = tuple(a for a, row, col in zip(range(n), self.table, zip(*self.table))
-                                       if len(set(row)) == n == len(set(col)))
-        return self._cancellative
-
     def is_cancellative(self):
-        return len(self.cancellative_elements()) == self.n
+        """Whether m is a group: a cancellative a makes x -> ax injective on a
+        finite set, so onto, so ab = e for some b, and then ba = e (units)."""
+        return self.is_group()
 
     def units(self):
         """Elements with a two-sided inverse: in a finite monoid, uv = e
@@ -323,8 +313,11 @@ def parse_table_text(text, name=None):
 
 
 def parse_table_file(path):
-    with open(path) as fh:
-        return parse_table_text(fh.read(), name=str(path))
+    with open(path, "rb") as fh:
+        data = fh.read(TABLE_FILE_LIMIT + 1)
+    if len(data) > TABLE_FILE_LIMIT:
+        raise SizeLimitExceeded(f"table file {path} exceeds the input limit of {TABLE_FILE_LIMIT} bytes")
+    return parse_table_text(data.decode(), name=str(path))
 
 
 def format_table(m):

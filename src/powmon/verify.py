@@ -66,7 +66,8 @@ def shifted_power_scan(m, z, l):
 
 def check_shifted_power(m, z, l, r, scan=None):
     """{1,z^l}{1,z}^r = {1,z}^(l+r) for r >= l-1; and never equals any
-    {1,z}^s with r < l-1 <= s when z is cancellative and l <= ord(z).
+    {1,z}^s with r < l-1 <= s when z is cancellative (on a finite monoid,
+    a unit) and l <= ord(z).
 
     The inequality scan runs over all r' < l-1 and s in [l-1, ord+2]
     regardless of hypotheses; without them its violations are findings,
@@ -87,7 +88,7 @@ def check_shifted_power(m, z, l, r, scan=None):
         applied.append("part1")
         if lhs != rhs:
             failures.append(f"part1: l={l} r={r} lhs={format_subset(lhs)} rhs={format_subset(rhs)}")
-    part2_gated = m.is_cancellative_element(z) and l <= ord_z
+    part2_gated = z in m.units() and l <= ord_z
     if part2_gated:
         applied.append("part2")
     for rp, s in shifted_power_scan(m, z, l) if scan is None else scan:
@@ -165,7 +166,7 @@ class MinimalRelation(namedtuple("MinimalRelation", "r s u v counterexample", de
 def minimal_relation(m, x, y):
     ox, oy = m.element_order(x), m.element_order(y)
     for a in (x, y):
-        if not m.is_cancellative_element(a):
+        if a not in m.units():
             raise PreconditionViolated(f"element {a} of {m.name} is not cancellative")
     xs = [m.power(x, c) for c in range(1, ox + 1)]
     ys = [m.power(y, d) for d in range(1, oy + 1)]
@@ -371,11 +372,8 @@ def pullback_report(pb):
     elements only repeat earlier cases.
     """
     h, k, g = pb.source, pb.target, pb.map
-    hyp = {
-        "target_cancellative": k.is_cancellative(),
-        "both_cancellative": h.is_cancellative() and k.is_cancellative(),
-        "both_groups": h.is_group() and k.is_group(),
-    }
+    groups = h.is_group() and k.is_group()   # a finite monoid cancels iff it is a group
+    hyp = {"target_cancellative": k.is_cancellative(), "both_cancellative": groups, "both_groups": groups}
     image = g.__getitem__
     cx = []
     for x in range(h.n):

@@ -2,8 +2,9 @@
 
 perfbench/spans.py lists its targets as (module, attribute) pairs and
 reads PowerMonoid.kind for its carrier notes.  perfbench/child.py runs
-the CLI with the argv of perfbench/workloads.py and calls run_experiment
-with jobs=1.  A rename in powmon breaks only the benchmark runs, so these
+the CLI with the argv of perfbench/workloads.py, builds census entries
+from stored tables (census_entries) and calls run_experiment with
+jobs=1.  A rename in powmon breaks only the benchmark runs, so these
 are checked here.
 """
 
@@ -53,3 +54,15 @@ def test_benchmark_entry_points_run(capsys):
     assert records
     records, _ = run_experiment(census_monoids(2), mode="monoids", jobs=1)
     assert records
+
+
+def test_benchmark_census_entries_run():
+    # the monoids-* children build their entries with census_entries
+    tables = [(1, [[0]]), (2, [[0, 1], [1, 0]]), (2, [[0, 1], [1, 1]]),
+              (3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]), (3, [[0, 1, 2], [1, 1, 1], [2, 2, 2]])]
+    entries = _perfbench("child").census_entries(tables, range(len(tables)))
+    assert [e.name for e in entries] == ["m1.0", "m2.1", "m2.2", "m3.3", "m3.4"]
+    assert [e.tags["group"] for e in entries] == [True, True, False, True, False]
+    assert [e.tags["cancellative"] for e in entries] == [e.tags["group"] for e in entries]
+    records, summary = run_experiment(entries, mode="monoids", jobs=1)
+    assert len(records) == 15 and not summary.failures

@@ -15,7 +15,7 @@ import pytest
 import powmon
 from powmon import census
 from powmon.cli import VERIFY_FLAGS, _params, main, parse_monoid_spec
-from powmon.monoid import cyclic_group, direct_product
+from powmon.monoid import TABLE_FILE_LIMIT, cyclic_group, direct_product
 from powmon.suites import CASES, SUITES
 from powmon.verify import CheckResult
 
@@ -59,6 +59,7 @@ def test_construct_cyclic(capsys):
     assert code == 0
     assert "name: cyclic_monoid(2,2)" in out
     assert "orders: 1 4 2 3" in out
+    assert "\ncancellative elements: 0\nunits: 0\n" in out
     assert "group: false" in out
 
 
@@ -66,7 +67,16 @@ def test_construct_named_klein(capsys):
     code, out, _ = run_cli(capsys, "construct", "klein")
     assert code == 0
     assert "name: klein" in out
+    assert "\ncancellative elements: 0,1,2,3\nunits: 0,1,2,3\n" in out
     assert "group: true" in out and "commutative: true" in out
+
+
+def test_construct_product_with_idempotent(capsys):
+    # the units of Z2 x idem2 are (0, 0) and (1, 0), indices 0 and 2
+    code, out, _ = run_cli(capsys, "construct", "z2xidem2")
+    assert code == 0
+    assert "\ncancellative elements: 0,2\nunits: 0,2\n" in out
+    assert "group: false" in out
 
 
 def test_construct_table_file(tmp_path, capsys):
@@ -239,6 +249,29 @@ def test_oversized_table_file_is_usage_error(tmp_path, capsys):
     p.write_text("100000\n0 1\n")
     code, out, err = run_cli(capsys, "construct", "table", str(p))
     assert code == 2 and "order 100000 exceeds" in err
+
+
+@pytest.mark.parametrize("source", ["over", "/dev/zero"])
+def test_long_table_file_is_usage_error(tmp_path, capsys, source):
+    # a file is read up to a fixed byte bound, never whole
+    if source == "over":
+        p = tmp_path / "long.tbl"
+        text = "1\n0\n"
+        p.write_text(text + "#" * (TABLE_FILE_LIMIT + 1 - len(text)))
+        assert p.stat().st_size == TABLE_FILE_LIMIT + 1
+        source = str(p)
+    target = tmp_path / "report.tsv"
+    code, out, err = run_cli(capsys, "construct", "table", source, "--out", str(target))
+    assert code == 2 and "exceeds" in err
+    assert out == "" and not target.exists()
+
+
+def test_table_file_at_the_bound_is_read(tmp_path, capsys):
+    p = tmp_path / "padded.tbl"
+    text = "2\n0 1\n1 0\n"
+    p.write_text(text + "#" * (TABLE_FILE_LIMIT - len(text)))
+    code, out, _ = run_cli(capsys, "construct", "table", str(p))
+    assert code == 0 and "group: true" in out
 
 
 def test_closed_stdout_exits_quietly():

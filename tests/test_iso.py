@@ -147,5 +147,10 @@ def test_refine_colors_keys_batch_singletons_like_the_oracle():
 
 
 def test_element_invariants_match_oracle():
-    for e in census_monoids(4) + list(groups_catalog(8)):
-        assert element_invariants(e.monoid) == brute_element_invariants(e.monoid.table)
+    # the oracle also lists cancellativity and unit status; both equal
+    # row image == n, so the 4-component vector drops them
+    bases = [e.monoid for e in census_monoids(5) + list(groups_catalog(8))]
+    for m in bases + _carriers(groups_catalog(6)):
+        brute = brute_element_invariants(m.table)
+        assert element_invariants(m) == [(o, idem, row, col) for o, idem, _, _, row, col in brute]
+        assert all(canc == unit == (row == m.n) for _, _, canc, unit, row, _ in brute)

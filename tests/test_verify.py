@@ -188,7 +188,7 @@ def test_minimal_relation_reports_failed_divisibility():
     # duck-typed fake: x^2 = y^3 and x^3 = y^2, so r = v = 2, which does not divide 3
     powers = ("1abce", "1fcbe")
     fake = types.SimpleNamespace(name="fake", element_order=lambda a: 4,
-                                 is_cancellative_element=lambda a: True,
+                                 units=lambda: (0, 1),
                                  power=lambda a, k: powers[a][k])
     rel = minimal_relation(fake, 0, 1)
     assert (rel.r, rel.s, rel.u, rel.v, rel.counterexample) == (2, 3, 3, 2, (2, 3))
