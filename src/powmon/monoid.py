@@ -73,13 +73,14 @@ class FiniteMonoid:
             if min(row) < 0 or max(row) >= n:
                 v = next(v for v in row if not 0 <= v < n)
                 raise ValueError(f"table entry {v} out of range [0, {n})")
+        flat = tuple(chain.from_iterable(rows))
         ident = tuple(range(n))
-        identities = [e for e, col in enumerate(zip(*rows)) if rows[e] == ident and col == ident]
+        # flat[e::n] is column e
+        identities = [e for e, row in enumerate(rows) if row == ident and flat[e::n] == ident]
         if len(identities) != 1:
             # >1 is impossible for a genuine magma identity; treat as a
             # validation failure either way
             raise NoIdentity(f"found {len(identities)} two-sided identities, need exactly 1")
-        flat = tuple(chain.from_iterable(rows))
         w = kernels.assoc_witness(flat, n)
         if w >= 0:
             c = w % n

@@ -313,8 +313,9 @@ def test_experiment_order2_monoids():
                          ids=["true-tags", "forged-tags"])
 def test_experiment_gates_exceptions_on_cancellative_tags(forged, failures, findings):
     # z2 vs idem2 is the known exception; it contradicts the theorem only
-    # when both entries are tagged cancellative
-    entries = [CensusEntry(m, None, {"cancellative": m.is_cancellative() or forged})
+    # when both entries are tagged cancellative, which for finite monoids is
+    # the "group" tag
+    entries = [CensusEntry(m, None, {"group": m.is_group() or forged})
                for m in (cyclic_group(2), idempotent_monoid2())]
     _, summary = run_experiment(entries, mode="monoids")
     assert [r.pair for r in summary.exceptions] == [(0, 1)]

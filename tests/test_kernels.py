@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from powmon import _pure, kernels
 from powmon.census import canonical_key, census_monoids, enumerate_monoids
 from powmon.iso import refine_colors
-from powmon.monoid import FiniteMonoid, cyclic_group, quaternion_group
+from powmon.monoid import FiniteMonoid, cyclic_group, cyclic_monoid, quaternion_group
 
 from oracles import (brute_least_labelling, brute_setwise, brute_valid_tables,
                      growing_square_cells)
@@ -107,6 +107,15 @@ def test_power_table_parity_kinds_and_bases(core, zoo, name, kind):
     m = zoo[name]
     masks = _carrier_masks(m, kind)
     assert _pure.power_table(m.flat, m.n, masks) == core.power_table(m.flat, m.n, masks)
+
+
+@pytest.mark.parametrize("base", [cyclic_group(10), cyclic_monoid(4, 5)],
+                         ids=["z10", "cmon4.5"])
+def test_power_table_parity_at_materialize_limit(core, base):
+    # bases of order 10 and 9, the largest MATERIALIZE_LIMIT allows: each
+    # base element's translates span 2^10 and 2^9 subsets (512 and 256 masks)
+    masks = _carrier_masks(base, "reduced")
+    assert _pure.power_table(base.flat, base.n, masks) == core.power_table(base.flat, base.n, masks)
 
 
 @pytest.mark.parametrize("kind", ["reduced", "full"])

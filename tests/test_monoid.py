@@ -44,6 +44,15 @@ def test_no_identity_rejected():
         FiniteMonoid([[0, 0], [0, 0]])
 
 
+@pytest.mark.parametrize("table", [[[0, 1], [0, 1]], [[0, 0], [1, 1]]],
+                         ids=["left-identities", "right-identities"])
+def test_one_sided_identities_rejected(table):
+    # every row of the first table is the identity row but no column is the
+    # identity column; the second is its transpose
+    with pytest.raises(NoIdentity, match="found 0 two-sided identities"):
+        FiniteMonoid(table)
+
+
 def test_entries_out_of_range():
     with pytest.raises(ValueError):
         FiniteMonoid([[0, 2], [1, 0]])
