@@ -15,6 +15,7 @@ or, without numpy, the plain triple loop (about 8 s).
 
 import argparse
 import time
+from array import array
 from collections import Counter
 
 from powmon import _pure
@@ -36,6 +37,17 @@ def timed(fn, repeat):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _cells(result):
+    """result with each table as a list: the pure power_table packs its
+    tables (bytes, or array('H') above 256 elements), the compiled one
+    returns lists."""
+    if isinstance(result, (bytes, array)):
+        return list(result)
+    if isinstance(result, list) and result and isinstance(result[0], (bytes, array)):
+        return [list(t) for t in result]
+    return result
 
 
 def _reduced_masks(m):
@@ -109,7 +121,7 @@ def main():
         tp = timed(lambda: fn(_pure), args.repeat)
         if _core is not None:
             # sanity: identical results before timing
-            assert fn(_pure) == fn(_core), name
+            assert _cells(fn(_pure)) == _cells(fn(_core)), name
             tc = timed(lambda: fn(_core), args.repeat)
             print(f"{name:<48} {tp * 1e3:>8.1f}ms {tc * 1e3:>8.1f}ms {tp / tc:>7.1f}x")
         else:

@@ -5,21 +5,39 @@ import time by powmon.kernels for assoc_witness, setwise_product,
 power_table and iso_search.  For those both backends must agree exactly:
 same results, same visit order, same node counts.  enumerate_tables is
 always this one: it yields one table per isomorphism class, where the
-compiled twin still yields every labelling.  Tables are flat row-major
-lists of length n*n; subsets are int bitmasks over element indices.
-Everything here is standard library up to tables of 256 elements, the
-reduced carriers of bases up to order 9; only assoc_witness on larger
-tables imports numpy, and falls back to a plain loop without it.
+compiled twin still yields every labelling.  A table is flat and
+row-major, n*n cells with cell a*n + b holding a*b; the kernels read it
+by index, so any sequence of ints will do.  The tables they return, and
+the one a FiniteMonoid keeps, take one byte per cell up to 256 elements
+and two above (pack_table).  Subsets are int bitmasks over element
+indices.  Everything here is standard library up to tables of 256
+elements, the reduced carriers of bases up to order 9; only
+assoc_witness on larger tables imports numpy, and falls back to a plain
+loop without it.
 """
 
+from array import array
 from itertools import permutations
 from operator import or_
+
+
+def pack_table(cells, n):
+    """The n*n cells of an n-element table, row-major, as bytes up to 256
+    elements and as array('H') above; a table already of that type is
+    returned as it is.  Every cell must lie in [0, n)."""
+    # list(): bytes() and array() of another buffer would copy its raw memory
+    if n <= 256:
+        return cells if isinstance(cells, bytes) else bytes(list(cells))
+    if isinstance(cells, array) and cells.typecode == "H":
+        return cells
+    return array("H", list(cells))
 
 
 def assoc_witness(table, n):
     """Index of the first failing triple, encoded (a*n + b)*n + c, or -1.
 
-    Up to 256 elements the table is one bytes object, and for each a the
+    Up to 256 elements the table is one bytes object (pack_table, which
+    returns a FiniteMonoid's flat as it is), and for each a the
     n*n cells (b, c) of (a*b)*c and of a*(b*c) are built as two byte
     strings: (a*b)*c joins the rows a*b, and a*(b*c) maps the whole table
     through row a with bytes.translate.  The first differing cell is the
@@ -28,7 +46,7 @@ def assoc_witness(table, n):
     is the semantic reference and the last fallback.
     """
     if n <= 256:
-        flat = bytes(table)
+        flat = pack_table(table, n)
         rows = [flat[x * n:(x + 1) * n] for x in range(n)]
         pad = bytes(256 - n)
         for a, row_a in enumerate(rows):
@@ -79,7 +97,8 @@ def setwise_product(table, n, x, y):
 
 
 def power_table(table, n, masks):
-    """Carrier table over the given subset masks, flat row-major.
+    """Carrier table over the given subset masks, flat row-major, as
+    pack_table gives it: bytes up to 256 masks, array('H') above.
 
     Entry (i, j) is the position in masks of masks[i]*masks[j]; masks must
     be closed under setwise product.  The row of X is built incrementally:
@@ -115,7 +134,7 @@ def power_table(table, n, masks):
             rest |= 1 << top
             row = rows[rest] = list(map(or_, row, trans[top]))
         out.extend(map(pos, row))
-    return out
+    return pack_table(out, len(masks))
 
 
 def iso_search(t1, t2, n, c1, c2, var_order, budget, max_results):

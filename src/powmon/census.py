@@ -87,12 +87,6 @@ def canonical_key(m):
     return bytes([n]) + best
 
 
-def _decode_key(key):
-    n = key[0]
-    flat = key[1:]
-    return [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-
-
 @lru_cache(maxsize=None)
 def enumerate_monoids(n):
     """All monoids of order n up to isomorphism, sorted by canonical key.
@@ -104,14 +98,13 @@ def enumerate_monoids(n):
     check_census_order(n)
     keys = set()
     for flat in kernels.enumerate_tables(n):
-        table = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-        key = canonical_key(FiniteMonoid(table))
+        key = canonical_key(FiniteMonoid(bytes(flat)))
         if key in keys:
             raise AssertionError(f"order-{n} enumeration yielded two tables of one class")
         keys.add(key)
     out = []
     for idx, key in enumerate(sorted(keys)):
-        m = FiniteMonoid(_decode_key(key), name=f"monoid{n}.{idx}")
+        m = FiniteMonoid(key[1:], name=f"monoid{n}.{idx}")     # key[1:] is the flat table
         out.append(CensusEntry(m, key, _tags(m)))
     return tuple(out)
 

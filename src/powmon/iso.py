@@ -68,8 +68,9 @@ def element_invariants(m):
     unit both equal |row image| == n (FiniteMonoid.is_cancellative), which
     rises with the third entry: listing them before it would give the same
     partition, colour ids, bucket keys and sorted class order."""
-    return [(order, row[a] == a, len(set(row)), len(set(col)))
-            for a, order, row, col in zip(range(m.n), m.orders(), m.table, zip(*m.table))]
+    n, flat = m.n, m.flat
+    return [(order, row[a] == a, len(set(row)), len(set(flat[a::n])))
+            for a, (order, row) in enumerate(zip(m.orders(), m.table))]
 
 
 def invariants_of(m):

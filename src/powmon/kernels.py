@@ -4,8 +4,10 @@ The hot loops live in powmon._pure (always available) and, when built, in
 the compiled twin powmon._core.  The compiled backend is preferred unless
 POWMON_PURE=1 forces the fallback.  Four kernels are backend-selected,
 with identical semantics on both; tests/test_kernels.py holds them to
-that.  Monoid enumeration is always the pure one, which yields one table
-per isomorphism class.  _core.enumerate_tables still lists every raw
+that.  power_table returns a packed table (_pure.pack_table) on both:
+the compiled twin returns a list, which is packed once here.  Monoid
+enumeration is always the pure one, which yields one table per
+isomorphism class.  _core.enumerate_tables still lists every raw
 labelling and stays unbound until _core.c is regenerated from _core.pyx.
 """
 
@@ -26,6 +28,12 @@ if os.environ.get("POWMON_PURE", "") not in ("1", "true", "yes"):
 
 assoc_witness = _impl.assoc_witness
 setwise_product = _impl.setwise_product
-power_table = _impl.power_table
 iso_search = _impl.iso_search
 enumerate_tables = _pure.enumerate_tables
+pack_table = _pure.pack_table
+
+if _impl is _pure:
+    power_table = _pure.power_table
+else:
+    def power_table(table, n, masks):
+        return pack_table(_impl.power_table(table, n, masks), len(masks))

@@ -10,6 +10,7 @@ twice stores the same value.
 """
 
 import math
+from array import array
 from itertools import chain
 
 from . import kernels
@@ -52,29 +53,44 @@ def check_order(n):
 class FiniteMonoid:
     """A finite monoid given by its full multiplication table.
 
-    Construction validates all three structural invariants: entries in
-    range, associativity (with a witness triple on failure), and a unique
-    two-sided identity.  Powers are computed once per element: the first
-    call for a builds its power cycle, and power(a, k) for any k is then
-    an index computation.  subset_cycles maps a subset bitmask to its power
-    cycle under setwise product (filled by powerset.subset_power), and
-    invariants is the tuple of iso.element_invariants (filled by
-    iso.invariants_of).
+    table is either rows, n sequences of n ints, or the flat row-major
+    buffer that flat holds: n*n cells, cell a*n + b holding a*b, as bytes
+    up to 256 elements and as array('H') above (kernels.pack_table).
+    The monoid keeps that one buffer as flat, and table is the tuple of
+    its row slices.  Construction validates all three structural
+    invariants: entries in range, associativity (with a witness triple on
+    failure), and a unique two-sided identity.  Powers are computed once
+    per element: the first call for a builds its power cycle, and
+    power(a, k) for any k is then an index computation.  subset_cycles
+    maps a subset bitmask to its power cycle under setwise product (filled
+    by powerset.subset_power), and invariants is the tuple of
+    iso.element_invariants (filled by iso.invariants_of).
     """
 
     def __init__(self, table, name=None):
-        rows = [tuple(row) for row in table]
-        n = len(rows)
+        if isinstance(table, (bytes, array)):
+            cells = table
+            n = math.isqrt(len(cells))
+            if n * n != len(cells):
+                raise ValueError(f"table is not square: got {len(cells)} entries")
+        else:
+            rows = [tuple(row) for row in table]
+            n = len(rows)
+            for row in rows:
+                if len(row) != n:
+                    raise ValueError(f"table is not square: got a row of length {len(row)}, expected {n}")
+            cells = list(chain.from_iterable(rows))
         if n == 0:
             raise NoIdentity("empty table has no identity")
-        for row in rows:
-            if len(row) != n:
-                raise ValueError(f"table is not square: got a row of length {len(row)}, expected {n}")
-            if min(row) < 0 or max(row) >= n:
-                v = next(v for v in row if not 0 <= v < n)
-                raise ValueError(f"table entry {v} out of range [0, {n})")
-        flat = tuple(chain.from_iterable(rows))
-        ident = tuple(range(n))
+        if isinstance(cells, bytes) and n <= 256:
+            bad = cells.translate(None, bytes(range(n)))    # the entries >= n, in order
+        else:
+            bad = [v for v in cells if not 0 <= v < n]
+        if bad:
+            raise ValueError(f"table entry {bad[0]} out of range [0, {n})")
+        flat = kernels.pack_table(cells, n)
+        rows = tuple(flat[a * n:a * n + n] for a in range(n))
+        ident = kernels.pack_table(range(n), n)
         # flat[e::n] is column e
         identities = [e for e, row in enumerate(rows) if row == ident and flat[e::n] == ident]
         if len(identities) != 1:
@@ -87,8 +103,8 @@ class FiniteMonoid:
             ab = w // n
             raise NotAssociative(ab // n, ab % n, c)
         self.n = n
-        self.table = tuple(rows)
         self.flat = flat
+        self.table = rows
         self.identity = identities[0]
         self.name = name or f"monoid[{n}]"
         self._orders = None
@@ -122,9 +138,10 @@ class FiniteMonoid:
     def orders(self):
         """Every element's order; the power cycles walked are not kept."""
         if self._orders is None:
-            e = self.identity
-            self._orders = tuple(len(eventual_cycle(e, col.__getitem__)[0])
-                                 for col in zip(*self.table))
+            e, n, flat = self.identity, self.n, self.flat
+            # flat[a::n] is column a: x -> x*a
+            self._orders = tuple(len(eventual_cycle(e, flat[a::n].__getitem__)[0])
+                                 for a in range(n))
         return self._orders
 
     def is_cancellative(self):
@@ -144,14 +161,15 @@ class FiniteMonoid:
         return len(self.units()) == self.n
 
     def is_commutative(self):
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.n) for b in range(a + 1, self.n))
+        n, flat = self.n, self.flat
+        return all(row == flat[a::n] for a, row in enumerate(self.table))
 
     def __eq__(self, other):
-        return isinstance(other, FiniteMonoid) and self.table == other.table
+        return isinstance(other, FiniteMonoid) and self.flat == other.flat
 
     def __hash__(self):
-        return hash(self.table)
+        # bytes() of an array('H') is its raw memory: hashable, equal for equal tables
+        return hash(bytes(self.flat))
 
     def __repr__(self):
         return f"FiniteMonoid({self.name}, n={self.n})"

@@ -83,7 +83,8 @@ class PowerMonoid:
 
     It carries the 2^(n-1) subsets containing the identity.  The carrier is
     a validated FiniteMonoid whose element i is masks[i], built at
-    construction; bases above MATERIALIZE_LIMIT raise SizeLimitExceeded.
+    construction from the one flat table kernels.power_table returns;
+    bases above MATERIALIZE_LIMIT raise SizeLimitExceeded.
     sizes[i] is the number of base elements in masks[i].
     """
 
@@ -100,10 +101,8 @@ class PowerMonoid:
         self.masks = masks
         self.sizes = [mask.bit_count() for mask in masks]
         self.index = {mask: i for i, mask in enumerate(masks)}
-        m = len(masks)
         flat = kernels.power_table(base.flat, n, masks)
-        table = [flat[i * m:(i + 1) * m] for i in range(m)]
-        self.carrier = FiniteMonoid(table, name=f"reduced power({base.name})")
+        self.carrier = FiniteMonoid(flat, name=f"reduced power({base.name})")
         if self.masks[self.carrier.identity] != ebit:
             raise AssertionError("carrier identity is not the singleton {identity}")
 

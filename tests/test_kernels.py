@@ -1,6 +1,9 @@
 """Backend parity: the compiled kernels must match the pure ones exactly,
 including search visit order and node counts.  The `core` fixture builds
 the compiled twin from the tracked _core.c, so these run wherever cc does.
+The parity tests feed both backends each table type the kernels take
+(_tables): a list, bytes and array('H').  The pure power_table returns a
+packed table and the compiled one a list, so they compare as lists.
 Enumeration is the exception: the pure kernel yields one table per
 isomorphism class and the compiled one every labelling, so the compiled
 output serves as a raw oracle for it."""
@@ -9,6 +12,7 @@ import os
 import random
 import re
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -55,12 +59,37 @@ def test_core_c_quotes_current_pyx():
     assert quoted > 300
 
 
+def _tables(flat):
+    """flat as each table type the kernels take: a list, array('H') and,
+    when every cell fits in a byte, bytes."""
+    cells = list(flat)
+    out = [cells, array("H", cells)]
+    if max(cells) < 256:
+        out.append(bytes(cells))
+    return out
+
+
+def test_pack_table_types():
+    cells = [0, 1, 1, 0]
+    for t in _tables(cells):
+        packed = _pure.pack_table(t, 2)
+        assert type(packed) is bytes and list(packed) == cells
+    big = [v % 300 for v in range(300 * 300)]
+    for t in _tables(big):
+        packed = _pure.pack_table(t, 300)
+        assert packed.typecode == "H" and packed.tolist() == big
+    # a table already packed is kept, not copied
+    for packed, n in ((bytes(cells), 2), (array("H", big), 300)):
+        assert _pure.pack_table(packed, n) is packed
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_assoc_witness_parity(core, data):
     n = data.draw(st.integers(1, 6))
     flat = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
-    assert _pure.assoc_witness(flat, n) == core.assoc_witness(flat, n)
+    for t in _tables(flat):
+        assert _pure.assoc_witness(t, n) == core.assoc_witness(t, n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -70,15 +99,18 @@ def test_setwise_parity(core, data, zoo):
     full = (1 << m.n) - 1
     x = data.draw(st.integers(1, full))
     y = data.draw(st.integers(1, full))
-    assert _pure.setwise_product(m.flat, m.n, x, y) == \
-        core.setwise_product(m.flat, m.n, x, y)
+    for t in _tables(m.flat):
+        assert _pure.setwise_product(t, m.n, x, y) == core.setwise_product(t, m.n, x, y)
 
 
 def test_power_table_parity(core, zoo):
     for name in ("z4", "d3", "cm22"):
         m = zoo[name]
         masks = tuple(x for x in range(1, 1 << m.n) if x & 1)
-        assert _pure.power_table(m.flat, m.n, masks) == core.power_table(m.flat, m.n, masks)
+        for t in _tables(m.flat):
+            got = _pure.power_table(t, m.n, masks)
+            assert type(got) is bytes
+            assert list(got) == core.power_table(t, m.n, masks)
 
 
 def _carrier_masks(m, kind):
@@ -106,7 +138,8 @@ def test_power_table_parity_kinds_and_bases(core, zoo, name, kind):
     # q8 and d4: non-abelian bases of order 8, carriers of 128 and 255 masks
     m = zoo[name]
     masks = _carrier_masks(m, kind)
-    assert _pure.power_table(m.flat, m.n, masks) == core.power_table(m.flat, m.n, masks)
+    for t in _tables(m.flat):
+        assert list(_pure.power_table(t, m.n, masks)) == core.power_table(t, m.n, masks)
 
 
 @pytest.mark.parametrize("base", [cyclic_group(10), cyclic_monoid(4, 5)],
@@ -115,7 +148,10 @@ def test_power_table_parity_at_materialize_limit(core, base):
     # bases of order 10 and 9, the largest MATERIALIZE_LIMIT allows: each
     # base element's translates span 2^10 and 2^9 subsets (512 and 256 masks)
     masks = _carrier_masks(base, "reduced")
-    assert _pure.power_table(base.flat, base.n, masks) == core.power_table(base.flat, base.n, masks)
+    for t in _tables(base.flat):
+        got = _pure.power_table(t, base.n, masks)
+        assert type(got) is (bytes if len(masks) <= 256 else array)
+        assert list(got) == core.power_table(t, base.n, masks)
 
 
 @pytest.mark.parametrize("kind", ["reduced", "full"])
@@ -126,8 +162,9 @@ def test_power_table_relabelled_identity(core, zoo, name, identity_to, kind):
     m = _relabelled(zoo[name], identity_to)
     assert m.identity == identity_to
     masks = _carrier_masks(m, kind)
-    got = _pure.power_table(m.flat, m.n, masks)
-    assert got == core.power_table(m.flat, m.n, masks)
+    got = list(_pure.power_table(m.flat, m.n, masks))
+    for t in _tables(m.flat):
+        assert list(_pure.power_table(t, m.n, masks)) == got == core.power_table(t, m.n, masks)
     sets = [frozenset(i for i in range(m.n) if x >> i & 1) for x in masks]
     index = {s: i for i, s in enumerate(sets)}
     assert got == [index[brute_setwise(m.table, xs, ys)] for xs in sets for ys in sets]
@@ -150,12 +187,15 @@ def _perturbed(flat, n, row):
 def test_assoc_witness_parity_on_carriers(core, base):
     # 256 elements is the largest table of the bytes path
     flat, n = _carrier_flat(base)
-    assert _pure.assoc_witness(flat, n) == core.assoc_witness(flat, n) == -1
+    assert type(flat) is bytes
+    for t in _tables(flat):
+        assert _pure.assoc_witness(t, n) == core.assoc_witness(t, n) == -1
     for row in (0, n // 2, n - 1):
         bad = _perturbed(flat, n, row)
         got = _pure.assoc_witness(bad, n)
         assert got >= 0
-        assert got == core.assoc_witness(bad, n)
+        for t in _tables(bad):
+            assert _pure.assoc_witness(t, n) == core.assoc_witness(t, n) == got
 
 
 @pytest.mark.parametrize("numpy_blocked", [True, False], ids=["loop", "numpy"])
@@ -165,11 +205,12 @@ def test_assoc_witness_parity_above_256(core, monkeypatch, numpy_blocked):
     else:
         pytest.importorskip("numpy")
     flat, n = _carrier_flat(cyclic_group(10))
-    assert n == 512
+    assert n == 512 and flat.typecode == "H"
     bad = _perturbed(flat, n, 1)            # the first failing triple has a <= 1
     got = _pure.assoc_witness(bad, n)
     assert 0 <= got < 2 * n * n
-    assert got == core.assoc_witness(bad, n)
+    for t in _tables(bad):                  # a list and array('H')
+        assert _pure.assoc_witness(t, n) == core.assoc_witness(t, n) == got
 
 
 def _class_keys(tables, n):
@@ -232,9 +273,10 @@ def test_iso_search_parity_including_node_counts(core):
         sizes = Counter(c1)
         vo = sorted(range(m1.n), key=lambda a: (sizes[c1[a]], a))
         for budget, cap in ((10 ** 6, 1), (10 ** 6, 1 << 60), (2, 1)):
-            got_p = _pure.iso_search(m1.flat, m2.flat, m1.n, c1, c2, vo, budget, cap)
-            got_c = core.iso_search(m1.flat, m2.flat, m1.n, c1, c2, vo, budget, cap)
-            assert got_p == got_c
+            for t1, t2 in zip(_tables(m1.flat), _tables(m2.flat)):
+                got_p = _pure.iso_search(t1, t2, m1.n, c1, c2, vo, budget, cap)
+                got_c = core.iso_search(t1, t2, m1.n, c1, c2, vo, budget, cap)
+                assert got_p == got_c
             compared += 1
     assert compared >= 30
 
@@ -254,7 +296,8 @@ def test_iso_search_parity_on_carriers(core, zoo):
         sizes = Counter(c1)
         vo = sorted(range(pm1.n), key=lambda a: (sizes[c1[a]], a))
         for budget, cap in ((10 ** 6, 1), (10 ** 6, 1 << 60), (2, 1 << 60)):
-            got_p = _pure.iso_search(pm1.flat, pm2.flat, pm1.n, c1, c2, vo, budget, cap)
-            got_c = core.iso_search(pm1.flat, pm2.flat, pm1.n, c1, c2, vo, budget, cap)
-            assert got_p == got_c
-            assert got_p[1] or budget == 2
+            for t1, t2 in zip(_tables(pm1.flat), _tables(pm2.flat)):
+                got_p = _pure.iso_search(t1, t2, pm1.n, c1, c2, vo, budget, cap)
+                got_c = core.iso_search(t1, t2, pm1.n, c1, c2, vo, budget, cap)
+                assert got_p == got_c
+                assert got_p[1] or budget == 2

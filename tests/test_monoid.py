@@ -1,5 +1,7 @@
 """Monoid construction, validation, and structure queries."""
 
+from array import array
+
 import pytest
 
 from powmon.census import census_monoids, groups_catalog
@@ -66,6 +68,39 @@ def test_entries_out_of_range():
         with pytest.raises(ValueError) as exc:
             FiniteMonoid(rows)
         assert str(exc.value) == f"table entry {bad} out of range [0, 3)"
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 2], [1, 0]],                                   # entry out of range
+    [[0, 1, 2], [1, 2, 5], [3, 0, 1]],                  # the first of two, in row order
+    [[0, 0], [0, 0]],                                   # no identity
+    [[0, 1], [0, 1]],                                   # left identities only
+    [[0, 1, 2], [1, 2, 0], [2, 1, 0]],                  # not associative
+], ids=["range", "first-bad", "no-identity", "one-sided", "not-associative"])
+def test_flat_table_checked_as_rows(rows):
+    # a flat bytes or array('H') table is refused with the rows' exception and message
+    with pytest.raises((ValueError, NoIdentity, NotAssociative)) as want:
+        FiniteMonoid(rows)
+    cells = [v for row in rows for v in row]
+    for flat in (bytes(cells), array("H", cells)):
+        with pytest.raises(type(want.value)) as got:
+            FiniteMonoid(flat)
+        assert str(got.value) == str(want.value)
+        if isinstance(want.value, NotAssociative):
+            assert got.value.witness == want.value.witness
+
+
+def test_flat_table_length_and_type():
+    with pytest.raises(ValueError, match="table is not square: got 3 entries"):
+        FiniteMonoid(bytes([0, 1, 1]))
+    with pytest.raises(NoIdentity, match="empty table"):
+        FiniteMonoid(b"")
+    # every constructor keeps one packed table: bytes here, equal and hashed by it
+    rows = FiniteMonoid([[0, 1], [1, 1]])
+    for m in (FiniteMonoid(bytes([0, 1, 1, 1])), FiniteMonoid(array("H", [0, 1, 1, 1]))):
+        assert type(m.flat) is bytes and m.table == (b"\x00\x01", b"\x01\x01")
+        assert m == rows and hash(m) == hash(rows)
+    assert rows != FiniteMonoid([[0, 1], [1, 0]])
 
 
 def test_cyclic_monoid_index2_period2():

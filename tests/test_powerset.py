@@ -1,9 +1,12 @@
 """Setwise products, subset powers, and power-monoid construction."""
 
+import gc
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -11,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powmon
-from powmon.census import census_monoids
+from powmon.census import census_monoids, groups_catalog
 from powmon.errors import SizeLimitExceeded
 from powmon.iso import find_isomorphism
-from powmon.monoid import cyclic_group, idempotent_monoid2
+from powmon.monoid import FiniteMonoid, cyclic_group, idempotent_monoid2
 from powmon.powerset import (MATERIALIZE_LIMIT, augment, elements_of, format_subset,
                              mask_of, parse_subset, reduced_power_monoid, setwise_product,
                              subset_power)
@@ -178,7 +181,8 @@ def test_reduced_power_monoid_sizes(zoo):
 def test_reduced_trivial_and_z2(zoo):
     assert reduced_power_monoid(zoo["triv"]).carrier.n == 1
     pm = reduced_power_monoid(zoo["z2"])
-    assert pm.carrier.table == ((0, 1), (1, 1))  # the order-2 idempotent monoid
+    assert pm.carrier.flat == bytes([0, 1, 1, 1])   # the order-2 idempotent monoid
+    assert pm.carrier.table == (bytes([0, 1]), bytes([1, 1]))
     assert find_isomorphism(pm.carrier, zoo["idem2"]) is not None
 
 
@@ -216,6 +220,53 @@ def test_size_limit():
     for n in (11, 17):
         with pytest.raises(SizeLimitExceeded):
             reduced_power_monoid(cyclic_group(n))
+
+
+@pytest.mark.parametrize("base", [cyclic_group(6), cyclic_group(9), cyclic_group(10)],
+                         ids=["z6", "z9", "z10"])
+def test_carrier_keeps_one_flat_table(base):
+    # one byte per cell up to 256 elements, two above; table is the rows of flat
+    carrier = reduced_power_monoid(base).carrier
+    n = carrier.n
+    assert type(carrier.flat) is (bytes if n <= 256 else array) and len(carrier.flat) == n * n
+    assert carrier.table == tuple(carrier.flat[a * n:a * n + n] for a in range(n))
+    assert all(type(row) is type(carrier.flat) for row in carrier.table)
+    if n <= 256:
+        return
+    # P(Z10) has 512 elements: array('H'), rebuilt, compared, hashed and
+    # range-checked as a bytes table is
+    assert n == 512 and carrier.flat.typecode == "H"
+    again = FiniteMonoid(carrier.flat)
+    assert again.flat is carrier.flat and again == carrier and hash(again) == hash(carrier)
+    bad = array("H", carrier.flat)
+    bad[3 * n + 7] = n
+    with pytest.raises(ValueError) as exc:
+        FiniteMonoid(bad)
+    assert str(exc.value) == "table entry 512 out of range [0, 512)"
+
+
+def test_bases_keep_bytes_tables():
+    for m in [e.monoid for e in census_monoids(4) + list(groups_catalog(8))]:
+        assert type(m.flat) is bytes and len(m.flat) == m.n * m.n
+
+
+def test_kept_carrier_memory(zoo):
+    # a kept P(Q8) holds its 128^2 cells once as bytes and once as row
+    # slices: about 45 KiB with its masks, where 8-byte pointers would
+    # take 128 KiB per copy of the table
+    q8 = zoo["q8"]
+    reduced_power_monoid(q8)        # imports and first-call caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pm = reduced_power_monoid(q8)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert pm.carrier.n == 128
+    assert kept < 64 * 1024, kept
 
 
 def test_group_carriers_build_without_numpy():

@@ -466,22 +466,29 @@ def test_pullback_facts_match_oracles(monkeypatch):
 
 # --- every check name that verify all writes can fail ----------------------
 
-def _flat_perturbed():
-    """cyclic 3 whose flat says 0*0 = 1 while its table keeps 0*0 = 0:
-    setwise products read the flat, powers and orders read the table."""
-    m = copy.copy(cyclic_group(3))
-    m.flat = (1,) + m.flat[1:]
+def _unvalidated(m, rows, name):
+    """A copy of m whose one table is rows, as flat and as its row slices,
+    which FiniteMonoid would not accept."""
+    m = copy.copy(m)
+    n = len(rows)
+    m.flat = bytes(itertools.chain.from_iterable(rows))
+    m.table = tuple(m.flat[a * n:a * n + n] for a in range(n))
+    m.name = name
     return m
+
+
+def _flat_perturbed():
+    """cyclic 3 with 0*0 = 1, so 0 is no identity yet is kept as one: the
+    powers of 1 and its order are those of cyclic 3, while {0,1}^1 = {1}."""
+    return _unvalidated(cyclic_group(3), ((1, 1, 2), (1, 2, 0), (2, 0, 1)), "cyclic 3")
 
 
 def _loop5():
     """A loop of order 5 (a Latin square with identity 0) that is not
     associative, so FiniteMonoid would refuse it: x=2 is y^2 for y=3, yet
     x^3 = y^3 and 2 does not divide 3."""
-    m = copy.copy(cyclic_group(5))
-    m.table = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1), (3, 4, 1, 2, 0), (4, 2, 0, 1, 3))
-    m.name = "loop5"
-    return m
+    return _unvalidated(cyclic_group(5), ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1),
+                                          (3, 4, 1, 2, 0), (4, 2, 0, 1, 3)), "loop5")
 
 
 def _pullback_records(images):
