@@ -28,7 +28,7 @@ PINS = {
     "lemma21": ("49c99f8bdd5130c2ce39764b7b24eb3047d2db8f5928150aaeeafc72ae947e2b", 64),
     "lemma22": ("597aaeeaea1e52a44fb72b1ff0a4227f994cf5d80085d6a4bc04588e9da8dedf", 64),
     "lemma31": ("1d6739cbfb829e90b4d3f3668f4413ff01f8eafa2b8719e83a3b93a2464d0dc4", 64),
-    "thm32": ("83b00affa8680234c851379a7798b1c590be08a06c9bfb6bea3ba2f88a0d7abf", 256),
+    "thm32": ("83b00affa8680234c851379a7798b1c590be08a06c9bfb6bea3ba2f88a0d7abf", 96),
 }
 
 SKIPPED = ("# generated:", "# config:")

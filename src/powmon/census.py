@@ -69,7 +69,8 @@ def canonical_key(m):
     """
     from itertools import permutations, product
 
-    n = m.n
+    n, flat = m.n, m.flat
+    rows = [flat[a * n:a * n + n] for a in range(n)]
     vecs = invariants_of(m)
     classes = {}
     for a in range(n):
@@ -81,9 +82,9 @@ def canonical_key(m):
         pos = [0] * n
         for new, old in enumerate(seq):
             pos[old] = new
-        flat = bytes(pos[m.table[a][b]] for a in seq for b in seq)
-        if best is None or flat < best:
-            best = flat
+        relabeled = bytes(pos[rows[a][b]] for a in seq for b in seq)
+        if best is None or relabeled < best:
+            best = relabeled
     return bytes([n]) + best
 
 

@@ -140,8 +140,9 @@ VERIFY_FLAGS = ("max_order", "group_max", "budget", "jobs",
 
 
 def _params(fn):
-    """The names of fn's parameters, in order."""
-    code = fn.__code__
+    """The names of fn's parameters, in order; a wrapper that sets
+    __wrapped__ (functools.wraps) is read through to the function it wraps."""
+    code = getattr(fn, "__wrapped__", fn).__code__
     return code.co_varnames[:code.co_argcount]
 
 

@@ -42,11 +42,12 @@ class IsoWitness:
             raise ValueError("witness map is not a bijection")
         if mapping[source.identity] != target.identity:
             raise ValueError("witness does not map identity to identity")
-        ts, tt = source.table, target.table
+        sf, tf = source.flat, target.flat
         for a in range(n):
             ma = mapping[a]
-            for b in range(n):
-                if mapping[ts[a][b]] != tt[ma][mapping[b]]:
+            t_row = tf[ma * n:ma * n + n]
+            for b, ab in enumerate(sf[a * n:a * n + n]):
+                if mapping[ab] != t_row[mapping[b]]:
                     raise ValueError(f"witness is not a homomorphism at ({a}, {b})")
         self.source = source
         self.target = target
@@ -69,8 +70,9 @@ def element_invariants(m):
     rises with the third entry: listing them before it would give the same
     partition, colour ids, bucket keys and sorted class order."""
     n, flat = m.n, m.flat
-    return [(order, row[a] == a, len(set(row)), len(set(flat[a::n])))
-            for a, (order, row) in enumerate(zip(m.orders(), m.table))]
+    # flat[::n + 1] is the diagonal a*a, flat[a::n] column a
+    return [(order, aa == a, len(set(flat[a * n:a * n + n])), len(set(flat[a::n])))
+            for a, (order, aa) in enumerate(zip(m.orders(), flat[::n + 1]))]
 
 
 def invariants_of(m):

@@ -56,8 +56,10 @@ class FiniteMonoid:
     table is either rows, n sequences of n ints, or the flat row-major
     buffer that flat holds: n*n cells, cell a*n + b holding a*b, as bytes
     up to 256 elements and as array('H') above (kernels.pack_table).
-    The monoid keeps that one buffer as flat, and table is the tuple of
-    its row slices.  Construction validates all three structural
+    flat is the only table the monoid stores: row a is the slice
+    flat[a*n:a*n+n] and column a is flat[a::n].  The table property
+    slices the rows afresh on each access, for format_table and for
+    callers that want rows.  Construction validates all three structural
     invariants: entries in range, associativity (with a witness triple on
     failure), and a unique two-sided identity.  Powers are computed once
     per element: the first call for a builds its power cycle, and
@@ -89,10 +91,9 @@ class FiniteMonoid:
         if bad:
             raise ValueError(f"table entry {bad[0]} out of range [0, {n})")
         flat = kernels.pack_table(cells, n)
-        rows = tuple(flat[a * n:a * n + n] for a in range(n))
         ident = kernels.pack_table(range(n), n)
-        # flat[e::n] is column e
-        identities = [e for e, row in enumerate(rows) if row == ident and flat[e::n] == ident]
+        identities = [e for e in range(n)
+                      if flat[e * n:e * n + n] == ident and flat[e::n] == ident]
         if len(identities) != 1:
             # >1 is impossible for a genuine magma identity; treat as a
             # validation failure either way
@@ -104,7 +105,6 @@ class FiniteMonoid:
             raise NotAssociative(ab // n, ab % n, c)
         self.n = n
         self.flat = flat
-        self.table = rows
         self.identity = identities[0]
         self.name = name or f"monoid[{n}]"
         self._orders = None
@@ -113,16 +113,22 @@ class FiniteMonoid:
         self.subset_cycles = {}
         self.invariants = None
 
+    @property
+    def table(self):
+        """The rows of flat, sliced on each access."""
+        n, flat = self.n, self.flat
+        return tuple(flat[a * n:a * n + n] for a in range(n))
+
     def mul(self, a, b):
-        return self.table[a][b]
+        return self.flat[a * self.n + b]
 
     def power_cycle(self, a):
         """(powers, start): the distinct powers a^0 .. a^(ord-1) in order,
         and the exponent start < ord with a^ord = a^start."""
         cycle = self._cycles.get(a)
         if cycle is None:
-            rows = self.table
-            cycle = self._cycles[a] = eventual_cycle(self.identity, lambda x: rows[x][a])
+            column = self.flat[a::self.n]    # x -> x*a
+            cycle = self._cycles[a] = eventual_cycle(self.identity, column.__getitem__)
         return cycle
 
     def power(self, a, k):
@@ -153,8 +159,8 @@ class FiniteMonoid:
         """Elements with a two-sided inverse: in a finite monoid, uv = e
         forces vu = e, so those whose row holds the identity."""
         if self._units is None:
-            e = self.identity
-            self._units = tuple(u for u, row in enumerate(self.table) if e in row)
+            e, n, flat = self.identity, self.n, self.flat
+            self._units = tuple(u for u in range(n) if e in flat[u * n:u * n + n])
         return self._units
 
     def is_group(self):
@@ -162,7 +168,7 @@ class FiniteMonoid:
 
     def is_commutative(self):
         n, flat = self.n, self.flat
-        return all(row == flat[a::n] for a, row in enumerate(self.table))
+        return all(flat[a * n:a * n + n] == flat[a::n] for a in range(n))
 
     def __eq__(self, other):
         return isinstance(other, FiniteMonoid) and self.flat == other.flat
@@ -197,11 +203,10 @@ def cyclic_group(n):
 
 def direct_product(m1, m2, name=None):
     """Componentwise product monoid; element (a, b) has index a*|m2| + b."""
-    n2 = m2.n
+    n1, n2, f1, f2 = m1.n, m2.n, m1.flat, m2.flat
     table = [
-        [m1.table[a1][b1] * n2 + m2.table[a2][b2]
-         for b1 in range(m1.n) for b2 in range(n2)]
-        for a1 in range(m1.n) for a2 in range(n2)
+        [c1 * n2 + c2 for c1 in f1[a1 * n1:a1 * n1 + n1] for c2 in f2[a2 * n2:a2 * n2 + n2]]
+        for a1 in range(n1) for a2 in range(n2)
     ]
     return FiniteMonoid(table, name=name or f"({m1.name} x {m2.name})")
 

@@ -6,6 +6,8 @@ identity, which are never empty.  Carrier element indices are assigned
 in increasing bitmask order, so carriers are reproducible across runs.
 """
 
+from bisect import bisect_left
+
 from . import kernels
 from .errors import SizeLimitExceeded
 from .iso import IsoWitness
@@ -84,8 +86,9 @@ class PowerMonoid:
     It carries the 2^(n-1) subsets containing the identity.  The carrier is
     a validated FiniteMonoid whose element i is masks[i], built at
     construction from the one flat table kernels.power_table returns;
-    bases above MATERIALIZE_LIMIT raise SizeLimitExceeded.
-    sizes[i] is the number of base elements in masks[i].
+    bases above MATERIALIZE_LIMIT raise SizeLimitExceeded.  masks is
+    increasing, so index_of finds a mask by bisection.  sizes[i] is the
+    number of base elements in masks[i].
     """
 
     kind = "reduced"    # the only kind; perfbench's carrier notes read it
@@ -100,7 +103,6 @@ class PowerMonoid:
         self.base = base
         self.masks = masks
         self.sizes = [mask.bit_count() for mask in masks]
-        self.index = {mask: i for i, mask in enumerate(masks)}
         flat = kernels.power_table(base.flat, n, masks)
         self.carrier = FiniteMonoid(flat, name=f"reduced power({base.name})")
         if self.masks[self.carrier.identity] != ebit:
@@ -110,14 +112,14 @@ class PowerMonoid:
         return len(self.masks)
 
     def index_of(self, mask):
-        try:
-            return self.index[mask]
-        except KeyError:
+        i = bisect_left(self.masks, mask)
+        if i == len(self.masks) or self.masks[i] != mask:
             raise ValueError(f"subset {format_subset(mask)} is not a carrier element")
+        return i
 
     def pair_index(self, x):
         """Carrier index of {identity, x}."""
-        return self.index[(1 << self.base.identity) | (1 << x)]
+        return self.index_of((1 << self.base.identity) | (1 << x))
 
     def __repr__(self):
         return f"PowerMonoid(base={self.base.name}, size={len(self.masks)})"

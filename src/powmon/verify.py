@@ -396,16 +396,16 @@ def pullback_report(pb):
                 cx.append(("power_compatible", f"x={x} k={kk}: g(x^k)={gxk} g(x)^k={gx_k}"))
             if first.get(gxk, kk + 1) > kk:
                 cx.append(("bounded_power_image", f"x={x} k={kk}: no l <= k with g(x^k)=g(x)^l"))
-    e = h.identity
-    h_rows, k_rows = h.table, k.table
-    squares = [row[x] for x, row in enumerate(h_rows)]
-    for x, row in enumerate(h_rows):
+    e, n, h_flat, k_flat = h.identity, h.n, h.flat, k.flat
+    squares = h_flat[::n + 1]    # the diagonal x*x
+    for x in range(n):
         # g(xy) and g(x)g(y) for every y, from the rows of x and g(x)
-        k_row = k_rows[g[x]]
-        for y, gxy, gxgy in zip(range(h.n), map(image, row), map(k_row.__getitem__, g)):
+        gx = g[x]
+        row, k_row = h_flat[x * n:x * n + n], k_flat[gx * n:gx * n + n]
+        for y, gxy, gxgy in zip(range(n), map(image, row), map(k_row.__getitem__, g)):
             if gxy != gxgy:
                 cx.append(("torsion_hom", f"x={x} y={y}: g(xy)={gxy} g(x)g(y)={gxgy}"))
-                if h_rows[squares[x]][squares[y]] != e:
+                if h_flat[squares[x] * n + squares[y]] != e:
                     cx.append(("product_dichotomy", f"x={x} y={y}: g(xy)!=g(x)g(y) and x^2y^2 != 1"))
                 if squares[x] == e or squares[y] == e:
                     cx.append(("involution_product", f"x={x} y={y}: square hypothesis holds yet g(xy)!=g(x)g(y)"))

@@ -1,5 +1,6 @@
 """CLI contract: report shape, exit codes, determinism."""
 
+import functools
 import hashlib
 import importlib.util
 import inspect
@@ -190,6 +191,25 @@ def test_verify_flags_are_suite_and_case_parameters():
 def test_params_are_the_signature():
     for fn in [*SUITES.values(), *CASES.values()]:
         assert _params(fn) == tuple(inspect.signature(fn).parameters)
+
+
+def test_flags_reach_a_wrapped_suite(capsys, monkeypatch):
+    # a tracer that wraps a suite as (*args, **kwargs) and sets __wrapped__
+    # still receives the flags the suite itself reads
+    argv = ("verify", "lemma21", "--max-order", "2")
+    _, plain, _ = run_cli(capsys, *argv)
+    suite = SUITES["lemma21"]
+    calls = []
+
+    @functools.wraps(suite)
+    def traced(*args, **kwargs):
+        calls.append(kwargs)
+        return suite(*args, **kwargs)
+    monkeypatch.setitem(SUITES, "lemma21", traced)
+    assert _params(traced) == _params(suite)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and calls == [{"max_order": 2}]
+    assert body_of(out) == body_of(plain)
 
 
 def test_cli_imports_without_dataclasses_or_inspect():

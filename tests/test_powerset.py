@@ -214,6 +214,23 @@ def test_masks_increasing(zoo):
     assert list(pm.masks) == sorted(pm.masks)
 
 
+@pytest.mark.parametrize("base", [e.monoid for e in census_monoids(3)]
+                         + [FiniteMonoid([[2, 0, 1], [0, 1, 2], [1, 2, 0]])],
+                         ids=lambda m: m.name)
+def test_index_of_is_the_position_in_masks(base):
+    # every census base of order <= 3, and Z3 with its identity at 1
+    pm = reduced_power_monoid(base)
+    n, e = base.n, base.identity
+    assert [pm.index_of(mask) for mask in pm.masks] == list(range(len(pm)))
+    for x in range(n):
+        assert pm.pair_index(x) == pm.masks.index((1 << e) | (1 << x))
+    carrier = set(pm.masks)
+    for mask in range(1 << (n + 1)):
+        if mask not in carrier:
+            with pytest.raises(ValueError, match="is not a carrier element"):
+                pm.index_of(mask)
+
+
 def test_size_limit():
     # every power monoid is materialized, so bases above the limit raise at construction
     assert MATERIALIZE_LIMIT == 10
@@ -251,9 +268,9 @@ def test_bases_keep_bytes_tables():
 
 
 def test_kept_carrier_memory(zoo):
-    # a kept P(Q8) holds its 128^2 cells once as bytes and once as row
-    # slices: about 45 KiB with its masks, where 8-byte pointers would
-    # take 128 KiB per copy of the table
+    # a kept P(Q8) holds its 128^2 cells once, as bytes: about 19 KiB with
+    # its masks, where 8-byte pointers would take 128 KiB; row slices or a
+    # mask -> index dict kept beside them would take about 45 KiB
     q8 = zoo["q8"]
     reduced_power_monoid(q8)        # imports and first-call caches
     gc.collect()
@@ -266,7 +283,8 @@ def test_kept_carrier_memory(zoo):
     finally:
         tracemalloc.stop()
     assert pm.carrier.n == 128
-    assert kept < 64 * 1024, kept
+    assert "table" not in vars(pm.carrier) and not hasattr(pm, "index")
+    assert kept < 32 * 1024, kept
 
 
 def test_group_carriers_build_without_numpy():

@@ -467,12 +467,10 @@ def test_pullback_facts_match_oracles(monkeypatch):
 # --- every check name that verify all writes can fail ----------------------
 
 def _unvalidated(m, rows, name):
-    """A copy of m whose one table is rows, as flat and as its row slices,
-    which FiniteMonoid would not accept."""
+    """A copy of m whose flat table is rows, which FiniteMonoid would not
+    accept; its table property and every reader slice that one buffer."""
     m = copy.copy(m)
-    n = len(rows)
     m.flat = bytes(itertools.chain.from_iterable(rows))
-    m.table = tuple(m.flat[a * n:a * n + n] for a in range(n))
     m.name = name
     return m
 
