@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Pin the order-6 report bodies of the census suites, with time and peak memory.
+"""Pin the order-6 report bodies of the census runs, with time and peak memory.
 
 Usage:
-    python benchmarks/order6.py [RUN ...]      RUN: lemma21 lemma22 lemma31 thm32 (default: all)
+    python benchmarks/order6.py [RUN ...]
+        RUN: lemma21 lemma22 lemma31 thm32 experiment (default: all)
 
-Each RUN is `powmon verify RUN --max-order 6`, made in a child process of
-its own that raises census.ENUMERATION_LIMIT to 6 in that process only.
+Each suite RUN is `powmon verify RUN --max-order 6`, and `experiment` is
+`powmon experiment monoids --max-order 6` (3 151 305 pairs).  Each is made
+in a child process of its own that raises census.ENUMERATION_LIMIT to 6 in
+that process only.
 stdout goes to a sink that hashes the report body and keeps nothing.  The
 body is every line, with its newline, but the `# generated:` and
 `# config:` header lines, as in tests/test_cli.py::test_report_body_digest.
 For each run this prints the body's sha256, the wall time and the child's
 peak resident memory (VmHWM), and exits 1 when a digest differs from its
 pin, a run exits non-zero, or a peak exceeds its bound.  It is not part of
-the test suite: thm32 alone takes minutes.
+the test suite: thm32 alone takes minutes.  The experiment keeps all its
+records until the summary is written, so its peak grows with the pair
+count; its bound is the peak of that design.
 """
 
 import contextlib
@@ -29,15 +34,23 @@ PINS = {
     "lemma22": ("597aaeeaea1e52a44fb72b1ff0a4227f994cf5d80085d6a4bc04588e9da8dedf", 64),
     "lemma31": ("1d6739cbfb829e90b4d3f3668f4413ff01f8eafa2b8719e83a3b93a2464d0dc4", 64),
     "thm32": ("83b00affa8680234c851379a7798b1c590be08a06c9bfb6bea3ba2f88a0d7abf", 96),
+    "experiment": ("8871ff425c3dadbdd5e61186b5d482013453e3f917cc5b6627e2fc4ea50b303e", 1200),
 }
 
 SKIPPED = ("# generated:", "# config:")
 
 
+def argv_of(run):
+    """The powmon arguments of a run."""
+    if run == "experiment":
+        return ["experiment", "monoids", "--max-order", "6"]
+    return ["verify", run, "--max-order", "6"]
+
+
 class BodyHash:
     """A text stream that hashes the report body line by line; it keeps
-    only the unfinished line, since print writes a line and its newline
-    in two calls."""
+    only the unfinished line, since a writer may split a line over
+    several writes."""
 
     def __init__(self):
         self.sha = hashlib.sha256()
@@ -79,7 +92,7 @@ def child(run):
 
     census.ENUMERATION_LIMIT = 6
     t0 = time.perf_counter()
-    code, digest = body_digest(["verify", run, "--max-order", "6"])
+    code, digest = body_digest(argv_of(run))
     wall = time.perf_counter() - t0
     print(json.dumps({"code": code, "digest": digest, "wall_s": wall, "peak_mb": peak_rss_mb()}))
 

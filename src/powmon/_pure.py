@@ -25,12 +25,17 @@ def pack_table(cells, n):
     """The n*n cells of an n-element table, row-major, as bytes up to 256
     elements and as array('H') above; a table already of that type is
     returned as it is.  Every cell must lie in [0, n)."""
-    # list(): bytes() and array() of another buffer would copy its raw memory
     if n <= 256:
-        return cells if isinstance(cells, bytes) else bytes(list(cells))
+        return cells if isinstance(cells, bytes) else bytes(_listed(cells))
     if isinstance(cells, array) and cells.typecode == "H":
         return cells
-    return array("H", list(cells))
+    return array("H", _listed(cells))
+
+
+def _listed(cells):
+    """cells as a list, copied only if it is not one: bytes() and array()
+    of another buffer would copy its raw memory."""
+    return cells if isinstance(cells, list) else list(cells)
 
 
 def assoc_witness(table, n):

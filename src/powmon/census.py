@@ -13,8 +13,8 @@ from types import MappingProxyType
 
 from . import kernels
 from .errors import SearchBudgetExceeded, SizeLimitExceeded
-from .iso import (DEFAULT_BUDGET, Coloring, enumerate_isomorphisms, find_isomorphism,
-                  invariants_of)
+from .iso import (DEFAULT_BUDGET, Coloring, IsoWitness, enumerate_isomorphisms,
+                  find_isomorphism, invariants_of)
 from .monoid import FiniteMonoid, parse_monoid_spec
 from .powerset import reduced_power_monoid
 from .verify import (CheckResult, cardinality_profile, check_two_to_two, extract_pullback,
@@ -283,11 +283,12 @@ class ExperimentRecord(namedtuple("ExperimentRecord", "pair names base_iso power
     HEADER = "pair\tH\tK\tbase_iso\tpower_iso\tpullback_ok\tcardinality_preserving"
 
     def line(self):
-        fmt = lambda v: "-" if v is None else (str(v).lower() if isinstance(v, bool) else str(v))
-        return "\t".join((
-            f"{self.pair[0]}:{self.pair[1]}", self.names[0], self.names[1],
-            self.base_iso, self.power_iso, fmt(self.pullback_ok),
-            fmt(self.cardinality_preserving)))
+        (i, j), (h, k), base_iso, power_iso, pullback_ok, preserving = self
+        return (f"{i}:{j}\t{h}\t{k}\t{base_iso}\t{power_iso}\t"
+                f"{_FLAG[pullback_ok]}\t{_FLAG[preserving]}")
+
+
+_FLAG = {None: "-", True: "true", False: "false"}
 
 
 class ExperimentSummary(namedtuple("ExperimentSummary", "mode records biconditional_holds exceptions "
@@ -323,13 +324,97 @@ class ExperimentSummary(namedtuple("ExperimentSummary", "mode records biconditio
                 *("# " + line for line in out)]
 
 
-def _experiment_pair(i, j, pm_h, pm_k, budget, bases, carriers):
-    base_iso = base_iso_status(pm_h.base, pm_k.base, budget, bases)
-    res = power_isomorphism(pm_h, pm_k, budget, carriers)
-    power_iso = {"iso": "yes", "absent": "no", "budget-exceeded": "budget-exceeded"}[res.status]
+class _Classes(namedtuple("_Classes", "of onto unresolved")):
+    """A batch sorted into isomorphism classes by _classify: of[i] is the
+    class of monoid i, onto[i] the map of a validated IsoWitness from it
+    onto its class's representative (None on the representative), and
+    unresolved holds the pairs of classes, in both orders, that a budget
+    hit left unseparated."""
+    __slots__ = ()
+
+    def status(self, i, j):
+        """"yes", "no" or "budget-exceeded" for monoids i and j of the batch."""
+        a, b = self.of[i], self.of[j]
+        if a == b:
+            return "yes"
+        return "budget-exceeded" if self.unresolved and (a, b) in self.unresolved else "no"
+
+    def composed(self, i, j, n):
+        """The map w_j^-1 o w_i from monoid i onto monoid j of its class,
+        w_i and w_j their maps onto the representative; n is their order."""
+        if i == j:
+            return range(n)
+        wi, wj = self.onto[i], self.onto[j]
+        if wj is None:
+            return wi
+        back = [0] * n
+        for a, b in enumerate(wj):
+            back[b] = a
+        return back if wi is None else [back[b] for b in wi]
+
+
+def _classify(monoids, budget):
+    """Sort a batch into isomorphism classes, searching each monoid only
+    against the representatives of the same Coloring.class_key.
+
+    The monoids are taken in order.  Each is searched against the earlier
+    representatives of its key until one search finds a witness; it then
+    joins that class and keeps the witness.  Otherwise it becomes the
+    representative of a new class, without a search when no
+    representative shares its key, so a monoid alone in its bucket is
+    never refined.  A search that hits the budget leaves the pair of
+    classes of the monoid and that representative unresolved.
+
+    Two monoids of different classes are non-isomorphic unless their
+    classes are unresolved.  Let i ~ a and j ~ b, for representatives a
+    and b of different classes.  If a and b have different keys, their
+    colors prove a and b non-isomorphic.  Otherwise the later of them, say
+    a, was searched against b before it became a representative: the
+    search either exhausted without a witness, a proof that a and b are
+    non-isomorphic, or hit the budget and left the two classes
+    unresolved.  An isomorphism i -> j would give one a -> b through the
+    validated witnesses, so none exists.
+    """
+    coloring = Coloring(monoids)
+    reps = {}       # class key -> [(class, representative)]
+    of, onto, unresolved = [], [], set()
+    classes = 0
+    for m in monoids:
+        candidates = reps.setdefault(coloring.class_key(m), [])
+        cls = witness = None
+        hits = []
+        for c, rep in candidates:
+            try:
+                witness = find_isomorphism(m, rep, budget, coloring)
+            except SearchBudgetExceeded:
+                hits.append(c)
+                continue
+            if witness is not None:
+                cls = c
+                break
+        if cls is None:
+            cls, classes = classes, classes + 1
+            candidates.append((cls, m))
+        of.append(cls)
+        onto.append(witness and witness.map)
+        unresolved.update(pair for c in hits for pair in ((c, cls), (cls, c)))
+    return _Classes(of, onto, unresolved)
+
+
+def _experiment_pair(i, j, pm_h, pm_k, bases, carriers):
+    """The record of census pair (i, j), read from the _classify classes of
+    the bases and of the carriers.  An in-class carrier pair gets the
+    composed witness, validated by IsoWitness, and power_iso_facts decides
+    its facts."""
+    res = None
+    power_iso = carriers.status(i, j)
+    if power_iso == "yes":
+        n = len(pm_h)
+        res = power_iso_facts(pm_h, pm_k, IsoWitness(pm_h.carrier, pm_k.carrier,
+                                                     carriers.composed(i, j, n)))
     return ExperimentRecord(
-        (i, j), (pm_h.base.name, pm_k.base.name), base_iso, power_iso,
-        None if res.status != "iso" else not res.failed, res.cardinality_preserving)
+        (i, j), (pm_h.base.name, pm_k.base.name), bases.status(i, j), power_iso,
+        None if res is None else not res.failed, res and res.cardinality_preserving)
 
 
 # --jobs and run_experiment's jobs= accept only 1; they remain because
@@ -344,17 +429,32 @@ def run_experiment(entries, mode="groups", budget=DEFAULT_BUDGET, jobs=1):
     """Decide base and power isomorphism for every unordered census pair.
 
     Returns (records, summary), the records in pair order.  Each entry's
-    reduced power monoid is built once, and the bases and the carriers are
-    each refined once as one batch.  Budget-exceeded pairs are reported
-    and, as in every verify sweep, are failures.  jobs must be 1
+    reduced power monoid is built once.  Isomorphism is an equivalence,
+    so the bases and the carriers are each sorted into classes once
+    (_classify), and every pair is read from its classes:
+
+    - a pair in one class is "yes"; a self-pair needs no search;
+    - an in-class carrier pair gets the composed map w_j^-1 o w_i of the
+      two validated witnesses onto the class representative, re-validated
+      by IsoWitness, and power_iso_facts decides its facts;
+    - a pair in two classes is "no": _classify proves the classes distinct
+      by colors or by an exhausted search against a representative,
+      through the validated witnesses;
+    - a pair in two classes that a budget hit left unresolved is
+      "budget-exceeded", never "no", and, as in every verify sweep, a
+      failure.
+
+    A hit leaves every pair between the two classes unresolved, even
+    where a per-pair search would have decided some.  Self-pairs never hit
+    the budget.  Entries' canonical keys are not read.  jobs must be 1
     (check_jobs).
     """
     check_jobs(jobs)
     monoids = [e.monoid for e in entries]
     pms = [reduced_power_monoid(m) for m in monoids]
-    bases = Coloring(monoids)
-    carriers = Coloring(pm.carrier for pm in pms)
-    records = [_experiment_pair(i, j, pms[i], pms[j], budget, bases, carriers)
+    bases = _classify(monoids, budget)
+    carriers = _classify([pm.carrier for pm in pms], budget)
+    records = [_experiment_pair(i, j, pms[i], pms[j], bases, carriers)
                for i in range(len(pms)) for j in range(i, len(pms))]
     hit = {r.pair for r in records if "budget-exceeded" in (r.base_iso, r.power_iso)}
     exceptions = [r for r in records if r.pair not in hit and r.base_iso != r.power_iso]

@@ -43,8 +43,8 @@ class Report:
         if self.fh is None:
             self.fh = open(self.out, "w") if self.out else sys.stdout
             for head in self.header:
-                print(head, file=self.fh)
-        print(line, file=self.fh)
+                self.fh.write(head + "\n")
+        self.fh.write(line + "\n")
 
     def __enter__(self):
         return self

@@ -30,25 +30,15 @@ class IsoWitness:
 
     The map is re-validated on construction, independently of whatever
     search produced it: bijection, identity to identity, and
-    map[a*b] == map[a]*map[b] for all pairs.
+    map[a*b] == map[a]*map[b] for all pairs.  The identity map of a monoid
+    onto itself satisfies all three by definition, so it is recognised by
+    comparing the map with range(n), without the product check.
     """
 
     def __init__(self, source, target, mapping):
         mapping = tuple(mapping)
-        n = source.n
-        if target.n != n or len(mapping) != n:
-            raise ValueError("witness size mismatch")
-        if sorted(mapping) != list(range(n)):
-            raise ValueError("witness map is not a bijection")
-        if mapping[source.identity] != target.identity:
-            raise ValueError("witness does not map identity to identity")
-        sf, tf = source.flat, target.flat
-        for a in range(n):
-            ma = mapping[a]
-            t_row = tf[ma * n:ma * n + n]
-            for b, ab in enumerate(sf[a * n:a * n + n]):
-                if mapping[ab] != t_row[mapping[b]]:
-                    raise ValueError(f"witness is not a homomorphism at ({a}, {b})")
+        if source is not target or mapping != tuple(range(source.n)):
+            _check_isomorphism(source, target, mapping)
         self.source = source
         self.target = target
         self.map = mapping
@@ -61,6 +51,24 @@ class IsoWitness:
 
     def __repr__(self):
         return f"IsoWitness({self.source.name} -> {self.target.name}, {self.map})"
+
+
+def _check_isomorphism(source, target, mapping):
+    """Raise ValueError unless mapping is an isomorphism source -> target."""
+    n = source.n
+    if target.n != n or len(mapping) != n:
+        raise ValueError("witness size mismatch")
+    if sorted(mapping) != list(range(n)):
+        raise ValueError("witness map is not a bijection")
+    if mapping[source.identity] != target.identity:
+        raise ValueError("witness does not map identity to identity")
+    sf, tf = source.flat, target.flat
+    for a in range(n):
+        ma = mapping[a]
+        t_row = tf[ma * n:ma * n + n]
+        for b, ab in enumerate(sf[a * n:a * n + n]):
+            if mapping[ab] != t_row[mapping[b]]:
+                raise ValueError(f"witness is not a homomorphism at ({a}, {b})")
 
 
 def element_invariants(m):
@@ -137,6 +145,11 @@ class Coloring:
     own table, and the bucket stops only once no class of any member
     splits.  Searching with its colors therefore gives the same verdicts,
     witnesses and node counts as refining the pair alone.
+
+    class_key(m) is the key census.run_experiment sorts a batch by: two
+    monoids with different keys are proven non-isomorphic, and only those
+    with equal keys need a search.  A monoid alone in its bucket is keyed
+    by the bucket, so its bucket is never refined.
     """
 
     def __init__(self, monoids):
@@ -163,6 +176,16 @@ class Coloring:
             return False
         self._refine(m1)
         return self._profiles[id(m1)] == self._profiles[id(m2)]
+
+    def class_key(self, m):
+        """A key equal for m1 and m2 iff may_be_isomorphic(m1, m2), comparable
+        within this Coloring only: m's bucket, and its profile when the
+        bucket has another member (refining the bucket then)."""
+        bucket = self._bucket[id(m)]
+        if len(bucket) == 1:
+            return id(bucket), None
+        self._refine(m)
+        return id(bucket), self._profiles[id(m)]
 
     def colors_of(self, m):
         self._refine(m)
@@ -195,8 +218,8 @@ def find_isomorphism(m1, m2, budget=DEFAULT_BUDGET, coloring=None):
     the identity and every element of a's color below a is taken: a's
     smallest free candidate of its own color is a itself.  Mapping a to a
     forces only x*y -> x*y, which never conflicts.  The search thus
-    returns the identity after at most n nodes, without backtracking.  The
-    witness is validated all the same.
+    returns the identity after at most n nodes, without backtracking.
+    IsoWitness recognises the identity map without a product check.
 
     Raises SearchBudgetExceeded if the node budget ran out first; callers
     needing certainty (census experiments) must treat that as unknown.

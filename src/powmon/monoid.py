@@ -152,7 +152,8 @@ class FiniteMonoid:
 
     def is_cancellative(self):
         """Whether m is a group: a cancellative a makes x -> ax injective on a
-        finite set, so onto, so ab = e for some b, and then ba = e (units)."""
+        finite set, so onto, so ab = e for some b, and then ba = e (units).
+        powmon itself reads is_group(); perfbench's census entries call this."""
         return self.is_group()
 
     def units(self):

@@ -372,8 +372,9 @@ def pullback_report(pb):
     elements only repeat earlier cases.
     """
     h, k, g = pb.source, pb.target, pb.map
-    groups = h.is_group() and k.is_group()   # a finite monoid cancels iff it is a group
-    hyp = {"target_cancellative": k.is_cancellative(), "both_cancellative": groups, "both_groups": groups}
+    k_group = k.is_group()          # a finite monoid cancels iff it is a group
+    groups = h.is_group() and k_group
+    hyp = {"target_cancellative": k_group, "both_cancellative": groups, "both_groups": groups}
     image = g.__getitem__
     cx = []
     for x in range(h.n):

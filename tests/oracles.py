@@ -3,7 +3,8 @@
 These deliberately avoid the library's bitmask kernels and search: sets of
 ints for subsets, permutation scans for isomorphisms, itertools product
 for table enumeration.  They stay independent of the code paths they
-check.
+check.  The exception is per_pair_records, which keeps the census
+experiment's per-pair decision as an oracle for its decision by classes.
 """
 
 import itertools
@@ -239,3 +240,28 @@ def brute_refine_colors(tables):
         if len(pool) == total:
             return colors
         total = len(pool)
+
+
+def per_pair_records(entries, budget):
+    """The census experiment's records decided pair by pair, as
+    census.ExperimentRecord: base_iso by census.base_iso_status and
+    power_iso with its facts by census.power_isomorphism, each pair
+    searched on its own with the batch's colorings."""
+    from powmon.census import ExperimentRecord, base_iso_status, power_isomorphism
+    from powmon.iso import Coloring
+    from powmon.powerset import reduced_power_monoid
+
+    pms = [reduced_power_monoid(e.monoid) for e in entries]
+    bases = Coloring(pm.base for pm in pms)
+    carriers = Coloring(pm.carrier for pm in pms)
+    out = []
+    for i in range(len(pms)):
+        for j in range(i, len(pms)):
+            res = power_isomorphism(pms[i], pms[j], budget, carriers)
+            iso = res.status == "iso"
+            out.append(ExperimentRecord(
+                (i, j), (pms[i].base.name, pms[j].base.name),
+                base_iso_status(pms[i].base, pms[j].base, budget, bases),
+                {"iso": "yes", "absent": "no"}.get(res.status, res.status),
+                not res.failed if iso else None, res.cardinality_preserving))
+    return out

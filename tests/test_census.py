@@ -9,13 +9,13 @@ from powmon.census import (CensusEntry, canonical_key, census_monoids,
                            enumerate_monoids, find_power_isomorphism,
                            groups_catalog, power_iso_facts, run_experiment)
 from powmon.errors import SizeLimitExceeded
-from powmon.iso import IsoWitness, element_invariants, find_isomorphism
-from powmon.monoid import FiniteMonoid, cyclic_group, idempotent_monoid2
+from powmon.iso import DEFAULT_BUDGET, IsoWitness, element_invariants, find_isomorphism
+from powmon.monoid import FiniteMonoid, cyclic_group, direct_product, idempotent_monoid2
 from powmon.powerset import PowerMonoid, reduced_power_monoid
 from powmon.suites import suite_section4, suite_thm32
 from powmon.verify import Pullback, pullback_report
 
-from oracles import brute_valid_tables
+from oracles import brute_valid_tables, per_pair_records
 
 EXPECTED_COUNTS = {1: 1, 2: 2, 3: 7, 4: 35, 5: 228}
 
@@ -338,20 +338,32 @@ def test_experiment_witnesses_revalidate(monkeypatch):
     # the records keep no witness: catch each result as the experiment decides it
     from powmon import census
     decided = []
-    decide = census.power_isomorphism
+    decide = census.power_iso_facts
 
     def recording(*args):
         decided.append(decide(*args))
         return decided[-1]
-    monkeypatch.setattr(census, "power_isomorphism", recording)
+    monkeypatch.setattr(census, "power_iso_facts", recording)
     records, _ = run_experiment(groups_catalog(4))
-    assert [r.power_iso == "yes" for r in records] == [res.status == "iso" for res in decided]
-    seen = 0
+    # one "iso" result per "yes" record, in pair order, whose verdicts it gives
+    assert [r.names for r in records if r.power_iso == "yes"] == \
+        [(res.pm_src.base.name, res.pm_dst.base.name) for res in decided]
+    assert [(r.pullback_ok, r.cardinality_preserving) for r in records if r.power_iso == "yes"] == \
+        [(not res.failed, res.cardinality_preserving) for res in decided]
     for res in decided:
-        if res.witness is not None:
-            IsoWitness(res.pm_src.carrier, res.pm_dst.carrier, res.witness.map)  # raises if invalid
-            seen += 1
-    assert seen >= 5
+        assert res.status == "iso"
+        IsoWitness(res.pm_src.carrier, res.pm_dst.carrier, res.witness.map)  # raises if invalid
+    assert len(decided) >= 5
+
+
+@pytest.mark.parametrize("entries", [lambda: census_monoids(4), lambda: groups_catalog(8)],
+                         ids=["census-4", "catalog-8"])
+def test_experiment_classes_match_per_pair_oracle(entries):
+    # deciding by classes and composed witnesses gives the records that a
+    # search per pair gives, facts included
+    entries = entries()
+    records, _ = run_experiment(entries, mode="monoids")
+    assert records == per_pair_records(entries, DEFAULT_BUDGET)
 
 
 def test_experiment_budget_exceeded_reported():
@@ -359,6 +371,51 @@ def test_experiment_budget_exceeded_reported():
     assert summary.budget_exceeded
     # an unexhausted search blocks the biconditional claim
     assert not summary.biconditional_holds
+
+
+def test_experiment_budget_hit_is_never_no():
+    # budget 10 stops classing the (cyclic 2 x cyclic 3) carrier against the
+    # cyclic 6 one: that pair is budget-exceeded and a failure, and every
+    # "no" is one that an exhausted per-pair search also reads
+    entries = groups_catalog(6)
+    records, summary = run_experiment(entries, budget=10)
+    oracle = per_pair_records(entries, DEFAULT_BUDGET)
+    hit = [r for r in records if "budget-exceeded" in (r.base_iso, r.power_iso)]
+    assert [r.names for r in hit] == [("cyclic 6", "(cyclic 2 x cyclic 3)")]
+    assert summary.budget_exceeded == hit and all(r in summary.failures for r in hit)
+    for r, want in zip(records, oracle):
+        for got, proven in ((r.base_iso, want.base_iso), (r.power_iso, want.power_iso)):
+            assert got != "no" or proven == "no", r
+    assert not summary.biconditional_holds
+
+
+def test_experiment_budget_hit_leaves_both_classes_unresolved(monkeypatch):
+    # three isomorphic groups; classing the second carrier against the first
+    # is made to hit the budget, so it founds a class of its own, and the
+    # third joins the first.  Both pairs across the two classes are then
+    # budget-exceeded, (1, 2) too, which a search of its own would decide
+    from powmon import census
+    from powmon.errors import SearchBudgetExceeded
+
+    entries = [CensusEntry(m, None, {"group": True})
+               for m in (cyclic_group(6), direct_product(cyclic_group(2), cyclic_group(3)),
+                         direct_product(cyclic_group(3), cyclic_group(2)))]
+    first, second = [f"reduced power({e.name})" for e in entries[:2]]
+    find_real = census.find_isomorphism
+
+    def find_hitting(m1, m2, *args, **kwargs):
+        if (m1.name, m2.name) == (second, first):
+            raise SearchBudgetExceeded(0)
+        return find_real(m1, m2, *args, **kwargs)
+
+    monkeypatch.setattr(census, "find_isomorphism", find_hitting)
+    records, summary = run_experiment(entries)
+    assert [(r.pair, r.base_iso, r.power_iso) for r in records] == [
+        ((0, 0), "yes", "yes"), ((0, 1), "yes", "budget-exceeded"), ((0, 2), "yes", "yes"),
+        ((1, 1), "yes", "yes"), ((1, 2), "yes", "budget-exceeded"), ((2, 2), "yes", "yes")]
+    assert [r.pair for r in summary.budget_exceeded] == [(0, 1), (1, 2)]
+    assert [r.pair for r in summary.failures] == [(0, 1), (1, 2)]
+    assert not summary.biconditional_holds and not summary.exceptions
 
 
 def test_thm32_budget_hit_is_failing_record():

@@ -373,12 +373,16 @@ def test_jobs_other_than_1_is_usage_error(tmp_path, capsys, argv):
 
 
 def test_experiment_budget_path(capsys):
-    # budget 1 stops the four self-pair searches: each is reported and, as
-    # an undecided pair, is a failure
-    code, out, err = run_cli(capsys, "experiment", "groups", "--max-order", "4",
-                             "--budget", "1")
+    # budget 10 stops the search of the (cyclic 2 x cyclic 3) carrier
+    # against the cyclic 6 one, which really searches: the pair is reported
+    # and, as an undecided pair, is a failure; self-pairs need no search
+    code, out, err = run_cli(capsys, "experiment", "groups", "--max-order", "6",
+                             "--budget", "10")
+    lines = out.splitlines()
     assert code == 1 and err == ""
-    assert "# budget-exceeded pairs: 4" in out.splitlines()
+    assert lines[lines.index("# budget-exceeded pairs: 1") + 1] == \
+        "#   budget-exceeded: cyclic 6 vs (cyclic 2 x cyclic 3)"
+    assert "6:8\tcyclic 6\t(cyclic 2 x cyclic 3)\tyes\tbudget-exceeded\t-\t-" in lines
 
 
 def test_verify_all_budget_hit_is_failure(capsys):
@@ -440,13 +444,16 @@ def test_thm32_corrupted_witness_is_a_fail_record(capsys, monkeypatch, corrupt, 
 
 
 def test_experiment_corrupted_witness_is_a_pullback_failure(capsys, monkeypatch):
-    find_real = census.find_isomorphism
+    # the composed witness the experiment hands to the facts is corrupted
+    # on the one 4-element carrier pair, cyclic 3 with itself
+    facts_real = census.power_iso_facts
 
-    def find_corrupted(src, dst, *args, **kwargs):
-        w = find_real(src, dst, *args, **kwargs)
-        return types.SimpleNamespace(map=tuple(_swap_1_3(list(w.map)))) if src.n == 4 else w
+    def facts_corrupted(pm_src, pm_dst, w):
+        if len(pm_src) == 4:
+            w = types.SimpleNamespace(map=tuple(_swap_1_3(list(w.map))))
+        return facts_real(pm_src, pm_dst, w)
 
-    monkeypatch.setattr(census, "find_isomorphism", find_corrupted)
+    monkeypatch.setattr(census, "power_iso_facts", facts_corrupted)
     code, out, err = run_cli(capsys, "experiment", "groups", "--max-order", "3")
     lines = out.splitlines()
     assert code == 1 and err == ""

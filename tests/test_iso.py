@@ -83,6 +83,22 @@ def test_witness_validation_rejects_corruption(zoo):
         IsoWitness(z6, zoo["d3"], [1, 0, 2, 3, 4, 5])  # identity not fixed
 
 
+def test_identity_witness_needs_no_product_check(zoo, monkeypatch):
+    # the identity of a monoid onto itself is recognised by its map alone;
+    # the identity between two objects, and any other map, is checked in full
+    from powmon import iso
+
+    checked = []
+    check = iso._check_isomorphism
+    monkeypatch.setattr(iso, "_check_isomorphism", lambda *args: checked.append(args) or check(*args))
+    z6 = zoo["z6"]
+    assert IsoWitness(z6, z6, range(6)).map == tuple(range(6)) and not checked
+    IsoWitness(z6, cyclic_group(6), range(6))
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        IsoWitness(z6, z6, [0, 2, 1, 3, 4, 5])
+    assert len(checked) == 2
+
+
 def test_witness_inverse_roundtrip(zoo):
     w = find_isomorphism(zoo["z6"], zoo["z2xz3"])
     inv = w.inverse()
