@@ -167,6 +167,21 @@ def test_catalog_limit():
         groups_catalog(9)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda specs: specs + ((4, "z2xz2", None),),
+     r"catalog entries klein and \(cyclic 2 x cyclic 2\) are isomorphic"),
+    (lambda specs: tuple((6, "z2xz3", "dihedral 3") if spec == "z2xz3" else (order, spec, control)
+                         for order, spec, control in specs),
+     r"control \(cyclic 2 x cyclic 3\) is not isomorphic to dihedral 3"),
+], ids=["duplicate-entry", "wrong-control"])
+def test_groups_catalog_integrity_errors(monkeypatch, edit, message):
+    from powmon import census
+
+    monkeypatch.setattr(census, "_CATALOG_SPECS", edit(census._CATALOG_SPECS))
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        groups_catalog.__wrapped__(8)
+
+
 def test_find_power_isomorphism_status(zoo):
     assert find_power_isomorphism(zoo["z2"], zoo["z2"]).status == "iso"
     assert find_power_isomorphism(zoo["z2"], zoo["idem2"]).status == "iso"
