@@ -17,7 +17,8 @@ peak resident memory (VmHWM), and exits 1 when a digest differs from its
 pin, a run exits non-zero, or a peak exceeds its bound.  It is not part of
 the test suite: thm32 alone takes minutes.  The experiment keeps all its
 records until the summary is written, so its peak grows with the pair
-count; its bound is the peak of that design.
+count; its bound is about 10 % above the peak of that design, 834 MB on
+either backend.
 """
 
 import contextlib
@@ -34,7 +35,7 @@ PINS = {
     "lemma22": ("597aaeeaea1e52a44fb72b1ff0a4227f994cf5d80085d6a4bc04588e9da8dedf", 64),
     "lemma31": ("1d6739cbfb829e90b4d3f3668f4413ff01f8eafa2b8719e83a3b93a2464d0dc4", 64),
     "thm32": ("83b00affa8680234c851379a7798b1c590be08a06c9bfb6bea3ba2f88a0d7abf", 96),
-    "experiment": ("8871ff425c3dadbdd5e61186b5d482013453e3f917cc5b6627e2fc4ea50b303e", 1200),
+    "experiment": ("8871ff425c3dadbdd5e61186b5d482013453e3f917cc5b6627e2fc4ea50b303e", 920),
 }
 
 SKIPPED = ("# generated:", "# config:")

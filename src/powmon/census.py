@@ -14,7 +14,7 @@ from types import MappingProxyType
 from . import kernels
 from .errors import SearchBudgetExceeded, SizeLimitExceeded
 from .iso import (DEFAULT_BUDGET, Coloring, IsoWitness, enumerate_isomorphisms,
-                  find_isomorphism, invariants_of)
+                  find_isomorphism, invariants_of, inverse_map)
 from .monoid import FiniteMonoid, parse_monoid_spec
 from .powerset import reduced_power_monoid
 from .verify import (CheckResult, cardinality_profile, check_two_to_two, extract_pullback,
@@ -40,9 +40,9 @@ def check_catalog_order(n):
 class CensusEntry(namedtuple("CensusEntry", "monoid canonical_key tags control_of",
                                defaults=(None,))):
     """A read-only census or catalog entry: the monoid, its canonical_key
-    (None for group catalog entries), its read-only tags (group,
-    commutative) and, on a deliberate isomorphic catalog duplicate,
-    control_of, the name of the entry it repeats.  There is no
+    (None for group catalog entries), its read-only tags (only "group",
+    which the experiments gate on) and, on a deliberate isomorphic catalog
+    duplicate, control_of, the name of the entry it repeats.  There is no
     cancellative tag: a finite monoid is cancellative iff it is a group
     (FiniteMonoid.is_cancellative), so "group" carries that bit."""
     __slots__ = ()
@@ -53,10 +53,7 @@ class CensusEntry(namedtuple("CensusEntry", "monoid canonical_key tags control_o
 
 
 def _tags(m):
-    return MappingProxyType({
-        "group": m.is_group(),
-        "commutative": m.is_commutative(),
-    })
+    return MappingProxyType({"group": m.is_group()})
 
 
 def canonical_key(m):
@@ -146,10 +143,11 @@ def groups_catalog(max_order):
 
     Entries tagged control_of are deliberate isomorphic duplicates (e.g.
     cyclic 2 x cyclic 3 alongside cyclic 6), kept so the experiments also
-    confirm the easy direction of the biconditional.  Non-control entries
-    are checked pairwise non-isomorphic and every control is checked
-    isomorphic to its target, by exhausted search or a mismatch of their
-    colors in one joint coloring of the catalog.
+    confirm the easy direction of the biconditional.  The catalog is
+    sorted into isomorphism classes by _classify: every non-control entry
+    must start a class of its own and every control must join its
+    target's class.  A pair of classes that a budget hit left unresolved
+    is an error too, never a pass.
     """
     check_catalog_order(max_order)
     out = []
@@ -158,18 +156,19 @@ def groups_catalog(max_order):
             continue
         m = parse_monoid_spec(spec)
         out.append(CensusEntry(m, None, _tags(m), control_of=control))
-    coloring = Coloring(e.monoid for e in out)
-    canon = [e for e in out if e.control_of is None]
-    for i in range(len(canon)):
-        for j in range(i + 1, len(canon)):
-            if find_isomorphism(canon[i].monoid, canon[j].monoid, coloring=coloring) is not None:
-                raise AssertionError(
-                    f"catalog entries {canon[i].name} and {canon[j].name} are isomorphic")
-    for e in out:
-        if e.control_of is not None:
-            target = next(c.monoid for c in canon if c.name == e.control_of)
-            if find_isomorphism(e.monoid, target, coloring=coloring) is None:
-                raise AssertionError(f"control {e.name} is not isomorphic to {e.control_of}")
+    classes = _classify([e.monoid for e in out], DEFAULT_BUDGET)
+    if classes.unresolved:
+        a, b = (out[classes.of.index(c)].name for c in min(classes.unresolved))
+        raise AssertionError(f"catalog entries {a} and {b} are unresolved: a search hit the budget")
+    first = {}      # class -> the name of its first non-control entry
+    for e, c in zip(out, classes.of):
+        if e.control_of is None:
+            if c in first:
+                raise AssertionError(f"catalog entries {first[c]} and {e.name} are isomorphic")
+            first[c] = e.name
+    for e, c in zip(out, classes.of):
+        if e.control_of is not None and first.get(c) != e.control_of:
+            raise AssertionError(f"control {e.name} is not isomorphic to {e.control_of}")
     return tuple(out)
 
 
@@ -303,25 +302,26 @@ class ExperimentSummary(namedtuple("ExperimentSummary", "mode records biconditio
         return len(self.records)
 
     def lines(self):
-        """The report body: the TSV header, the records, then the summary."""
-        out = [
-            f"mode: {self.mode}",
-            f"pairs: {self.pairs}",
-            f"power-iso-iff-base-iso: {'holds' if self.biconditional_holds else 'FAILS'}",
-            f"exceptions: {len(self.exceptions)}",
-        ]
-        out.extend(f"  exception: {r.names[0]} vs {r.names[1]} "
-                   f"(base_iso={r.base_iso}, power_iso={r.power_iso})"
-                   for r in self.exceptions)
-        out.append(f"budget-exceeded pairs: {len(self.budget_exceeded)}")
-        out.extend(f"  budget-exceeded: {r.names[0]} vs {r.names[1]}" for r in self.budget_exceeded)
-        out.append(f"pullback failures: {len(self.pullback_failures)}")
-        out.extend(f"  pullback failure: {r.names[0]} vs {r.names[1]}" for r in self.pullback_failures)
-        out.append("cardinality profile: all observed isomorphisms "
-                   + ("preserve |X| (asserted nowhere; the question is open)"
-                      if self.cardinality_always_preserved else "do NOT all preserve |X|"))
-        return [ExperimentRecord.HEADER, *(r.line() for r in self.records),
-                *("# " + line for line in out)]
+        """The report body, line by line: the TSV header, the records, then
+        the summary, each line made only when it is asked for."""
+        yield ExperimentRecord.HEADER
+        yield from map(ExperimentRecord.line, self.records)
+        yield f"# mode: {self.mode}"
+        yield f"# pairs: {self.pairs}"
+        yield f"# power-iso-iff-base-iso: {'holds' if self.biconditional_holds else 'FAILS'}"
+        yield f"# exceptions: {len(self.exceptions)}"
+        for r in self.exceptions:
+            yield (f"#   exception: {r.names[0]} vs {r.names[1]} "
+                   f"(base_iso={r.base_iso}, power_iso={r.power_iso})")
+        yield f"# budget-exceeded pairs: {len(self.budget_exceeded)}"
+        for r in self.budget_exceeded:
+            yield f"#   budget-exceeded: {r.names[0]} vs {r.names[1]}"
+        yield f"# pullback failures: {len(self.pullback_failures)}"
+        for r in self.pullback_failures:
+            yield f"#   pullback failure: {r.names[0]} vs {r.names[1]}"
+        yield ("# cardinality profile: all observed isomorphisms "
+               + ("preserve |X| (asserted nowhere; the question is open)"
+                  if self.cardinality_always_preserved else "do NOT all preserve |X|"))
 
 
 class _Classes(namedtuple("_Classes", "of onto unresolved")):
@@ -347,9 +347,7 @@ class _Classes(namedtuple("_Classes", "of onto unresolved")):
         wi, wj = self.onto[i], self.onto[j]
         if wj is None:
             return wi
-        back = [0] * n
-        for a, b in enumerate(wj):
-            back[b] = a
+        back = inverse_map(wj)
         return back if wi is None else [back[b] for b in wi]
 
 

@@ -7,8 +7,9 @@ start from per-element invariants (order, idempotency, row and column
 image sizes) and are refined by the coloring of row and column patterns,
 so most non-isomorphic pairs are rejected before any search.  A batch of
 monoids is split into buckets by order and invariant multiset, and each
-bucket is refined once, when a pair inside it first needs colors
-(Coloring); each pair is then decided from its slices of that coloring.
+bucket is refined once, when a member first needs colors (Coloring);
+each pair is then decided from its class keys and its slices of that
+coloring.
 
 "Proven absent" and "budget exceeded" are distinct outcomes: absence is
 only reported after an exhausted search (or an invariant mismatch, which
@@ -44,13 +45,18 @@ class IsoWitness:
         self.map = mapping
 
     def inverse(self):
-        inv = [0] * len(self.map)
-        for a, b in enumerate(self.map):
-            inv[b] = a
-        return IsoWitness(self.target, self.source, inv)
+        return IsoWitness(self.target, self.source, inverse_map(self.map))
 
     def __repr__(self):
         return f"IsoWitness({self.source.name} -> {self.target.name}, {self.map})"
+
+
+def inverse_map(mapping):
+    """The inverse of a bijection of 0..n-1, given as the list of its images."""
+    inv = [0] * len(mapping)
+    for a, b in enumerate(mapping):
+        inv[b] = a
+    return inv
 
 
 def _check_isomorphism(source, target, mapping):
@@ -134,8 +140,9 @@ class Coloring:
 
     The monoids are grouped into buckets by their order and the multiset
     of their element_invariants, the round-0 colors of refine_colors.  A
-    bucket is refined with refine_colors the first time a pair inside it
-    needs colors, so its color ids are comparable only within the bucket.
+    bucket is refined with refine_colors the first time a member needs
+    colors or, in a bucket of two or more, a class key, so its color ids
+    are comparable only within the bucket.
 
     Refinement only splits classes, so two monoids in different buckets
     have different final profiles (color multisets) and are proven
@@ -146,10 +153,11 @@ class Coloring:
     splits.  Searching with its colors therefore gives the same verdicts,
     witnesses and node counts as refining the pair alone.
 
-    class_key(m) is the key census.run_experiment sorts a batch by: two
-    monoids with different keys are proven non-isomorphic, and only those
-    with equal keys need a search.  A monoid alone in its bucket is keyed
-    by the bucket, so its bucket is never refined.
+    class_key(m) is the one color test: the search and census._classify
+    compare keys, two monoids with different keys are proven
+    non-isomorphic, and only those with equal keys need a search.  A
+    monoid alone in its bucket is keyed by the bucket, so its bucket is
+    never refined for a key.
     """
 
     def __init__(self, monoids):
@@ -170,17 +178,9 @@ class Coloring:
                 self._colors[id(b)] = colors
                 self._profiles[id(b)] = tuple(sorted(Counter(colors).items()))
 
-    def may_be_isomorphic(self, m1, m2):
-        """False if m1 and m2 are proven non-isomorphic by their colors."""
-        if self._bucket[id(m1)] is not self._bucket[id(m2)]:
-            return False
-        self._refine(m1)
-        return self._profiles[id(m1)] == self._profiles[id(m2)]
-
     def class_key(self, m):
-        """A key equal for m1 and m2 iff may_be_isomorphic(m1, m2), comparable
-        within this Coloring only: m's bucket, and its profile when the
-        bucket has another member (refining the bucket then)."""
+        """m's bucket, and its profile when the bucket has another member
+        (refining the bucket then); comparable within this Coloring only."""
         bucket = self._bucket[id(m)]
         if len(bucket) == 1:
             return id(bucket), None
@@ -193,11 +193,9 @@ class Coloring:
 
 
 def _search(m1, m2, budget, max_results, coloring):
-    if m1.n != m2.n:
-        return True, [], 0
     if coloring is None:
         coloring = Coloring([m1, m2])
-    if not coloring.may_be_isomorphic(m1, m2):
+    if coloring.class_key(m1) != coloring.class_key(m2):     # a bucket has one order
         return True, [], 0
     c1, c2 = coloring.colors_of(m1), coloring.colors_of(m2)
     sizes = Counter(c1)

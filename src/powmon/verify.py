@@ -275,22 +275,16 @@ def check_two_to_two(pm_src, pm_dst, witness):
                        "fail" if bad else "pass", "; ".join(bad))
 
 
-class Pullback:
-    """The bijection g: H -> K carried by a power-monoid isomorphism f.
+class Pullback(namedtuple("Pullback", "source target map")):
+    """The bijection g: H -> K carried by a power-monoid isomorphism f, its
+    map the tuple of images.
 
     g(x) is the unique non-identity element of f({1_H, x}); g(1_H) = 1_K.
     Only extract_pullback builds one, when its check passes.  A witness
     that fails two-to-two or extraction gets a fail record (exit status 1),
     never an exception (exit status 2); census.power_iso_facts decides both.
     """
-
-    def __init__(self, source, target, mapping):
-        self.source = source
-        self.target = target
-        self.map = tuple(mapping)
-
-    def __repr__(self):
-        return f"Pullback({self.source.name} -> {self.target.name}, {self.map})"
+    __slots__ = ()
 
 
 def extract_pullback(pm_src, pm_dst, witness):

@@ -182,6 +182,21 @@ def test_groups_catalog_integrity_errors(monkeypatch, edit, message):
         groups_catalog.__wrapped__(8)
 
 
+def test_groups_catalog_budget_hit_is_an_error(monkeypatch):
+    # classing (cyclic 2 x cyclic 3) against cyclic 6 hits the budget: the
+    # control is unresolved, not passed
+    from powmon import census
+    from powmon.errors import SearchBudgetExceeded
+
+    def find_hitting(m1, m2, *args, **kwargs):
+        raise SearchBudgetExceeded(0)
+
+    monkeypatch.setattr(census, "find_isomorphism", find_hitting)
+    with pytest.raises(AssertionError, match=r"^catalog entries cyclic 6 and \(cyclic 2 x cyclic 3\) "
+                                             r"are unresolved: a search hit the budget$"):
+        groups_catalog.__wrapped__(6)
+
+
 def test_find_power_isomorphism_status(zoo):
     assert find_power_isomorphism(zoo["z2"], zoo["z2"]).status == "iso"
     assert find_power_isomorphism(zoo["z2"], zoo["idem2"]).status == "iso"

@@ -480,6 +480,9 @@ def test_experiment_body_deterministic(capsys):
     # every census <= 5 carrier isomorphism and its Theorem 3.2 facts
     (("verify", "thm32", "--max-order", "5"),
      "305f6a7dec5cb7b4e840ee85219b31df6bc57ae21f98b8ffffe5ecf67970d81e"),
+    # every census <= 5 pair, read from the classes of the bases and carriers
+    (("experiment", "monoids", "--max-order", "5"),
+     "9d71e0008f66f51637b1b7cb96de016e63688722c41280ee33944dfae50aaee6"),
 ])
 def test_report_body_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)

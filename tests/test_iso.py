@@ -126,7 +126,7 @@ def test_batch_coloring_restricts_to_pairwise_refinement():
     bucket = {id(m): (m.n, sorted(element_invariants(m))) for m in monoids}
     for m1, m2 in combinations_with_replacement(monoids, 2):
         c1, c2 = refine_colors([m1, m2])
-        assert batch.may_be_isomorphic(m1, m2) == (Counter(c1) == Counter(c2))
+        assert (batch.class_key(m1) == batch.class_key(m2)) == (Counter(c1) == Counter(c2))
         if bucket[id(m1)] == bucket[id(m2)]:
             assert _same_partition(batch.colors_of(m1) + batch.colors_of(m2), c1 + c2)
 
