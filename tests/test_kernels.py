@@ -8,6 +8,7 @@ Enumeration is the exception: the pure kernel yields one table per
 isomorphism class and the compiled one every labelling, so the compiled
 output serves as a raw oracle for it."""
 
+import hashlib
 import os
 import random
 import re
@@ -254,8 +255,22 @@ def test_enumeration_is_pure_on_every_backend():
     assert kernels.enumerate_tables is _pure.enumerate_tables
 
 
+# sha256 of the tables of each order, each as bytes, joined in output order
+ENUMERATION_DIGESTS = {
+    5: "4594e031d8519763e6fd9d5c2108a39dfa8115c7cc7a1c25e2f1b641b5d5f8cf",
+    6: "a8ed91ed2b183dabcf611b09b57630666384738636b0dbc58423e4ed41ea60c2",
+}
+
+
 def test_enumerate_tables_order6_count():
-    assert len(kernels.enumerate_tables(6)) == 2237     # OEIS A058133
+    tables = {n: kernels.enumerate_tables(n) for n in ENUMERATION_DIGESTS}
+    assert len(tables[6]) == 2237     # OEIS A058133
+    for t in tables[6]:
+        assert t[:6] == t[::6] == (0, 1, 2, 3, 4, 5)     # identity row and column
+        assert _pure.assoc_witness(bytes(t), 6) == -1
+    for n, digest in ENUMERATION_DIGESTS.items():
+        joined = b"".join(bytes(t) for t in tables[n])
+        assert hashlib.sha256(joined).hexdigest() == digest, n
 
 
 def test_iso_search_parity_including_node_counts(core):
