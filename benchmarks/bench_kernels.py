@@ -10,7 +10,8 @@ compiled builder stops winning: the 228 order-5 census carriers of
 256-element rows sit at the largest table of the pure bytes pass of
 assoc_witness.  --full adds the order-10 cases (a 512-element carrier),
 where the pure assoc_witness takes the numpy pass (about 0.2 s on 2 vCPU)
-or, without numpy, the plain triple loop (about 8 s).
+or, without numpy, the plain triple loop (about 8 s).  The last rows time
+the census enumeration of orders 5 and 6, which has no compiled twin.
 """
 
 import argparse
@@ -108,6 +109,14 @@ def bench_cases(full):
     return cases
 
 
+def pure_cases():
+    """Kernels timed on the pure backend only: the compiled
+    enumerate_tables is unbound and lists every labelling, where the
+    pure one yields one table per isomorphism class."""
+    return [(f"enumerate_tables({n}), pure only", lambda k, n=n: k.enumerate_tables(n))
+            for n in (5, 6)]
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
@@ -126,6 +135,9 @@ def main():
             print(f"{name:<48} {tp * 1e3:>8.1f}ms {tc * 1e3:>8.1f}ms {tp / tc:>7.1f}x")
         else:
             print(f"{name:<48} {tp * 1e3:>8.1f}ms {'-':>10} {'-':>8}")
+    for name, fn in pure_cases():
+        tp = timed(lambda: fn(_pure), args.repeat)
+        print(f"{name:<48} {tp * 1e3:>8.1f}ms {'-':>10} {'-':>8}")
 
 
 if __name__ == "__main__":

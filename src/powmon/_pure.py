@@ -228,29 +228,125 @@ def iso_search(t1, t2, n, c1, c2, var_order, budget, max_results):
     return exhausted, results, nodes
 
 
+def _assign(t, n, pairs, where, trail, cell, value):
+    """Set a cell of the partial table t and every cell that associativity
+    then forces; False on a conflict.
+
+    t is flat with -1 for an unknown cell, and pairs[i] is divmod(i, n).
+    where[v] lists the assigned cells (x, y) holding v, and trail the flat
+    index of each assigned cell, in assignment order.  Each cell set here
+    is appended to both, also on a conflict, so that _undo can reset it.
+    The cells of the identity row and column are known and complete only
+    trivial triples, so they are in neither list.  Setting pq = v runs the four triple families that
+    cell completes: (pq)z = p(qz), (xp)q = x(pq), (xy)q = x(yq) with
+    xy = p, and p(xy) = (px)y with xy = q.  In each, a known side forces
+    an unknown other side to its value, and two known sides that differ
+    fail.  A forced cell that another force set first is skipped: it holds
+    the value it was forced to, since had it differed, its own families
+    would have met the triple that forced it and failed.
+    """
+    free = range(1, n)
+    stack = [(cell, value)]
+    while stack:
+        i, v = stack.pop()
+        if t[i] >= 0:
+            continue
+        t[i] = v
+        trail.append(i)
+        pq = pairs[i]
+        where[v].append(pq)
+        p, q = pq
+        pn = p * n
+        qn = q * n
+        vn = v * n
+        for z in free:              # (pq)z = p(qz)
+            qz = t[qn + z]
+            if qz >= 0:
+                a = vn + z
+                b = pn + qz
+                l = t[a]
+                r = t[b]
+                if l != r:
+                    if l < 0:
+                        stack.append((a, r))
+                    elif r < 0:
+                        stack.append((b, l))
+                    else:
+                        return False
+        for x in free:              # (xp)q = x(pq)
+            xn = x * n
+            xp = t[xn + p]
+            if xp >= 0:
+                a = xp * n + q
+                b = xn + v
+                l = t[a]
+                r = t[b]
+                if l != r:
+                    if l < 0:
+                        stack.append((a, r))
+                    elif r < 0:
+                        stack.append((b, l))
+                    else:
+                        return False
+        for x, y in where[p]:       # (xy)q = x(yq) with xy = p
+            yq = t[y * n + q]
+            if yq >= 0:
+                b = x * n + yq
+                r = t[b]
+                if r != v:
+                    if r < 0:
+                        stack.append((b, v))
+                    else:
+                        return False
+        for x, y in where[q]:       # p(xy) = (px)y with xy = q
+            px = t[pn + x]
+            if px >= 0:
+                a = px * n + y
+                l = t[a]
+                if l != v:
+                    if l < 0:
+                        stack.append((a, v))
+                    else:
+                        return False
+    return True
+
+
+def _undo(t, where, trail, mark):
+    """Reset the cells assigned since the trail held mark cells, newest
+    first, so each where[v] pops the cell it last gained."""
+    while len(trail) > mark:
+        i = trail.pop()
+        where[t[i]].pop()
+        t[i] = -1
+
+
 def enumerate_tables(n):
     """One Cayley table per isomorphism class of order-n monoids.
 
     The identity is fixed at 0 and the (n-1)^2 free cells are filled by
-    backtracking in growing-square order.  Every partial assignment is
-    pruned against the associativity triples it completes, and against
-    lex-leader symmetry breaking: for each relabelling sigma that fixes 0,
+    backtracking in growing-square order.  Assigning a cell also assigns
+    every cell that associativity then forces, to a fixpoint, and fails
+    the branch on a violated triple (_assign); one trail undoes both on
+    backtracking (_undo).  The search branches only on cells that are
+    still unknown when it reaches them.  Symmetry is broken by lex-leader
+    pruning: for each relabelling sigma that fixes 0,
     T^sigma[p][q] = sigma(T[sigma^-1 p][sigma^-1 q]) is compared with T cell
     by cell in cell order, and T is cut once the first cell where the two
-    differ (every earlier cell known and equal) is smaller in T^sigma.  So
-    each class yields exactly its least labelling in cell order, and the
-    tables come out as a list of flat tuples in increasing cell order.
-    The associativity pruning finds the known cells that hold a given
-    value through an index, where[v], instead of scanning all n*n cells.
+    differ (every earlier cell known and equal) is smaller in T^sigma.
+    T^sigma may read a later cell that forcing set; the cells before it
+    imply that value, so the cut holds for every completion.  So each
+    class yields exactly its least labelling in cell order, and the tables
+    come out as a list of flat tuples in increasing cell order.
     """
+    if n == 1:
+        return [(0,)]
     t = [-1] * (n * n)
     for i in range(n):
         t[i] = i
         t[i * n] = i
-    # where[v] lists the known cells (x, y) holding v: the identity row and
-    # column, and each assigned cell while it holds v
-    where = [[(0, v), (v, 0)] for v in range(n)]
-    where[0] = [(0, 0)]
+    pairs = [divmod(i, n) for i in range(n * n)]
+    where = [[] for _ in range(n)]
+    trail = []
 
     # complete the top-left (m+1)x(m+1) block before moving on
     cells = []
@@ -270,40 +366,6 @@ def enumerate_tables(n):
         for a, b in enumerate(sigma):
             inv[b] = a
         syms.append((tuple(inv[p] * n + inv[q] for p, q in cells), sigma, 0))
-
-    def consistent(p, q, v):
-        # check every triple whose last unknown cell was (p, q)
-        pn = p * n
-        qn = q * n
-        vn = v * n
-        for z in range(n):
-            vz = t[vn + z]
-            if vz >= 0:
-                qz = t[qn + z]
-                if qz >= 0:
-                    l = t[pn + qz]
-                    if l >= 0 and l != vz:
-                        return False
-        for x in range(n):
-            xp = t[x * n + p]
-            if xp >= 0:
-                l = t[xp * n + q]
-                r = t[x * n + v]
-                if l >= 0 and r >= 0 and l != r:
-                    return False
-        for x, y in where[p]:
-            yq = t[y * n + q]
-            if yq >= 0:
-                r = t[x * n + yq]
-                if r >= 0 and r != v:
-                    return False
-        for x, y in where[q]:
-            px = t[pn + x]
-            if px >= 0:
-                l = t[px * n + y]
-                if l >= 0 and l != v:
-                    return False
-        return True
 
     def leader(known, active):
         # advance each sigma over the known cells; None if one beats T
@@ -329,22 +391,21 @@ def enumerate_tables(n):
     last = len(cells)
 
     def rec(d, active):
+        # cells before d are known, and cell d is not
         if d == last:
             out.append(tuple(t))
             return
-        p, q = cells[d]
-        idx = pos[d]
+        cell = pos[d]
+        mark = len(trail)
         for v in range(n):
-            t[idx] = v
-            where[v].append((p, q))
-            if consistent(p, q, v):
-                kept = leader(d + 1, active)
+            if _assign(t, n, pairs, where, trail, cell, v):
+                e = d + 1
+                while e < last and t[pos[e]] >= 0:
+                    e += 1
+                kept = leader(e, active)
                 if kept is not None:
-                    rec(d + 1, kept)
-            where[v].pop()
-        t[idx] = -1
+                    rec(e, kept)
+            _undo(t, where, trail, mark)
 
-    if n == 1:
-        return [(0,)]
     rec(0, syms)
     return out

@@ -1,14 +1,17 @@
 """Census of small monoids and groups, and the pairwise experiments.
 
-Monoids are enumerated up to isomorphism by pruned backtracking over
-Cayley tables with the identity fixed at index 0, one table per class,
-then named and ordered by a canonical key.  The group catalog is constructive (the classification of
-groups of order <= 8 is classical), with deliberate isomorphic duplicates
-kept as positive controls for the experiments.
+Monoids are enumerated up to isomorphism by backtracking over Cayley
+tables with the identity fixed at index 0: each assigned cell also
+assigns the cells associativity forces, and lex-leader pruning keeps one
+table per class (kernels.enumerate_tables).  Each is then named and
+ordered by a canonical key.  The group catalog is constructive (the
+classification of groups of order <= 8 is classical), with deliberate
+isomorphic duplicates kept as positive controls for the experiments.
 """
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import permutations, product
 from types import MappingProxyType
 
 from . import kernels
@@ -64,8 +67,6 @@ def canonical_key(m):
     that partition, and the key is the lexicographically smallest
     relabeled table.  Two monoids get equal keys iff they are isomorphic.
     """
-    from itertools import permutations, product
-
     n, flat = m.n, m.flat
     rows = [flat[a * n:a * n + n] for a in range(n)]
     vecs = invariants_of(m)

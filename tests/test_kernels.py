@@ -251,6 +251,58 @@ def test_enumerate_tables_increase_in_cell_order(n):
     assert all(p < q for p, q in zip(seqs, seqs[1:]))
 
 
+def _partial_table(n, known):
+    """An order-n partial table (-1 unknown) with the identity row and
+    column and the known {(x, y): v} cells, with where and trail as
+    _pure._assign keeps them."""
+    t = [-1] * (n * n)
+    for i in range(n):
+        t[i] = i
+        t[i * n] = i
+    where = [[] for _ in range(n)]
+    trail = []
+    for (x, y), v in known.items():
+        t[x * n + y] = v
+        where[v].append((x, y))
+        trail.append(x * n + y)
+    return t, where, trail
+
+
+# Per triple family of _pure._assign, on order 5: cells known beforehand,
+# the cell (x, y) of the triple's other side with the value that violates
+# the triple and the one that satisfies it, and the cell assigned with its
+# value.  No other family of the assigned cell meets a known triple, so
+# each family's conflict and forcing are seen alone.
+PAIRS5 = [divmod(i, 5) for i in range(25)]
+ASSIGN_FAMILIES = {
+    "(pq)z=p(qz)": ({(2, 4): 1, (3, 4): 2}, (1, 1), 4, 2, (1, 2), 3),
+    "(xp)q=x(pq)": ({(4, 1): 2, (2, 2): 1}, (4, 3), 4, 1, (1, 2), 3),
+    "(xy)q=x(yq)": ({(1, 2): 3, (2, 4): 1}, (1, 1), 2, 4, (3, 4), 4),
+    "p(xy)=(px)y": ({(2, 3): 4, (1, 2): 3}, (3, 3), 1, 2, (1, 4), 2),
+}
+
+
+@pytest.mark.parametrize("family", ASSIGN_FAMILIES)
+def test_assign_fails_forces_or_passes_each_triple_family(family):
+    known, (x, y), bad, good, (p, q), v = ASSIGN_FAMILIES[family]
+    for other, ok in ((bad, False), (good, True), (None, True)):
+        cells = dict(known) if other is None else {**known, (x, y): other}
+        t, where, trail = _partial_table(5, cells)
+        assert _pure._assign(t, 5, PAIRS5, where, trail, p * 5 + q, v) is ok, (family, other)
+        assert t[x * 5 + y] == (bad if other == bad else good)      # forced when unknown
+
+
+@pytest.mark.parametrize("family", ASSIGN_FAMILIES)
+def test_undo_resets_what_assign_set(family):
+    known, _, _, _, (p, q), v = ASSIGN_FAMILIES[family]
+    t, where, trail = _partial_table(5, known)
+    before = (list(t), [list(w) for w in where], list(trail))
+    assert _pure._assign(t, 5, PAIRS5, where, trail, p * 5 + q, v)
+    assert len(trail) > len(known) + 1          # a forced cell went on the trail
+    _pure._undo(t, where, trail, len(known))
+    assert (t, where, trail) == before
+
+
 def test_enumeration_is_pure_on_every_backend():
     assert kernels.enumerate_tables is _pure.enumerate_tables
 
