@@ -21,8 +21,8 @@ from .powerset import (PowerMonoid, augment, elements_of, format_subset,
                        mask_of, parse_subset, reduced_power_monoid,
                        setwise_product, subset_power)
 from .census import (CensusEntry, ExperimentRecord, canonical_key,
-                     census_monoids, enumerate_monoids, find_power_isomorphism,
-                     groups_catalog, run_experiment)
+                     census_monoids, enumerate_monoids, groups_catalog,
+                     power_isomorphism, run_experiment)
 from .verify import (CheckResult, MinimalRelation, Pullback, PullbackReport,
                      cardinality_profile, check_cross_relation,
                      check_minimal_relation, check_order_stabilization,

@@ -216,32 +216,15 @@ class PowerIsoResult(namedtuple("PowerIsoResult", "status witness pm_src pm_dst 
                            detail)
 
 
-def base_iso_status(h, k, budget=DEFAULT_BUDGET, coloring=None):
-    """Base-level status: "yes", "no" (absence proven) or "budget-exceeded";
-    coloring, if given, is a Coloring of a batch holding h and k."""
-    try:
-        return "no" if find_isomorphism(h, k, budget, coloring) is None else "yes"
-    except SearchBudgetExceeded:
-        return "budget-exceeded"
-
-
-def power_isomorphism(pm_src, pm_dst, budget=DEFAULT_BUDGET, coloring=None):
-    """Search carrier(pm_src) ~ carrier(pm_dst); absence requires an exhausted
-    search or a color mismatch, and a budget hit gives a "budget-exceeded"
-    result, which PowerIsoResult.record() fails.
-
-    coloring, if given, is a Coloring of a batch holding both carriers.
-    Subset cardinality is deliberately not used as a search invariant
-    (whether it is preserved is open); element order, idempotency and
-    divisibility profiles of the carriers are.
-    """
-    try:
-        w = find_isomorphism(pm_src.carrier, pm_dst.carrier, budget, coloring)
-    except SearchBudgetExceeded:
-        return PowerIsoResult("budget-exceeded", pm_src=pm_src, pm_dst=pm_dst)
-    if w is None:
-        return PowerIsoResult("absent", pm_src=pm_src, pm_dst=pm_dst)
-    return power_iso_facts(pm_src, pm_dst, w)
+def power_isomorphism(pm_src, pm_dst, budget=DEFAULT_BUDGET):
+    """power_pair of the two carriers classed as a batch of two: absence
+    requires an exhausted search or a color mismatch, and a budget hit
+    gives a "budget-exceeded" result, which PowerIsoResult.record() fails.
+    Subset cardinality is deliberately not a search invariant (whether it
+    is preserved is open); element order, idempotency and divisibility
+    profiles of the carriers are."""
+    pms = [pm_src, pm_dst]
+    return power_pair(_classify([pm.carrier for pm in pms], budget), pms, 0, 1)
 
 
 def power_iso_facts(pm_src, pm_dst, witness):
@@ -259,18 +242,32 @@ def power_iso_facts(pm_src, pm_dst, witness):
                           preserving)
 
 
-def power_isomorphisms(pm_src, pm_dst, budget=DEFAULT_BUDGET, coloring=None):
-    """The "iso" result of every carrier isomorphism, or one "budget-exceeded" result."""
+def power_pair(classes, pms, i, j):
+    """The PowerIsoResult of carriers i and j of a power_classes batch:
+    "absent" or "budget-exceeded" across two classes, else power_iso_facts
+    of the composed witness, re-validated by IsoWitness.  A self-pair is
+    its identity map, without a search."""
+    pm_src, pm_dst = pms[i], pms[j]
+    status = classes.status(i, j)
+    if status != "yes":
+        return PowerIsoResult("absent" if status == "no" else status, pm_src=pm_src, pm_dst=pm_dst)
+    witness = IsoWitness(pm_src.carrier, pm_dst.carrier, classes.composed(i, j))
+    return power_iso_facts(pm_src, pm_dst, witness)
+
+
+def power_isomorphisms(classes, pms, i, j, budget=DEFAULT_BUDGET):
+    """The "iso" result of every isomorphism from carrier i onto carrier j
+    of a power_classes batch, or one "budget-exceeded" result.  A pair
+    the classes prove non-isomorphic is not searched; the others are
+    listed with the classes' Coloring."""
+    pm_src, pm_dst = pms[i], pms[j]
+    if classes.status(i, j) == "no":
+        return []
     try:
-        witnesses = enumerate_isomorphisms(pm_src.carrier, pm_dst.carrier, budget, coloring)
+        witnesses = enumerate_isomorphisms(pm_src.carrier, pm_dst.carrier, budget, classes.coloring)
     except SearchBudgetExceeded:
         return [PowerIsoResult("budget-exceeded", pm_src=pm_src, pm_dst=pm_dst)]
     return [power_iso_facts(pm_src, pm_dst, w) for w in witnesses]
-
-
-def find_power_isomorphism(h, k, budget=DEFAULT_BUDGET):
-    """power_isomorphism between the reduced power monoids of h and k."""
-    return power_isomorphism(reduced_power_monoid(h), reduced_power_monoid(k), budget)
 
 
 class ExperimentRecord(namedtuple("ExperimentRecord", "pair names base_iso power_iso pullback_ok "
@@ -325,12 +322,12 @@ class ExperimentSummary(namedtuple("ExperimentSummary", "mode records biconditio
                   if self.cardinality_always_preserved else "do NOT all preserve |X|"))
 
 
-class _Classes(namedtuple("_Classes", "of onto unresolved")):
+class _Classes(namedtuple("_Classes", "of maps unresolved coloring")):
     """A batch sorted into isomorphism classes by _classify: of[i] is the
-    class of monoid i, onto[i] the map of a validated IsoWitness from it
-    onto its class's representative (None on the representative), and
+    class of monoid i, maps[i] the map of a validated IsoWitness from its
+    class's representative onto it (range(n) on the representative),
     unresolved holds the pairs of classes, in both orders, that a budget
-    hit left unseparated."""
+    hit left unseparated, and coloring is the batch's Coloring."""
     __slots__ = ()
 
     def status(self, i, j):
@@ -340,43 +337,45 @@ class _Classes(namedtuple("_Classes", "of onto unresolved")):
             return "yes"
         return "budget-exceeded" if self.unresolved and (a, b) in self.unresolved else "no"
 
-    def composed(self, i, j, n):
-        """The map w_j^-1 o w_i from monoid i onto monoid j of its class,
-        w_i and w_j their maps onto the representative; n is their order."""
-        if i == j:
-            return range(n)
-        wi, wj = self.onto[i], self.onto[j]
-        if wj is None:
-            return wi
-        back = inverse_map(wj)
-        return back if wi is None else [back[b] for b in wi]
+    def composed(self, i, j):
+        """The map f_j o f_i^-1 from monoid i onto monoid j of its class,
+        f_i and f_j their maps from the representative: the identity on a
+        self-pair, and f_j itself when i is the representative."""
+        fj = self.maps[j]
+        return [fj[a] for a in inverse_map(self.maps[i])]
 
 
 def _classify(monoids, budget):
     """Sort a batch into isomorphism classes, searching each monoid only
     against the representatives of the same Coloring.class_key.
 
-    The monoids are taken in order.  Each is searched against the earlier
-    representatives of its key until one search finds a witness; it then
-    joins that class and keeps the witness.  Otherwise it becomes the
-    representative of a new class, without a search when no
-    representative shares its key, so a monoid alone in its bucket is
-    never refined.  A search that hits the budget leaves the pair of
-    classes of the monoid and that representative unresolved.
+    The monoids are taken in order.  Each is searched from the earlier
+    representatives of its key until one search finds a witness
+    rep -> monoid; it then joins that class and keeps the witness.
+    Otherwise it becomes the representative of a new class, without a
+    search when no representative shares its key, so a monoid alone in
+    its bucket is never refined.  A search that hits the budget leaves the
+    pair of classes of the monoid and that representative unresolved.
 
     Two monoids of different classes are non-isomorphic unless their
     classes are unresolved.  Let i ~ a and j ~ b, for representatives a
     and b of different classes.  If a and b have different keys, their
     colors prove a and b non-isomorphic.  Otherwise the later of them, say
-    a, was searched against b before it became a representative: the
-    search either exhausted without a witness, a proof that a and b are
+    a, was searched from b before it became a representative: the search
+    either exhausted without a witness, a proof that b and a are
     non-isomorphic, or hit the budget and left the two classes
     unresolved.  An isomorphism i -> j would give one a -> b through the
     validated witnesses, so none exists.
+
+    The witnesses run from the representative, so composed(r, m) of a
+    representative r and a member m is find_isomorphism(r, m, budget,
+    coloring), the witness of a search of that pair alone.  A self-pair
+    gets the identity without a search, even under a budget below its
+    order, where find_isomorphism would search.
     """
     coloring = Coloring(monoids)
     reps = {}       # class key -> [(class, representative)]
-    of, onto, unresolved = [], [], set()
+    of, maps, unresolved = [], [], set()
     classes = 0
     for m in monoids:
         candidates = reps.setdefault(coloring.class_key(m), [])
@@ -384,7 +383,7 @@ def _classify(monoids, budget):
         hits = []
         for c, rep in candidates:
             try:
-                witness = find_isomorphism(m, rep, budget, coloring)
+                witness = find_isomorphism(rep, m, budget, coloring)
             except SearchBudgetExceeded:
                 hits.append(c)
                 continue
@@ -395,25 +394,27 @@ def _classify(monoids, budget):
             cls, classes = classes, classes + 1
             candidates.append((cls, m))
         of.append(cls)
-        onto.append(witness and witness.map)
+        maps.append(witness.map if witness else range(m.n))
         unresolved.update(pair for c in hits for pair in ((c, cls), (cls, c)))
-    return _Classes(of, onto, unresolved)
+    return _Classes(of, maps, unresolved, coloring)
 
 
-def _experiment_pair(i, j, pm_h, pm_k, bases, carriers):
+def power_classes(entries, budget):
+    """The entries' reduced power monoids, each built once, and the
+    _classify classes of their carriers."""
+    pms = [reduced_power_monoid(e.monoid) for e in entries]
+    return pms, _classify([pm.carrier for pm in pms], budget)
+
+
+def _experiment_pair(i, j, pms, bases, carriers):
     """The record of census pair (i, j), read from the _classify classes of
-    the bases and of the carriers.  An in-class carrier pair gets the
-    composed witness, validated by IsoWitness, and power_iso_facts decides
-    its facts."""
-    res = None
+    the bases and of the carriers; power_pair decides an in-class carrier
+    pair's facts."""
     power_iso = carriers.status(i, j)
-    if power_iso == "yes":
-        n = len(pm_h)
-        res = power_iso_facts(pm_h, pm_k, IsoWitness(pm_h.carrier, pm_k.carrier,
-                                                     carriers.composed(i, j, n)))
+    res = power_pair(carriers, pms, i, j) if power_iso == "yes" else None
     return ExperimentRecord(
-        (i, j), (pm_h.base.name, pm_k.base.name), bases.status(i, j), power_iso,
-        None if res is None else not res.failed, res and res.cardinality_preserving)
+        (i, j), (pms[i].base.name, pms[j].base.name), bases.status(i, j), power_iso,
+        res and not res.failed, res and res.cardinality_preserving)
 
 
 # --jobs and run_experiment's jobs= accept only 1; they remain because
@@ -433,12 +434,12 @@ def run_experiment(entries, mode="groups", budget=DEFAULT_BUDGET, jobs=1):
     (_classify), and every pair is read from its classes:
 
     - a pair in one class is "yes"; a self-pair needs no search;
-    - an in-class carrier pair gets the composed map w_j^-1 o w_i of the
-      two validated witnesses onto the class representative, re-validated
-      by IsoWitness, and power_iso_facts decides its facts;
+    - an in-class carrier pair gets the composed map f_j o f_i^-1 of the
+      two validated witnesses from the class representative, re-validated
+      by IsoWitness, and power_iso_facts decides its facts (power_pair);
     - a pair in two classes is "no": _classify proves the classes distinct
-      by colors or by an exhausted search against a representative,
-      through the validated witnesses;
+      by colors or by an exhausted search from a representative, through
+      the validated witnesses;
     - a pair in two classes that a budget hit left unresolved is
       "budget-exceeded", never "no", and, as in every verify sweep, a
       failure.
@@ -449,11 +450,9 @@ def run_experiment(entries, mode="groups", budget=DEFAULT_BUDGET, jobs=1):
     (check_jobs).
     """
     check_jobs(jobs)
-    monoids = [e.monoid for e in entries]
-    pms = [reduced_power_monoid(m) for m in monoids]
-    bases = _classify(monoids, budget)
-    carriers = _classify([pm.carrier for pm in pms], budget)
-    records = [_experiment_pair(i, j, pms[i], pms[j], bases, carriers)
+    pms, carriers = power_classes(entries, budget)
+    bases = _classify([pm.base for pm in pms], budget)
+    records = [_experiment_pair(i, j, pms, bases, carriers)
                for i in range(len(pms)) for j in range(i, len(pms))]
     hit = {r.pair for r in records if "budget-exceeded" in (r.base_iso, r.power_iso)}
     exceptions = [r for r in records if r.pair not in hit and r.base_iso != r.power_iso]

@@ -209,21 +209,18 @@ def find_isomorphism(m1, m2, budget=DEFAULT_BUDGET, coloring=None):
     coloring is a Coloring of a batch holding m1 and m2; without one, the
     pair is refined as a batch of two.
 
-    A self-pair (m1 is m2) within a budget of at least m1.n nodes gets the
-    identity, which is what the search would return.  Both sides have the
-    same colors, and the search visits the elements of one color in
-    increasing order.  So when it reaches a variable a, the map so far is
-    the identity and every element of a's color below a is taken: a's
-    smallest free candidate of its own color is a itself.  Mapping a to a
-    forces only x*y -> x*y, which never conflicts.  The search thus
-    returns the identity after at most n nodes, without backtracking.
-    IsoWitness recognises the identity map without a product check.
+    On a self-pair (m1 is m2) the search returns the identity after at
+    most n nodes.  Both sides have the same colors, and the search visits
+    the elements of one color in increasing order.  So when it reaches a
+    variable a, the map so far is the identity and every element of a's
+    color below a is taken: a's smallest free candidate of its own color
+    is a itself.  Mapping a to a forces only x*y -> x*y, which never
+    conflicts.  So the identity that census._classify gives a self-pair
+    without a search is the witness this search returns.
 
     Raises SearchBudgetExceeded if the node budget ran out first; callers
     needing certainty (census experiments) must treat that as unknown.
     """
-    if m1 is m2 and budget >= m1.n:
-        return IsoWitness(m1, m1, range(m1.n))
     exhausted, maps, nodes = _search(m1, m2, budget, 1, coloring)
     if maps:
         return IsoWitness(m1, m2, maps[0])

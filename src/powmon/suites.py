@@ -14,9 +14,9 @@ occurs, so the counterexamples themselves are regression-tested.
 from collections import Counter
 from itertools import combinations_with_replacement
 
-from .census import (base_iso_status, census_monoids, find_power_isomorphism, groups_catalog,
-                     power_iso_facts, power_isomorphism, power_isomorphisms, verdict)
-from .iso import DEFAULT_BUDGET, Coloring
+from .census import (_classify, census_monoids, groups_catalog, power_classes, power_iso_facts,
+                     power_isomorphism, power_isomorphisms, power_pair, verdict)
+from .iso import DEFAULT_BUDGET
 from .monoid import cyclic_group, cyclic_monoid, idempotent_monoid2, parse_monoid_spec
 from .powerset import format_subset, mask_of, parse_subset, reduced_power_monoid
 from .verify import (CheckResult, check_cross_relation, check_minimal_relation,
@@ -132,13 +132,6 @@ def suite_lemma31(max_order=4):
                           "pass" if ok else "fail", detail)
 
 
-def _power_pairs(entries):
-    """Unordered pairs (i <= j) of the entries' reduced power monoids, each
-    built once, and the joint coloring of their carriers."""
-    pms = [reduced_power_monoid(e.monoid) for e in entries]
-    return combinations_with_replacement(pms, 2), Coloring(pm.carrier for pm in pms)
-
-
 def _thm32_records(res, preserving):
     """The records of one PowerIsoResult: its checks when it found an
     isomorphism, none when absence was proven, else its failing record.
@@ -156,22 +149,26 @@ def suite_thm32(max_order=4, group_max=6, budget=DEFAULT_BUDGET):
     found between reduced power monoids: all of them over the census by
     exhaustive enumeration, one witness (and its inverse) per catalog pair.
 
+    Both halves class their carriers (power_classes).  The census half
+    lists every pair its classes do not prove non-isomorphic; the catalog
+    half reads each witness from them (power_pair), so a self-pair is
+    decided by its identity map, even under a budget below its order.
     Every extracted pullback also gets a full property report (its order
     preservation has no cancellativity hypothesis, hence the whole census);
     a search that hit its budget adds its failing record.  The cardinality
     note counts only the isomorphisms whose checks all passed.
     """
     preserving = Counter()
-    pairs, coloring = _power_pairs(census_monoids(max_order))
-    for pm_src, pm_dst in pairs:
-        for res in power_isomorphisms(pm_src, pm_dst, budget, coloring):
+    pms, classes = power_classes(census_monoids(max_order), budget)
+    for i, j in combinations_with_replacement(range(len(pms)), 2):
+        for res in power_isomorphisms(classes, pms, i, j, budget):
             yield from _thm32_records(res, preserving)
-    pairs, coloring = _power_pairs(_catalog_groups(group_max, include_controls=True))
-    for pm_src, pm_dst in pairs:
-        res = power_isomorphism(pm_src, pm_dst, budget, coloring)
+    pms, classes = power_classes(_catalog_groups(group_max, include_controls=True), budget)
+    for i, j in combinations_with_replacement(range(len(pms)), 2):
+        res = power_pair(classes, pms, i, j)
         yield from _thm32_records(res, preserving)
         if res.status == "iso":
-            yield from _thm32_records(power_iso_facts(pm_dst, pm_src, res.witness.inverse()),
+            yield from _thm32_records(power_iso_facts(pms[j], pms[i], res.witness.inverse()),
                                       preserving)
     return (f"cardinality profile: {preserving[True]}/{preserving.total()} observed isomorphisms "
             "preserve subset size (measured only; the question is open)",)
@@ -184,8 +181,8 @@ def analyze_pair(h, k, budget=DEFAULT_BUDGET):
     records, failing on a budget hit (census.verdict), plus, when a power
     isomorphism exists, its two-to-two record and the record that decides it.
     """
-    base = base_iso_status(h, k, budget)
-    res = find_power_isomorphism(h, k, budget)
+    base = _classify([h, k], budget).status(0, 1)
+    res = power_isomorphism(reduced_power_monoid(h), reduced_power_monoid(k), budget)
     results = [CheckResult("base_iso", res.subject, verdict(base), base),
                CheckResult("power_iso", res.subject, verdict(res.status), res.status)]
     if res.status == "iso":
@@ -197,14 +194,15 @@ def analyze_pair(h, k, budget=DEFAULT_BUDGET):
 def suite_section4(group_max=6, budget=DEFAULT_BUDGET):
     """Pullback property reports for power isomorphisms of group pairs.
 
-    Sweeps all unordered catalog pairs (controls included) and pins the
-    cyclic-2 versus idempotent-2 counterexample: its pullback preserves
-    orders but not squares, recorded as a finding since the pair is not
-    cancellative.
+    Reads all unordered catalog pairs (controls included) from their
+    carriers' classes (power_pair), so a self-pair is decided by its
+    identity map, even under a budget below its order.  Pins the cyclic-2
+    versus idempotent-2 counterexample: its pullback preserves orders but
+    not squares, recorded as a finding since the pair is not cancellative.
     """
-    pairs, coloring = _power_pairs(_catalog_groups(group_max, include_controls=True))
-    for pm_src, pm_dst in pairs:
-        yield power_isomorphism(pm_src, pm_dst, budget, coloring).record()
+    pms, classes = power_classes(_catalog_groups(group_max, include_controls=True), budget)
+    for i, j in combinations_with_replacement(range(len(pms)), 2):
+        yield power_pair(classes, pms, i, j).record()
     results, report = analyze_pair(cyclic_group(2), idempotent_monoid2(), budget)
     yield from results
     witness = next((cx for flag, cx in (report.counterexamples if report else [])

@@ -244,12 +244,23 @@ def brute_refine_colors(tables):
 
 def per_pair_records(entries, budget):
     """The census experiment's records decided pair by pair, as
-    census.ExperimentRecord: base_iso by census.base_iso_status and
-    power_iso with its facts by census.power_isomorphism, each pair
-    searched on its own with the batch's colorings."""
-    from powmon.census import ExperimentRecord, base_iso_status, power_isomorphism
-    from powmon.iso import Coloring
+    census.ExperimentRecord: each pair of bases and of carriers is searched
+    on its own by iso.find_isomorphism with the batch's colorings, a budget
+    hit reads "budget-exceeded", and census.power_iso_facts decides the
+    facts of a carrier witness.  Nothing here reads census._classify."""
+    from powmon.census import ExperimentRecord, power_iso_facts
+    from powmon.errors import SearchBudgetExceeded
+    from powmon.iso import Coloring, find_isomorphism
     from powmon.powerset import reduced_power_monoid
+
+    def search(m1, m2, coloring):
+        try:
+            return find_isomorphism(m1, m2, budget, coloring)
+        except SearchBudgetExceeded:
+            return "budget-exceeded"
+
+    def status(found):
+        return found if found == "budget-exceeded" else "no" if found is None else "yes"
 
     pms = [reduced_power_monoid(e.monoid) for e in entries]
     bases = Coloring(pm.base for pm in pms)
@@ -257,11 +268,10 @@ def per_pair_records(entries, budget):
     out = []
     for i in range(len(pms)):
         for j in range(i, len(pms)):
-            res = power_isomorphism(pms[i], pms[j], budget, carriers)
-            iso = res.status == "iso"
+            found = search(pms[i].carrier, pms[j].carrier, carriers)
+            res = power_iso_facts(pms[i], pms[j], found) if status(found) == "yes" else None
             out.append(ExperimentRecord(
                 (i, j), (pms[i].base.name, pms[j].base.name),
-                base_iso_status(pms[i].base, pms[j].base, budget, bases),
-                {"iso": "yes", "absent": "no"}.get(res.status, res.status),
-                not res.failed if iso else None, res.cardinality_preserving))
+                status(search(pms[i].base, pms[j].base, bases)), status(found),
+                None if res is None else not res.failed, res and res.cardinality_preserving))
     return out

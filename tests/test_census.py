@@ -6,8 +6,8 @@ from types import MappingProxyType, SimpleNamespace
 import pytest
 
 from powmon.census import (CensusEntry, canonical_key, census_monoids,
-                           enumerate_monoids, find_power_isomorphism,
-                           groups_catalog, power_iso_facts, run_experiment)
+                           enumerate_monoids, groups_catalog, power_classes,
+                           power_iso_facts, power_isomorphism, run_experiment)
 from powmon.errors import SizeLimitExceeded
 from powmon.iso import DEFAULT_BUDGET, IsoWitness, element_invariants, find_isomorphism
 from powmon.monoid import FiniteMonoid, cyclic_group, direct_product, idempotent_monoid2
@@ -197,16 +197,20 @@ def test_groups_catalog_budget_hit_is_an_error(monkeypatch):
         groups_catalog.__wrapped__(6)
 
 
-def test_find_power_isomorphism_status(zoo):
-    assert find_power_isomorphism(zoo["z2"], zoo["z2"]).status == "iso"
-    assert find_power_isomorphism(zoo["z2"], zoo["idem2"]).status == "iso"
-    assert find_power_isomorphism(zoo["z4"], zoo["klein"]).status == "absent"
-    res = find_power_isomorphism(zoo["z6"], zoo["z2xz3"], budget=1)
+def _power_isomorphism(zoo, h, k, budget=DEFAULT_BUDGET):
+    return power_isomorphism(reduced_power_monoid(zoo[h]), reduced_power_monoid(zoo[k]), budget)
+
+
+def test_power_isomorphism_status(zoo):
+    assert _power_isomorphism(zoo, "z2", "z2").status == "iso"
+    assert _power_isomorphism(zoo, "z2", "idem2").status == "iso"
+    assert _power_isomorphism(zoo, "z4", "klein").status == "absent"
+    res = _power_isomorphism(zoo, "z6", "z2xz3", budget=1)
     assert res.status == "budget-exceeded"
 
 
 def test_power_isomorphism_facts(zoo):
-    res = find_power_isomorphism(zoo["z2"], zoo["idem2"])
+    res = _power_isomorphism(zoo, "z2", "idem2")
     assert res.two_to_two.status == "pass"
     assert res.extraction.line() == "pullback_extraction\tcyclic 2 -> idem2\tpass\tg=(0, 1)"
     assert res.pullback.map == (0, 1)
@@ -214,7 +218,7 @@ def test_power_isomorphism_facts(zoo):
     assert res.report.holds("order_preserving") and not res.report.holds("power_compatible")
     assert res.cardinality_preserving is True
     assert res.subject == "cyclic 2 vs idem2"
-    res = find_power_isomorphism(zoo["z4"], zoo["klein"])
+    res = _power_isomorphism(zoo, "z4", "klein")
     assert (res.witness, res.two_to_two, res.extraction, res.pullback, res.report,
             res.cardinality_preserving) == (None,) * 6
     assert res.checks() == []
@@ -226,14 +230,14 @@ def test_failed_is_the_verdict_of_record(zoo):
     images = list(find_isomorphism(pm.carrier, pm.carrier).map)
     swapped = images[:1] + images[3:4] + images[2:3] + images[1:2]    # two-to-two fails
     merged = images[:2] + images[1:2] + images[3:]                     # not a bijection
-    iso = find_power_isomorphism(zoo["z4"], zoo["z4"])
+    iso = _power_isomorphism(zoo, "z4", "z4")
     # a pullback of z4 that is not a homomorphism, on gated (cancellative) bases
     gated = iso._replace(report=pullback_report(
         Pullback(zoo["z4"], zoo["z4"], (0, 2, 1, 3))))
     results = [iso,
-               find_power_isomorphism(zoo["z2"], zoo["idem2"]),       # findings only
-               find_power_isomorphism(zoo["z4"], zoo["klein"]),
-               find_power_isomorphism(zoo["z6"], zoo["z2xz3"], budget=1),
+               _power_isomorphism(zoo, "z2", "idem2"),       # findings only
+               _power_isomorphism(zoo, "z4", "klein"),
+               _power_isomorphism(zoo, "z6", "z2xz3", budget=1),
                power_iso_facts(pm, pm, SimpleNamespace(map=tuple(swapped))),
                power_iso_facts(pm, pm, SimpleNamespace(map=tuple(merged))),
                gated]
@@ -243,9 +247,11 @@ def test_failed_is_the_verdict_of_record(zoo):
 
 
 def test_power_isomorphism_needs_materialized_carriers():
-    # above MATERIALIZE_LIMIT no carrier is built, so the routine refuses the pair
+    # above MATERIALIZE_LIMIT no reduced power monoid is built, so the pair
+    # cannot reach the routine
     with pytest.raises(SizeLimitExceeded):
-        find_power_isomorphism(cyclic_group(11), cyclic_group(11))
+        power_isomorphism(reduced_power_monoid(cyclic_group(11)),
+                          reduced_power_monoid(cyclic_group(11)))
 
 
 def _count_power_monoids(monkeypatch):
@@ -396,6 +402,25 @@ def test_experiment_classes_match_per_pair_oracle(entries):
     assert records == per_pair_records(entries, DEFAULT_BUDGET)
 
 
+@pytest.mark.parametrize("entries", [lambda: census_monoids(4), lambda: groups_catalog(8)],
+                         ids=["census-4", "catalog-8"])
+def test_classes_give_a_member_its_representative_search_witness(entries):
+    # the classes keep each witness from the representative r onto the
+    # member m, so the pair (r, m) gets the map that searching it alone with
+    # the batch's coloring finds, and a pair sweep reads that very witness
+    pms, classes = power_classes(entries(), DEFAULT_BUDGET)
+    reps = {}
+    members = 0
+    for m, c in enumerate(classes.of):
+        r = reps.setdefault(c, m)
+        if r != m:
+            want = find_isomorphism(pms[r].carrier, pms[m].carrier, DEFAULT_BUDGET,
+                                    classes.coloring)
+            assert list(classes.composed(r, m)) == list(want.map), (r, m)
+            members += 1
+    assert members
+
+
 def test_experiment_budget_exceeded_reported():
     records, summary = run_experiment(groups_catalog(6), budget=10)
     assert summary.budget_exceeded
@@ -434,7 +459,7 @@ def test_experiment_budget_hit_leaves_both_classes_unresolved(monkeypatch):
     find_real = census.find_isomorphism
 
     def find_hitting(m1, m2, *args, **kwargs):
-        if (m1.name, m2.name) == (second, first):
+        if (m1.name, m2.name) == (first, second):
             raise SearchBudgetExceeded(0)
         return find_real(m1, m2, *args, **kwargs)
 

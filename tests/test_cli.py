@@ -401,6 +401,21 @@ def test_verify_pair_budget_hit_is_failure(capsys):
     assert code == 1 and err == ""
 
 
+def test_section4_self_pairs_need_no_search(capsys):
+    # a catalog self-pair is read from the carriers' classes, so its identity
+    # map decides it even under a budget below its order; the control pair
+    # still needs a search, which hits the budget and fails the run
+    code, out, err = run_cli(capsys, "verify", "section4", "--budget", "1")
+    records = [l.split("\t")[:4] for l in out.splitlines() if not l.startswith("#")]
+    names = [e.name for e in census.groups_catalog(6)]
+    assert [r[:3] for r in records if r[1] in {f"{n} -> {n}" for n in names}] == \
+        [["pullback_report", f"{n} -> {n}", "pass"] for n in names]
+    assert [r for r in records if r[0] == "power_iso_search" and r[2] == "fail"] == \
+        [["power_iso_search", "cyclic 6 vs (cyclic 2 x cyclic 3)", "fail",
+          "budget exceeded: absence unproven"]]
+    assert code == 1 and err == ""
+
+
 def _swap_1_3(images):
     # on a 4-element carrier this sends {0,1} to {0,1,2}: two-to-two fails
     images[1], images[3] = images[3], images[1]
