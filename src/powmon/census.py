@@ -9,6 +9,7 @@ classification of groups of order <= 8 is classical), with deliberate
 isomorphic duplicates kept as positive controls for the experiments.
 """
 
+import math
 from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations, product
@@ -17,8 +18,8 @@ from types import MappingProxyType
 from . import kernels
 from .errors import SearchBudgetExceeded, SizeLimitExceeded
 from .iso import (DEFAULT_BUDGET, Coloring, IsoWitness, enumerate_isomorphisms,
-                  find_isomorphism, invariants_of, inverse_map)
-from .monoid import FiniteMonoid, parse_monoid_spec
+                  find_isomorphism, invariants_of, inverse_map, search_order, table_invariants)
+from .monoid import FiniteMonoid, parse_monoid_spec, table_orders
 from .powerset import reduced_power_monoid
 from .verify import (CheckResult, cardinality_profile, check_two_to_two, extract_pullback,
                      pullback_report)
@@ -62,14 +63,22 @@ def _tags(m):
 def canonical_key(m):
     """Relabeling-invariant byte encoding of the Cayley table.
 
+    m is a FiniteMonoid, or the flat table of a monoid whose identity is
+    0, as kernels.enumerate_tables yields them; a table is read as it is,
+    without building or validating a FiniteMonoid of it.
+
     Elements are partitioned by invariant vectors (the identity's class is
     always first since only it has order 1); candidate relabelings respect
     that partition, and the key is the lexicographically smallest
     relabeled table.  Two monoids get equal keys iff they are isomorphic.
     """
-    n, flat = m.n, m.flat
+    if isinstance(m, FiniteMonoid):
+        n, flat, vecs = m.n, m.flat, invariants_of(m)
+    else:
+        flat = bytes(m)
+        n = math.isqrt(len(flat))
+        vecs = table_invariants(n, flat, table_orders(n, flat, 0))
     rows = [flat[a * n:a * n + n] for a in range(n)]
-    vecs = invariants_of(m)
     classes = {}
     for a in range(n):
         classes.setdefault(vecs[a], []).append(a)
@@ -91,13 +100,17 @@ def enumerate_monoids(n):
     """All monoids of order n up to isomorphism, sorted by canonical key.
 
     The result is cached, so it is immutable: a tuple of frozen entries.
+    Each enumerated table is keyed as it is, and only the keyed table,
+    key[1:], is built and validated: a relabeling preserves the identity
+    and associativity, so that validation certifies the enumerated table
+    too.
     """
     if n < 1:
         raise ValueError("order must be positive")
     check_census_order(n)
     keys = set()
     for flat in kernels.enumerate_tables(n):
-        key = canonical_key(FiniteMonoid(bytes(flat)))
+        key = canonical_key(flat)
         if key in keys:
             raise AssertionError(f"order-{n} enumeration yielded two tables of one class")
         keys.add(key)
@@ -255,19 +268,74 @@ def power_pair(classes, pms, i, j):
     return power_iso_facts(pm_src, pm_dst, witness)
 
 
-def power_isomorphisms(classes, pms, i, j, budget=DEFAULT_BUDGET):
-    """The "iso" result of every isomorphism from carrier i onto carrier j
-    of a power_classes batch, or one "budget-exceeded" result.  A pair
-    the classes prove non-isomorphic is not searched; the others are
-    listed with the classes' Coloring."""
-    pm_src, pm_dst = pms[i], pms[j]
-    if classes.status(i, j) == "no":
-        return []
-    try:
-        witnesses = enumerate_isomorphisms(pm_src.carrier, pm_dst.carrier, budget, classes.coloring)
-    except SearchBudgetExceeded:
-        return [PowerIsoResult("budget-exceeded", pm_src=pm_src, pm_dst=pm_dst)]
-    return [power_iso_facts(pm_src, pm_dst, w) for w in witnesses]
+def power_isomorphisms(classes, pms, budget=DEFAULT_BUDGET):
+    """The function (i, j) -> the "iso" result of every isomorphism from
+    carrier i onto carrier j of a power_classes batch, or one
+    "budget-exceeded" result.  A pair the classes prove non-isomorphic
+    gets no result, without a search.  Aut(P(rep)) of each class's
+    representative is listed once, with the classes' Coloring, when one
+    of its pairs first asks; an in-class pair (i, j) gets the maps
+    f_j o s o f_i^-1 for s in Aut(P(rep)), f_i and f_j the classes'
+    validated maps from rep onto i and j, each re-validated by
+    IsoWitness, and the representative's self-pair the listed maps as
+    they are.
+
+    These are the maps, in the order, of enumerate_isomorphisms(i, j,
+    budget, coloring) on the pair alone.  The maps: an isomorphism
+    composed of isomorphisms is one, so s -> f_j o s o f_i^-1 sends
+    Aut(P(rep)) into Iso(i, j); it is injective, as f_i and f_j are
+    bijections, and onto, as any p in Iso(i, j) is the image of
+    f_j^-1 o p o f_i.  The order: the search of (i, j) assigns carrier
+    i's elements in search_order of its colors and tries candidates in
+    increasing order, and a variable it does not branch on is forced by
+    the choices before it, so two maps it yields first differ at a
+    variable it branched on, the smaller image first.  It yields its maps
+    sorted by their images in that order, which is how the composed maps
+    are sorted.
+
+    A listing of Aut(P(rep)) that hits the budget leaves every in-class
+    pair of its class with one "budget-exceeded" result, even where a
+    listing of that pair alone would finish.  A pair across two classes
+    that a budget hit left unresolved has no composed maps, so it is
+    listed on its own.
+    """
+    reps = {}
+    for i, c in enumerate(classes.of):
+        reps.setdefault(c, i)
+    auts = {}       # class -> the IsoWitnesses of Aut(P(rep)), or None after a budget hit
+
+    def listed(m1, m2):
+        try:
+            return enumerate_isomorphisms(m1, m2, budget, classes.coloring)
+        except SearchBudgetExceeded:
+            return None
+
+    def composed(i, j):
+        c = classes.of[i]
+        if c not in auts:
+            rep = pms[reps[c]].carrier
+            auts[c] = listed(rep, rep)
+        if auts[c] is None or i == j == reps[c]:
+            return auts[c]
+        src, dst = pms[i].carrier, pms[j].carrier
+        inv, fj = inverse_map(classes.maps[i]), classes.maps[j]
+        order = search_order(classes.coloring.colors_of(src))
+        maps = sorted(([fj[s[x]] for x in inv] for s in (w.map for w in auts[c])),
+                      key=lambda mp: [mp[a] for a in order])
+        return [IsoWitness(src, dst, mp) for mp in maps]
+
+    def results(i, j):
+        pm_src, pm_dst = pms[i], pms[j]
+        status = classes.status(i, j)
+        if status == "no":
+            return []
+        witnesses = (composed(i, j) if status == "yes"
+                     else listed(pm_src.carrier, pm_dst.carrier))
+        if witnesses is None:
+            return [PowerIsoResult("budget-exceeded", pm_src=pm_src, pm_dst=pm_dst)]
+        return [power_iso_facts(pm_src, pm_dst, w) for w in witnesses]
+
+    return results
 
 
 class ExperimentRecord(namedtuple("ExperimentRecord", "pair names base_iso power_iso pullback_ok "
@@ -396,14 +464,25 @@ def _classify(monoids, budget):
         of.append(cls)
         maps.append(witness.map if witness else range(m.n))
         unresolved.update(pair for c in hits for pair in ((c, cls), (cls, c)))
-    return _Classes(of, maps, unresolved, coloring)
+    return _Classes(tuple(of), tuple(maps), frozenset(unresolved), coloring)
 
 
 def power_classes(entries, budget):
     """The entries' reduced power monoids, each built once, and the
     _classify classes of their carriers."""
-    pms = [reduced_power_monoid(e.monoid) for e in entries]
+    pms = tuple(reduced_power_monoid(e.monoid) for e in entries)
     return pms, _classify([pm.carrier for pm in pms], budget)
+
+
+@lru_cache(maxsize=None)
+def catalog_power_classes(max_order, budget):
+    """power_classes of groups_catalog(max_order), controls included.
+
+    The result is cached, as the catalog is: the sweeps that read catalog
+    pairs share one build and one classing of its carriers per process,
+    order and budget.
+    """
+    return power_classes(groups_catalog(max_order), budget)
 
 
 def _experiment_pair(i, j, pms, bases, carriers):
@@ -450,8 +529,11 @@ def run_experiment(entries, mode="groups", budget=DEFAULT_BUDGET, jobs=1):
     (check_jobs).
     """
     check_jobs(jobs)
+    # the records read neither batch's Coloring: each is let go as soon as
+    # its batch is classed, the carriers' before the bases are classed
     pms, carriers = power_classes(entries, budget)
-    bases = _classify([pm.base for pm in pms], budget)
+    carriers = carriers._replace(coloring=None)
+    bases = _classify([pm.base for pm in pms], budget)._replace(coloring=None)
     records = [_experiment_pair(i, j, pms, bases, carriers)
                for i in range(len(pms)) for j in range(i, len(pms))]
     hit = {r.pair for r in records if "budget-exceeded" in (r.base_iso, r.power_iso)}

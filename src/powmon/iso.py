@@ -83,10 +83,15 @@ def element_invariants(m):
     unit both equal |row image| == n (FiniteMonoid.is_cancellative), which
     rises with the third entry: listing them before it would give the same
     partition, colour ids, bucket keys and sorted class order."""
-    n, flat = m.n, m.flat
+    return table_invariants(m.n, m.flat, m.orders())
+
+
+def table_invariants(n, flat, orders):
+    """element_invariants of the monoid with flat table flat, read from
+    the table and its element orders alone, without a FiniteMonoid."""
     # flat[::n + 1] is the diagonal a*a, flat[a::n] column a
     return [(order, aa == a, len(set(flat[a * n:a * n + n])), len(set(flat[a::n])))
-            for a, (order, aa) in enumerate(zip(m.orders(), flat[::n + 1]))]
+            for a, (order, aa) in enumerate(zip(orders, flat[::n + 1]))]
 
 
 def invariants_of(m):
@@ -198,9 +203,17 @@ def _search(m1, m2, budget, max_results, coloring):
     if coloring.class_key(m1) != coloring.class_key(m2):     # a bucket has one order
         return True, [], 0
     c1, c2 = coloring.colors_of(m1), coloring.colors_of(m2)
-    sizes = Counter(c1)
-    var_order = sorted(range(m1.n), key=lambda a: (sizes[c1[a]], a))
-    return kernels.iso_search(m1.flat, m2.flat, m1.n, c1, c2, var_order, budget, max_results)
+    return kernels.iso_search(m1.flat, m2.flat, m1.n, c1, c2, search_order(c1), budget,
+                              max_results)
+
+
+def search_order(colors):
+    """The order in which the search assigns the elements of a monoid with
+    these colors: by the size of their color class, then by index.  The
+    search tries each element's candidates in increasing order, so it
+    yields its maps sorted by their images taken in this order."""
+    sizes = Counter(colors)
+    return sorted(range(len(colors)), key=lambda a: (sizes[colors[a]], a))
 
 
 def find_isomorphism(m1, m2, budget=DEFAULT_BUDGET, coloring=None):

@@ -44,6 +44,12 @@ def cycle_term(cycle, k):
     return terms[k]
 
 
+def table_orders(n, flat, identity):
+    """Every element's order in the flat table of a monoid with this identity."""
+    # flat[a::n] is column a: x -> x*a
+    return tuple(len(eventual_cycle(identity, flat[a::n].__getitem__)[0]) for a in range(n))
+
+
 def check_order(n):
     """Raise SizeLimitExceeded when n > ORDER_LIMIT; call before building from input."""
     if n > ORDER_LIMIT:
@@ -144,10 +150,7 @@ class FiniteMonoid:
     def orders(self):
         """Every element's order; the power cycles walked are not kept."""
         if self._orders is None:
-            e, n, flat = self.identity, self.n, self.flat
-            # flat[a::n] is column a: x -> x*a
-            self._orders = tuple(len(eventual_cycle(e, flat[a::n].__getitem__)[0])
-                                 for a in range(n))
+            self._orders = table_orders(self.n, self.flat, self.identity)
         return self._orders
 
     def is_cancellative(self):

@@ -14,8 +14,9 @@ occurs, so the counterexamples themselves are regression-tested.
 from collections import Counter
 from itertools import combinations_with_replacement
 
-from .census import (_classify, census_monoids, groups_catalog, power_classes, power_iso_facts,
-                     power_isomorphism, power_isomorphisms, power_pair, verdict)
+from .census import (_classify, catalog_power_classes, census_monoids, groups_catalog,
+                     power_classes, power_iso_facts, power_isomorphism, power_isomorphisms,
+                     power_pair, verdict)
 from .iso import DEFAULT_BUDGET
 from .monoid import cyclic_group, cyclic_monoid, idempotent_monoid2, parse_monoid_spec
 from .powerset import format_subset, mask_of, parse_subset, reduced_power_monoid
@@ -25,9 +26,8 @@ from .verify import (CheckResult, check_cross_relation, check_minimal_relation,
                      subset_translates)
 
 
-def _catalog_groups(max_order, include_controls=False):
-    return [e for e in groups_catalog(max_order)
-            if include_controls or e.control_of is None]
+def _catalog_groups(max_order):
+    return [e for e in groups_catalog(max_order) if e.control_of is None]
 
 
 def suite_lemma21(max_order=5):
@@ -150,9 +150,15 @@ def suite_thm32(max_order=4, group_max=6, budget=DEFAULT_BUDGET):
     exhaustive enumeration, one witness (and its inverse) per catalog pair.
 
     Both halves class their carriers (power_classes).  The census half
-    lists every pair its classes do not prove non-isomorphic; the catalog
-    half reads each witness from them (power_pair), so a self-pair is
-    decided by its identity map, even under a budget below its order.
+    lists every pair its classes do not prove non-isomorphic
+    (power_isomorphisms): an in-class pair composes its class
+    representative's automorphisms, listed once per class, with the
+    classes' maps, in the order a listing of the pair alone gives, and a
+    pair across two classes that a budget hit left unresolved is listed
+    on its own.  The catalog half reads each witness from the catalog's
+    classes (power_pair), which it shares with section4
+    (catalog_power_classes), so a self-pair is decided by its identity
+    map, even under a budget below its order.
     Every extracted pullback also gets a full property report (its order
     preservation has no cancellativity hypothesis, hence the whole census);
     a search that hit its budget adds its failing record.  The cardinality
@@ -160,10 +166,11 @@ def suite_thm32(max_order=4, group_max=6, budget=DEFAULT_BUDGET):
     """
     preserving = Counter()
     pms, classes = power_classes(census_monoids(max_order), budget)
+    isomorphisms = power_isomorphisms(classes, pms, budget)
     for i, j in combinations_with_replacement(range(len(pms)), 2):
-        for res in power_isomorphisms(classes, pms, i, j, budget):
+        for res in isomorphisms(i, j):
             yield from _thm32_records(res, preserving)
-    pms, classes = power_classes(_catalog_groups(group_max, include_controls=True), budget)
+    pms, classes = catalog_power_classes(group_max, budget)
     for i, j in combinations_with_replacement(range(len(pms)), 2):
         res = power_pair(classes, pms, i, j)
         yield from _thm32_records(res, preserving)
@@ -200,7 +207,7 @@ def suite_section4(group_max=6, budget=DEFAULT_BUDGET):
     versus idempotent-2 counterexample: its pullback preserves orders but
     not squares, recorded as a finding since the pair is not cancellative.
     """
-    pms, classes = power_classes(_catalog_groups(group_max, include_controls=True), budget)
+    pms, classes = catalog_power_classes(group_max, budget)
     for i, j in combinations_with_replacement(range(len(pms)), 2):
         yield power_pair(classes, pms, i, j).record()
     results, report = analyze_pair(cyclic_group(2), idempotent_monoid2(), budget)

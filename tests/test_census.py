@@ -1,15 +1,18 @@
 """Monoid enumeration, canonical keys, the group catalog, experiments."""
 
 import random
+from itertools import combinations_with_replacement
 from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
 from powmon.census import (CensusEntry, canonical_key, census_monoids,
                            enumerate_monoids, groups_catalog, power_classes,
-                           power_iso_facts, power_isomorphism, run_experiment)
+                           power_iso_facts, power_isomorphism, power_isomorphisms,
+                           run_experiment)
 from powmon.errors import SizeLimitExceeded
-from powmon.iso import DEFAULT_BUDGET, IsoWitness, element_invariants, find_isomorphism
+from powmon.iso import (DEFAULT_BUDGET, IsoWitness, element_invariants, enumerate_isomorphisms,
+                        find_isomorphism)
 from powmon.monoid import FiniteMonoid, cyclic_group, direct_product, idempotent_monoid2
 from powmon.powerset import PowerMonoid, reduced_power_monoid
 from powmon.suites import suite_section4, suite_thm32
@@ -444,11 +447,10 @@ def test_experiment_budget_hit_is_never_no():
     assert not summary.biconditional_holds
 
 
-def test_experiment_budget_hit_leaves_both_classes_unresolved(monkeypatch):
+def _second_carrier_hits_the_budget(monkeypatch):
     # three isomorphic groups; classing the second carrier against the first
     # is made to hit the budget, so it founds a class of its own, and the
-    # third joins the first.  Both pairs across the two classes are then
-    # budget-exceeded, (1, 2) too, which a search of its own would decide
+    # third joins the first
     from powmon import census
     from powmon.errors import SearchBudgetExceeded
 
@@ -464,7 +466,13 @@ def test_experiment_budget_hit_leaves_both_classes_unresolved(monkeypatch):
         return find_real(m1, m2, *args, **kwargs)
 
     monkeypatch.setattr(census, "find_isomorphism", find_hitting)
-    records, summary = run_experiment(entries)
+    return entries
+
+
+def test_experiment_budget_hit_leaves_both_classes_unresolved(monkeypatch):
+    # both pairs across the two classes are budget-exceeded, (1, 2) too,
+    # which a search of its own would decide
+    records, summary = run_experiment(_second_carrier_hits_the_budget(monkeypatch))
     assert [(r.pair, r.base_iso, r.power_iso) for r in records] == [
         ((0, 0), "yes", "yes"), ((0, 1), "yes", "budget-exceeded"), ((0, 2), "yes", "yes"),
         ((1, 1), "yes", "yes"), ((1, 2), "yes", "budget-exceeded"), ((2, 2), "yes", "yes")]
@@ -482,6 +490,124 @@ def test_thm32_budget_hit_is_failing_record():
                                          "monoid2.1 vs monoid2.1"]
     assert all(r.failed and r.detail == "budget exceeded: absence unproven" for r in hits)
     assert [r for r in records if r.failed] == hits
+
+
+def _relabelled_census(max_order, seed):
+    # each census entry, then a copy of each relabelled by a seeded random
+    # permutation, so that the classes' maps f_i are scrambled, not
+    # involutions, and the listing order of a member differs from its
+    # representative's
+    rng = random.Random(seed)
+    entries = census_monoids(max_order)
+    copies = []
+    for e in entries:
+        n, flat = e.monoid.n, e.monoid.flat
+        perm = list(range(n))
+        rng.shuffle(perm)
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[perm[a]][perm[b]] = perm[flat[a * n + b]]
+        m = FiniteMonoid(table, name=f"{e.name}^{''.join(map(str, perm))}")
+        copies.append(CensusEntry(m, None, e.tags))
+    return entries + copies
+
+
+@pytest.mark.parametrize("entries, pairs, maps", [(lambda: census_monoids(4), 116, 446),
+                                                  (lambda: groups_catalog(6), 10, 58),
+                                                  (lambda: _relabelled_census(4, 7), 419, 1640)],
+                         ids=["census-4", "catalog-6", "relabelled-census-4"])
+def test_class_listing_matches_per_pair_listing(entries, pairs, maps):
+    # each class's automorphisms, composed with the classes' maps, give every
+    # listed pair the maps that listing that pair alone finds, in its order;
+    # the catalog's cyclic 6 and (cyclic 2 x cyclic 3) are a composed pair
+    pms, classes = power_classes(entries(), DEFAULT_BUDGET)
+    listed = _listed_as_alone(pms, classes)
+    assert (len(listed), sum(listed)) == (pairs, maps)
+
+
+def test_class_listing_order_holds_for_any_kept_maps():
+    # the classes keep the first map rep -> i that a search finds, and with
+    # those maps the composed lists happen to come out in their pairs' order
+    # unsorted (through census <= 5).  Keeping f_i o t instead, t the last
+    # automorphism of the class's representative, composes another order
+    # (56 of the 116 census <= 4 pairs), which the listing's sort must undo
+    pms, classes = power_classes(census_monoids(4), DEFAULT_BUDGET)
+    last = {}
+    for i, c in enumerate(classes.of):
+        if c not in last:
+            rep = pms[i].carrier
+            last[c] = enumerate_isomorphisms(rep, rep, DEFAULT_BUDGET, classes.coloring)[-1].map
+    kept = tuple(tuple(f[t] for t in last[c]) for f, c in zip(classes.maps, classes.of))
+    assert len(_listed_as_alone(pms, classes._replace(maps=kept))) == 116
+
+
+def _listed_as_alone(pms, classes):
+    # asserts that power_isomorphisms gives each pair the maps of listing
+    # it alone, in that order, and no result to a pair proven "no"; returns
+    # the listed pairs' list lengths
+    isomorphisms = power_isomorphisms(classes, pms)
+    listed = []
+    for i, j in combinations_with_replacement(range(len(pms)), 2):
+        if classes.status(i, j) != "no":
+            want = enumerate_isomorphisms(pms[i].carrier, pms[j].carrier, DEFAULT_BUDGET,
+                                          classes.coloring)
+            got = isomorphisms(i, j)
+            assert [r.witness.map for r in got] == [w.map for w in want], (i, j)
+            assert all(r.status == "iso" and r.pm_src is pms[i] and r.pm_dst is pms[j]
+                       for r in got)
+            listed.append(len(got))
+        else:
+            assert isomorphisms(i, j) == []
+    return listed
+
+
+def _count_listings(monkeypatch):
+    from powmon import census
+
+    calls = []
+    enumerate_real = census.enumerate_isomorphisms
+
+    def counting(m1, m2, *args, **kwargs):
+        calls.append((m1.name, m2.name))
+        return enumerate_real(m1, m2, *args, **kwargs)
+    monkeypatch.setattr(census, "enumerate_isomorphisms", counting)
+    return calls
+
+
+def test_class_listing_budget_hit_fails_every_in_class_pair(monkeypatch):
+    # z2's and idem2's carriers are one class; listing its automorphisms at
+    # budget 1 hits the budget once, and each of the class's three pairs,
+    # self-pairs included, gets one budget-exceeded result, never none
+    pms, classes = power_classes(census_monoids(2), DEFAULT_BUDGET)
+    assert classes.of[1] == classes.of[2] != classes.of[0]
+    calls = _count_listings(monkeypatch)
+    isomorphisms = power_isomorphisms(classes, pms, budget=1)
+    for i, j in ((1, 1), (1, 2), (2, 2)):
+        assert [(r.status, r.pm_src, r.pm_dst, r.failed) for r in isomorphisms(i, j)] == \
+            [("budget-exceeded", pms[i], pms[j], True)]
+    assert calls == [(pms[1].carrier.name, pms[1].carrier.name)]
+    # the trivial carrier's one automorphism fits in the budget
+    assert [r.status for r in isomorphisms(0, 0)] == ["iso"]
+
+
+def test_class_listing_lists_a_pair_across_unresolved_classes_alone(monkeypatch):
+    # no composed map joins two unresolved classes, so each pair across
+    # them is listed by a search of its own
+    pms, classes = power_classes(_second_carrier_hits_the_budget(monkeypatch), DEFAULT_BUDGET)
+    assert [classes.status(*p) for p in ((0, 1), (0, 2), (1, 2))] == \
+        ["budget-exceeded", "yes", "budget-exceeded"]
+    calls = _count_listings(monkeypatch)
+    isomorphisms = power_isomorphisms(classes, pms)
+    for i, j in ((0, 1), (1, 2)):
+        want = enumerate_isomorphisms(pms[i].carrier, pms[j].carrier, DEFAULT_BUDGET,
+                                      classes.coloring)
+        assert [r.witness.map for r in isomorphisms(i, j)] == [w.map for w in want] != []
+    assert calls == [(pms[0].carrier.name, pms[1].carrier.name),
+                     (pms[1].carrier.name, pms[2].carrier.name)]
+    # a budget hit of a pair's own listing is its budget-exceeded result
+    assert [r.status for r in power_isomorphisms(classes, pms, budget=10)(0, 1)] == \
+        ["budget-exceeded"]
 
 
 def test_experiment_groups_order8():

@@ -434,17 +434,19 @@ def _merge_pairs(images):
 ])
 def test_thm32_corrupted_witness_is_a_fail_record(capsys, monkeypatch, corrupt, failing,
                                                   detail, skipped):
-    # the first witness between any two order-3 bases is corrupted; each is
-    # a fail record, the checks after it are not run, and the report is complete
-    enumerate_real = census.enumerate_isomorphisms
+    # the first witness that the listing hands to the facts for each listed
+    # pair of 4-element carriers (order-3 bases) is corrupted; each is a
+    # fail record, the checks after it are not run, and the report is complete
+    facts_real = census.power_iso_facts
+    seen = set()
 
-    def enumerate_corrupted(src, dst, *args, **kwargs):
-        witnesses = enumerate_real(src, dst, *args, **kwargs)
-        if src.n == 4 and witnesses:
-            witnesses[0] = types.SimpleNamespace(map=tuple(corrupt(list(witnesses[0].map))))
-        return witnesses
+    def facts_corrupted(pm_src, pm_dst, w):
+        if len(pm_src) == 4 and (id(pm_src), id(pm_dst)) not in seen:
+            seen.add((id(pm_src), id(pm_dst)))
+            w = types.SimpleNamespace(map=tuple(corrupt(list(w.map))))
+        return facts_real(pm_src, pm_dst, w)
 
-    monkeypatch.setattr(census, "enumerate_isomorphisms", enumerate_corrupted)
+    monkeypatch.setattr(census, "power_iso_facts", facts_corrupted)
     code, out, err = run_cli(capsys, "verify", "thm32", "--max-order", "3", "--group-max", "1")
     records = [l.split("\t") for l in out.splitlines() if not l.startswith("#")]
     fails = [i for i, r in enumerate(records) if r[2] == "fail"]
