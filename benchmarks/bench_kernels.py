@@ -4,20 +4,26 @@
 Usage:
     python benchmarks/bench_kernels.py [--repeat N] [--full]
 
-The first two rows are the power_table sizes around the point where the
-compiled builder stops winning: the 228 order-5 census carriers of
-`experiment monoids` (16 elements each) and one 64-element carrier.  The
+The first three rows are the power_table sizes around the point where
+the compiled builder stops winning: the 228 order-5 census carriers of
+`experiment monoids` (16 elements each), where it is about 4x faster,
+one 32-element carrier, where the two are about even, and one
+64-element carrier, where the pure one is about 4x faster.  The
 256-element rows sit at the largest table of the pure bytes pass of
 assoc_witness.  --full adds the order-10 cases (a 512-element carrier),
-where the pure assoc_witness takes the numpy pass (about 0.2 s on 2 vCPU)
+where the pure assoc_witness takes the numpy pass (about 0.5 s on 2 vCPU)
 or, without numpy, the plain triple loop (about 8 s).  The last rows time
 the census enumeration of orders 5 and 6, which has no compiled twin.
+Before it is timed, each pure result is checked against the compiled
+one; without the compiled backend, each pure power_table is checked
+against setwise products instead.
 """
 
 import argparse
 import time
 from array import array
 from collections import Counter
+from types import SimpleNamespace
 
 from powmon import _pure
 from powmon.census import enumerate_monoids
@@ -51,6 +57,16 @@ def _cells(result):
     return result
 
 
+def _setwise_power_table(table, n, masks):
+    """power_table cell by cell from _pure.setwise_product, the reference a
+    pure table is checked against when the compiled backend is not built."""
+    pos = {mask: i for i, mask in enumerate(masks)}
+    return [pos[_pure.setwise_product(table, n, x, y)] for x in masks for y in masks]
+
+
+SETWISE = SimpleNamespace(power_table=_setwise_power_table)
+
+
 def _reduced_masks(m):
     return tuple(x for x in range(1, 1 << m.n) if x >> m.identity & 1)
 
@@ -74,6 +90,7 @@ def bench_cases(full):
 
     # the order-5 census bases, as in `experiment monoids`: 228 carriers of 16
     census5 = [(e.monoid.flat, _reduced_masks(e.monoid)) for e in enumerate_monoids(5)]
+    masks32 = _reduced_masks(z6)
     z7 = cyclic_group(7)
     masks64 = _reduced_masks(z7)
 
@@ -83,6 +100,8 @@ def bench_cases(full):
     cases = [
         ("power_table, 228 order-5 census carriers (16)",
          lambda k: [k.power_table(flat, 5, masks) for flat, masks in census5]),
+        ("power_table, cyclic 6 base (carrier 32)",
+         lambda k: k.power_table(z6.flat, 6, masks32)),
         ("power_table, cyclic 7 base (carrier 64)",
          lambda k: k.power_table(z7.flat, 7, masks64)),
         ("assoc_witness, 128-element carrier",
@@ -127,10 +146,13 @@ def main():
         print("compiled backend not built; run: python setup.py build_ext --inplace")
     print(f"{'case':<48} {'pure':>10} {'compiled':>10} {'speedup':>8}")
     for name, fn in bench_cases(args.full):
+        # sanity: correct results before timing
+        if _core is not None:
+            assert _cells(fn(_pure)) == _cells(fn(_core)), name
+        elif name.startswith("power_table"):
+            assert _cells(fn(_pure)) == _cells(fn(SETWISE)), name
         tp = timed(lambda: fn(_pure), args.repeat)
         if _core is not None:
-            # sanity: identical results before timing
-            assert _cells(fn(_pure)) == _cells(fn(_core)), name
             tc = timed(lambda: fn(_core), args.repeat)
             print(f"{name:<48} {tp * 1e3:>8.1f}ms {tc * 1e3:>8.1f}ms {tp / tc:>7.1f}x")
         else:

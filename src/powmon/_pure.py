@@ -18,7 +18,6 @@ loop without it.
 
 from array import array
 from itertools import permutations
-from operator import or_
 
 
 def pack_table(cells, n):
@@ -106,26 +105,34 @@ def power_table(table, n, masks):
     pack_table gives it: bytes up to 256 masks, array('H') above.
 
     Entry (i, j) is the position in masks of masks[i]*masks[j]; masks must
-    be closed under setwise product.  The row of X is built incrementally:
-    the row of X minus its top element x, united cell by cell with the
-    translates x*masks[j].  Those are read off x*Y for every subset Y of
-    the base, built with one OR per subset as in verify.subset_translates:
-    the subsets with top element y follow those below y, and x*Y is
-    x*(Y minus y) with the bit of x*y added.  Rows are memoized by mask;
-    the intermediate masks need not be in masks.  On 2 vCPU
-    (benchmarks/bench_kernels.py, best of 7) a 16-element carrier takes
-    about 0.05 ms, 64 elements 0.3-0.5 ms, 128 elements 1.1-1.6 ms and
-    512 elements 30-42 ms, where the compiled twin takes 0.4-0.6, 2.5-3.1
-    and 70-88 ms.
+    be closed under setwise product.  A row is one int holding one cell
+    per mask, cell j the product mask with masks[j]: a byte while 2^n <=
+    256, two bytes above that (n <= 16).  The translate row of a base
+    element x holds the cells x*masks[j], read off x*Y for every subset Y
+    of the base, built with one OR per subset as in
+    verify.subset_translates: the subsets with top element y follow those
+    below y, and x*Y is x*(Y minus y) with the bit of x*y added.  The row
+    of X is then the row of X minus its top element x ORed with the
+    translate row of x, one int OR; rows are memoized by mask, and the
+    intermediate masks need not be in masks.  The rows are joined as
+    bytes, and product masks become positions through one bytes.translate
+    for byte cells, or a list indexed by mask for two-byte cells.  On 2 vCPU
+    (benchmarks/bench_kernels.py --repeat 5 --full) the 228 16-element
+    carriers of the order-5 census take 6-10 ms, where the compiled twin
+    takes 2 ms; at 32 elements the two are about even; from 64 elements on
+    this one is faster: 0.1 against 0.5 ms at 64 elements, 0.2-0.3 against
+    2.4-3.3 ms at 128, 3-4 against 12-15 ms at 256 and 16-17 against 62-63
+    ms at 512.
     """
+    width = 1 if n <= 8 else 2
+    cells = bytes if width == 1 else lambda row: array("H", row).tobytes()
     trans = []
     for x in range(n):
         tx = [0]
         for bit in [1 << v for v in table[x * n:(x + 1) * n]]:
             tx += [t | bit for t in tx]
-        trans.append(list(map(tx.__getitem__, masks)))
+        trans.append(int.from_bytes(cells(map(tx.__getitem__, masks)), "little"))
     rows = {1 << x: tx for x, tx in enumerate(trans)}
-    pos = {mask: i for i, mask in enumerate(masks)}.__getitem__
     out = []
     for mask in masks:
         tops = []
@@ -137,9 +144,16 @@ def power_table(table, n, masks):
         row = rows[rest]
         for top in tops:
             rest |= 1 << top
-            row = rows[rest] = list(map(or_, row, trans[top]))
-        out.extend(map(pos, row))
-    return pack_table(out, len(masks))
+            row = rows[rest] = row | trans[top]
+        out.append(row)
+    size = len(masks) * width
+    joined = b"".join([row.to_bytes(size, "little") for row in out])
+    positions = bytearray(256) if width == 1 else [0] * (1 << n)
+    for i, mask in enumerate(masks):
+        positions[mask] = i
+    if width == 1:
+        return joined.translate(positions)
+    return pack_table(list(map(positions.__getitem__, array("H", joined))), len(masks))
 
 
 def iso_search(t1, t2, n, c1, c2, var_order, budget, max_results):

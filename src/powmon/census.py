@@ -10,7 +10,7 @@ isomorphic duplicates kept as positive controls for the experiments.
 """
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import permutations, product
 from types import MappingProxyType
@@ -298,10 +298,17 @@ def power_isomorphisms(classes, pms, budget=DEFAULT_BUDGET):
     listing of that pair alone would finish.  A pair across two classes
     that a budget hit left unresolved has no composed maps, so it is
     listed on its own.
+
+    A class of k members has k(k+1)/2 in-class pairs (i, j) with i <= j,
+    self-pairs included.  Its list is dropped once that many in-class
+    pairs have been answered, so a sweep over i <= j keeps a class's list
+    only while some of its pairs are still to come.  A pair asked again
+    after that is listed again.
     """
     reps = {}
     for i, c in enumerate(classes.of):
         reps.setdefault(c, i)
+    pending = {c: k * (k + 1) // 2 for c, k in Counter(classes.of).items()}   # pairs left
     auts = {}       # class -> the IsoWitnesses of Aut(P(rep)), or None after a budget hit
 
     def listed(m1, m2):
@@ -312,15 +319,20 @@ def power_isomorphisms(classes, pms, budget=DEFAULT_BUDGET):
 
     def composed(i, j):
         c = classes.of[i]
-        if c not in auts:
+        if c in auts:
+            aut = auts.pop(c)
+        else:
             rep = pms[reps[c]].carrier
-            auts[c] = listed(rep, rep)
-        if auts[c] is None or i == j == reps[c]:
-            return auts[c]
+            aut = listed(rep, rep)
+        pending[c] -= 1
+        if pending[c] > 0:
+            auts[c] = aut
+        if aut is None or i == j == reps[c]:
+            return aut
         src, dst = pms[i].carrier, pms[j].carrier
         inv, fj = inverse_map(classes.maps[i]), classes.maps[j]
         order = search_order(classes.coloring.colors_of(src))
-        maps = sorted(([fj[s[x]] for x in inv] for s in (w.map for w in auts[c])),
+        maps = sorted(([fj[s[x]] for x in inv] for s in (w.map for w in aut)),
                       key=lambda mp: [mp[a] for a in order])
         return [IsoWitness(src, dst, mp) for mp in maps]
 

@@ -591,6 +591,20 @@ def test_class_listing_budget_hit_fails_every_in_class_pair(monkeypatch):
     assert [r.status for r in isomorphisms(0, 0)] == ["iso"]
 
 
+def test_class_listing_drops_a_class_list_after_its_last_pair(monkeypatch):
+    # z2's and idem2's carriers make a class of two, so three in-class pairs:
+    # its automorphisms are listed once for all three, then dropped, and a
+    # pair asked again is listed again, with the same maps
+    pms, classes = power_classes(census_monoids(2), DEFAULT_BUDGET)
+    calls = _count_listings(monkeypatch)
+    isomorphisms = power_isomorphisms(classes, pms)
+    first = [[r.witness.map for r in isomorphisms(i, j)] for i, j in ((1, 1), (1, 2), (2, 2))]
+    rep = (pms[1].carrier.name, pms[1].carrier.name)
+    assert calls == [rep]
+    assert [r.witness.map for r in isomorphisms(1, 2)] == first[1] != []
+    assert calls == [rep, rep]
+
+
 def test_class_listing_lists_a_pair_across_unresolved_classes_alone(monkeypatch):
     # no composed map joins two unresolved classes, so each pair across
     # them is listed by a search of its own

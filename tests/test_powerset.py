@@ -1,6 +1,7 @@
 """Setwise products, subset powers, and power-monoid construction."""
 
 import gc
+import hashlib
 import os
 import random
 import subprocess
@@ -14,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powmon
+from powmon import _pure
 from powmon.census import census_monoids, groups_catalog
 from powmon.errors import SizeLimitExceeded
 from powmon.iso import find_isomorphism
-from powmon.monoid import FiniteMonoid, cyclic_group, idempotent_monoid2
+from powmon.monoid import FiniteMonoid, cyclic_group, cyclic_monoid, idempotent_monoid2
 from powmon.powerset import (MATERIALIZE_LIMIT, augment, elements_of, format_subset,
                              mask_of, parse_subset, reduced_power_monoid, setwise_product,
                              subset_power)
@@ -194,13 +196,32 @@ def test_reduced_z3(zoo):
 
 
 def test_carrier_agrees_with_setwise(zoo):
-    for name in ("z4", "d3", "cm22"):
-        m = zoo[name]
+    # the pure builder on either backend, cell by cell: byte cells up to
+    # order 8 (q8, 128 masks); two-byte cells above, cmon4.5 of order 9
+    # (256 masks, still a bytes table) and Z10 (512 masks, an array('H')
+    # table, on a few rows)
+    bases = [(zoo[name], None) for name in ("z4", "d3", "cm22", "q8")]
+    bases += [(cyclic_monoid(4, 5), None), (cyclic_group(10), (0, 1, 255, 511))]
+    for m, rows in bases:
         pm = reduced_power_monoid(m)
-        for i in range(len(pm)):
-            for j in range(len(pm)):
+        k = len(pm)
+        flat = _pure.power_table(m.flat, m.n, pm.masks)
+        assert type(flat) is (bytes if k <= 256 else array)
+        assert flat == pm.carrier.flat
+        for i in range(k) if rows is None else rows:
+            for j in range(k):
                 expected = setwise_product(m, pm.masks[i], pm.masks[j])
-                assert pm.masks[pm.carrier.table[i][j]] == expected
+                assert pm.masks[flat[i * k + j]] == expected
+
+
+def test_carrier_tables_are_pinned():
+    # the carrier tables of every census entry up to order 5 and every
+    # catalog entry up to order 8, joined in that order
+    entries = census_monoids(5) + list(groups_catalog(8))
+    flats = [reduced_power_monoid(e.monoid).carrier.flat for e in entries]
+    assert {type(flat) for flat in flats} == {bytes} and sum(map(len, flats)) == 150222
+    assert hashlib.sha256(b"".join(flats)).hexdigest() == \
+        "90d7f4502d97893dfc1d038b921508fefc58e377564def4a8c068ba57fd9f829"
 
 
 def test_carrier_identity_is_singleton(zoo):
