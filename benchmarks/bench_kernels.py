@@ -4,11 +4,14 @@
 Usage:
     python benchmarks/bench_kernels.py [--repeat N] [--full]
 
-The first three rows are the power_table sizes around the point where
-the compiled builder stops winning: the 228 order-5 census carriers of
-`experiment monoids` (16 elements each), where it is about 4x faster,
-one 32-element carrier, where the two are about even, and one
+The power_table rows at 16, 32 and 64 elements are the sizes around the
+point where the compiled builder stops winning: the 228 order-5 census
+carriers of `experiment monoids` (16 elements each), where it is about
+4x faster, one 32-element carrier, where the two are about even, and one
 64-element carrier, where the pure one is about 4x faster.  The
+assoc_witness rows time the same check at 16, 32, 128 and 256 elements:
+the compiled one is about 3x faster on the census carriers and 1.6x at
+32 elements, and from 128 elements on the two are about even.  The
 256-element rows sit at the largest table of the pure bytes pass of
 assoc_witness.  --full adds the order-10 cases (a 512-element carrier),
 where the pure assoc_witness takes the numpy pass (about 0.5 s on 2 vCPU)
@@ -90,6 +93,7 @@ def bench_cases(full):
 
     # the order-5 census bases, as in `experiment monoids`: 228 carriers of 16
     census5 = [(e.monoid.flat, _reduced_masks(e.monoid)) for e in enumerate_monoids(5)]
+    carriers16 = [reduced_power_monoid(e.monoid).carrier.flat for e in enumerate_monoids(5)]
     masks32 = _reduced_masks(z6)
     z7 = cyclic_group(7)
     masks64 = _reduced_masks(z7)
@@ -100,8 +104,12 @@ def bench_cases(full):
     cases = [
         ("power_table, 228 order-5 census carriers (16)",
          lambda k: [k.power_table(flat, 5, masks) for flat, masks in census5]),
+        ("assoc_witness, 228 order-5 census carriers (16)",
+         lambda k: [k.assoc_witness(flat, 16) for flat in carriers16]),
         ("power_table, cyclic 6 base (carrier 32)",
          lambda k: k.power_table(z6.flat, 6, masks32)),
+        ("assoc_witness, 32-element carrier",
+         lambda k: k.assoc_witness(t1, 32)),
         ("power_table, cyclic 7 base (carrier 64)",
          lambda k: k.power_table(z7.flat, 7, masks64)),
         ("assoc_witness, 128-element carrier",
@@ -154,12 +162,12 @@ def main():
         tp = timed(lambda: fn(_pure), args.repeat)
         if _core is not None:
             tc = timed(lambda: fn(_core), args.repeat)
-            print(f"{name:<48} {tp * 1e3:>8.1f}ms {tc * 1e3:>8.1f}ms {tp / tc:>7.1f}x")
+            print(f"{name:<48} {tp * 1e3:>8.2f}ms {tc * 1e3:>8.2f}ms {tp / tc:>7.1f}x")
         else:
-            print(f"{name:<48} {tp * 1e3:>8.1f}ms {'-':>10} {'-':>8}")
+            print(f"{name:<48} {tp * 1e3:>8.2f}ms {'-':>10} {'-':>8}")
     for name, fn in pure_cases():
         tp = timed(lambda: fn(_pure), args.repeat)
-        print(f"{name:<48} {tp * 1e3:>8.1f}ms {'-':>10} {'-':>8}")
+        print(f"{name:<48} {tp * 1e3:>8.2f}ms {'-':>10} {'-':>8}")
 
 
 if __name__ == "__main__":

@@ -37,6 +37,16 @@ def _listed(cells):
     return cells if isinstance(cells, list) else list(cells)
 
 
+def unions(values):
+    """The OR of values[i] over the bits i of A, for every A < 2^len(values),
+    as a list indexed by A (entry 0 is 0): the sets with top bit i follow
+    those below i, and each is the one without i ORed with values[i]."""
+    out = [0]
+    for v in values:
+        out += [u | v for u in out]
+    return out
+
+
 def assoc_witness(table, n):
     """Index of the first failing triple, encoded (a*n + b)*n + c, or -1.
 
@@ -109,9 +119,7 @@ def power_table(table, n, masks):
     per mask, cell j the product mask with masks[j]: a byte while 2^n <=
     256, two bytes above that (n <= 16).  The translate row of a base
     element x holds the cells x*masks[j], read off x*Y for every subset Y
-    of the base, built with one OR per subset as in
-    verify.subset_translates: the subsets with top element y follow those
-    below y, and x*Y is x*(Y minus y) with the bit of x*y added.  The row
+    of the base, which unions gives from the bits of the x*y.  The row
     of X is then the row of X minus its top element x ORed with the
     translate row of x, one int OR; rows are memoized by mask, and the
     intermediate masks need not be in masks.  The rows are joined as
@@ -128,9 +136,7 @@ def power_table(table, n, masks):
     cells = bytes if width == 1 else lambda row: array("H", row).tobytes()
     trans = []
     for x in range(n):
-        tx = [0]
-        for bit in [1 << v for v in table[x * n:(x + 1) * n]]:
-            tx += [t | bit for t in tx]
+        tx = unions([1 << v for v in table[x * n:(x + 1) * n]])
         trans.append(int.from_bytes(cells(map(tx.__getitem__, masks)), "little"))
     rows = {1 << x: tx for x, tx in enumerate(trans)}
     out = []

@@ -172,7 +172,7 @@ def groups_catalog(max_order):
         out.append(CensusEntry(m, None, _tags(m), control_of=control))
     classes = _classify([e.monoid for e in out], DEFAULT_BUDGET)
     if classes.unresolved:
-        a, b = (out[classes.of.index(c)].name for c in min(classes.unresolved))
+        a, b = (out[classes.reps[c]].name for c in min(classes.unresolved))
         raise AssertionError(f"catalog entries {a} and {b} are unresolved: a search hit the budget")
     first = {}      # class -> the name of its first non-control entry
     for e, c in zip(out, classes.of):
@@ -258,14 +258,17 @@ def power_iso_facts(pm_src, pm_dst, witness):
 def power_pair(classes, pms, i, j):
     """The PowerIsoResult of carriers i and j of a power_classes batch:
     "absent" or "budget-exceeded" across two classes, else power_iso_facts
-    of the composed witness, re-validated by IsoWitness.  A self-pair is
-    its identity map, without a search."""
+    of the composed witness f_j o f_i^-1, f_i and f_j the classes' maps
+    from the representative onto i and j, re-validated by IsoWitness.  A
+    self-pair is its identity map, without a search, and a pair from the
+    representative gets f_j itself."""
     pm_src, pm_dst = pms[i], pms[j]
     status = classes.status(i, j)
     if status != "yes":
         return PowerIsoResult("absent" if status == "no" else status, pm_src=pm_src, pm_dst=pm_dst)
-    witness = IsoWitness(pm_src.carrier, pm_dst.carrier, classes.composed(i, j))
-    return power_iso_facts(pm_src, pm_dst, witness)
+    fj = classes.maps[j]
+    composed = [fj[a] for a in inverse_map(classes.maps[i])]
+    return power_iso_facts(pm_src, pm_dst, IsoWitness(pm_src.carrier, pm_dst.carrier, composed))
 
 
 def power_isomorphisms(classes, pms, budget=DEFAULT_BUDGET):
@@ -305,9 +308,6 @@ def power_isomorphisms(classes, pms, budget=DEFAULT_BUDGET):
     only while some of its pairs are still to come.  A pair asked again
     after that is listed again.
     """
-    reps = {}
-    for i, c in enumerate(classes.of):
-        reps.setdefault(c, i)
     pending = {c: k * (k + 1) // 2 for c, k in Counter(classes.of).items()}   # pairs left
     auts = {}       # class -> the IsoWitnesses of Aut(P(rep)), or None after a budget hit
 
@@ -322,12 +322,12 @@ def power_isomorphisms(classes, pms, budget=DEFAULT_BUDGET):
         if c in auts:
             aut = auts.pop(c)
         else:
-            rep = pms[reps[c]].carrier
+            rep = pms[classes.reps[c]].carrier
             aut = listed(rep, rep)
         pending[c] -= 1
         if pending[c] > 0:
             auts[c] = aut
-        if aut is None or i == j == reps[c]:
+        if aut is None or i == j == classes.reps[c]:
             return aut
         src, dst = pms[i].carrier, pms[j].carrier
         inv, fj = inverse_map(classes.maps[i]), classes.maps[j]
@@ -402,10 +402,11 @@ class ExperimentSummary(namedtuple("ExperimentSummary", "mode records biconditio
                   if self.cardinality_always_preserved else "do NOT all preserve |X|"))
 
 
-class _Classes(namedtuple("_Classes", "of maps unresolved coloring")):
+class _Classes(namedtuple("_Classes", "of maps reps unresolved coloring")):
     """A batch sorted into isomorphism classes by _classify: of[i] is the
     class of monoid i, maps[i] the map of a validated IsoWitness from its
     class's representative onto it (range(n) on the representative),
+    reps[c] the index of class c's representative, its first member,
     unresolved holds the pairs of classes, in both orders, that a budget
     hit left unseparated, and coloring is the batch's Coloring."""
     __slots__ = ()
@@ -416,13 +417,6 @@ class _Classes(namedtuple("_Classes", "of maps unresolved coloring")):
         if a == b:
             return "yes"
         return "budget-exceeded" if self.unresolved and (a, b) in self.unresolved else "no"
-
-    def composed(self, i, j):
-        """The map f_j o f_i^-1 from monoid i onto monoid j of its class,
-        f_i and f_j their maps from the representative: the identity on a
-        self-pair, and f_j itself when i is the representative."""
-        fj = self.maps[j]
-        return [fj[a] for a in inverse_map(self.maps[i])]
 
 
 def _classify(monoids, budget):
@@ -447,18 +441,17 @@ def _classify(monoids, budget):
     unresolved.  An isomorphism i -> j would give one a -> b through the
     validated witnesses, so none exists.
 
-    The witnesses run from the representative, so composed(r, m) of a
-    representative r and a member m is find_isomorphism(r, m, budget,
-    coloring), the witness of a search of that pair alone.  A self-pair
-    gets the identity without a search, even under a budget below its
-    order, where find_isomorphism would search.
+    The witnesses run from the representative, so maps[m] of a member m
+    is the map of find_isomorphism(r, m, budget, coloring), r = reps[of[m]]
+    its representative, the witness of a search of that pair alone.  A
+    self-pair gets the identity without a search, even under a budget
+    below its order, where find_isomorphism would search.
     """
     coloring = Coloring(monoids)
-    reps = {}       # class key -> [(class, representative)]
-    of, maps, unresolved = [], [], set()
-    classes = 0
+    keyed = {}      # class key -> [(class, representative)]
+    of, maps, reps, unresolved = [], [], [], set()
     for m in monoids:
-        candidates = reps.setdefault(coloring.class_key(m), [])
+        candidates = keyed.setdefault(coloring.class_key(m), [])
         cls = witness = None
         hits = []
         for c, rep in candidates:
@@ -471,12 +464,13 @@ def _classify(monoids, budget):
                 cls = c
                 break
         if cls is None:
-            cls, classes = classes, classes + 1
+            cls = len(reps)
+            reps.append(len(of))
             candidates.append((cls, m))
         of.append(cls)
         maps.append(witness.map if witness else range(m.n))
         unresolved.update(pair for c in hits for pair in ((c, cls), (cls, c)))
-    return _Classes(tuple(of), tuple(maps), frozenset(unresolved), coloring)
+    return _Classes(tuple(of), tuple(maps), tuple(reps), frozenset(unresolved), coloring)
 
 
 def power_classes(entries, budget):

@@ -5,10 +5,12 @@ the compiled twin powmon._core.  The compiled backend is preferred unless
 POWMON_PURE=1 forces the fallback.  Four kernels are backend-selected,
 with identical semantics on both; tests/test_kernels.py holds them to
 that.  power_table returns a packed table (_pure.pack_table) on both:
-the compiled twin returns a list, which is packed once here.  Monoid
-enumeration is always the pure one, which yields one table per
-isomorphism class.  _core.enumerate_tables still lists every raw
-labelling and stays unbound until _core.c is regenerated from _core.pyx.
+the compiled twin returns a list, which is packed once here.
+pack_table and unions do not depend on the backend and are the pure
+ones on both.  Monoid enumeration is always the pure one, which yields
+one table per isomorphism class.  _core.enumerate_tables still lists
+every raw labelling and stays unbound until _core.c is regenerated from
+_core.pyx.
 """
 
 import os
@@ -31,6 +33,7 @@ setwise_product = _impl.setwise_product
 iso_search = _impl.iso_search
 enumerate_tables = _pure.enumerate_tables
 pack_table = _pure.pack_table
+unions = _pure.unions
 
 if _impl is _pure:
     power_table = _pure.power_table

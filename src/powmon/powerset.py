@@ -88,7 +88,8 @@ class PowerMonoid:
     construction from the one flat table kernels.power_table returns;
     bases above MATERIALIZE_LIMIT raise SizeLimitExceeded.  masks is
     increasing, so index_of finds a mask by bisection.  sizes[i] is the
-    number of base elements in masks[i].
+    number of base elements in masks[i], and pairs[x] the index of
+    {identity, x}, found once here: pairs[identity] is that of {identity}.
     """
 
     kind = "reduced"    # the only kind; perfbench's carrier notes read it
@@ -103,6 +104,7 @@ class PowerMonoid:
         self.base = base
         self.masks = masks
         self.sizes = [mask.bit_count() for mask in masks]
+        self.pairs = tuple(bisect_left(masks, ebit | 1 << x) for x in range(n))
         flat = kernels.power_table(base.flat, n, masks)
         self.carrier = FiniteMonoid(flat, name=f"reduced power({base.name})")
         if self.masks[self.carrier.identity] != ebit:
@@ -116,10 +118,6 @@ class PowerMonoid:
         if i == len(self.masks) or self.masks[i] != mask:
             raise ValueError(f"subset {format_subset(mask)} is not a carrier element")
         return i
-
-    def pair_index(self, x):
-        """Carrier index of {identity, x}."""
-        return self.index_of((1 << self.base.identity) | (1 << x))
 
     def __repr__(self):
         return f"PowerMonoid(base={self.base.name}, size={len(self.masks)})"

@@ -13,6 +13,7 @@ extraction check too, which census.power_iso_facts decides in that order.
 from collections import namedtuple
 
 from .errors import PreconditionViolated
+from .kernels import unions
 from .monoid import cycle_term
 from .powerset import elements_of, format_subset, setwise_product, subset_power
 
@@ -198,17 +199,10 @@ class SolutionCount(namedtuple("SolutionCount",
 
 def subset_translates(m, s_mask):
     """A*S for every subset A of m, as a list indexed by the mask of A
-    (entry 0, the empty A, is 0), for a non-empty S given by s_mask.
-
-    One OR per subset, as in _pure.power_table: the subsets with top
-    element x come after those below x, and A*S is (A minus x)*S united
-    with x*S.
+    (entry 0, the empty A, is 0), for a non-empty S given by s_mask: A*S
+    is the union of the x*S over x in A.
     """
-    products = [0]
-    for x in range(m.n):
-        xs = setwise_product(m, 1 << x, s_mask)
-        products += [prod | xs for prod in products]
-    return products
+    return unions([setwise_product(m, 1 << x, s_mask) for x in range(m.n)])
 
 
 def count_equation_solutions(m, s_mask, n_exp, universe="full", translates=None):
@@ -238,9 +232,7 @@ def count_equation_solutions(m, s_mask, n_exp, universe="full", translates=None)
     if n_exp >= 3:
         base = subset_power(m, s_mask, n_exp - 1)
         # t_masks[b] is the T holding the i-th non-identity element of S iff bit i of b is set
-        t_masks = [0]
-        for e in elements_of(s_mask & ~ebit):
-            t_masks += [t_mask | 1 << e for t_mask in t_masks]
+        t_masks = unions([1 << e for e in elements_of(s_mask & ~ebit)])
         family = [base & ~t_mask for t_mask in t_masks]
         family_ok = (all(q and products[q] == target for q in family)
                      and len(set(family)) == len(family))
@@ -268,7 +260,7 @@ def check_two_to_two(pm_src, pm_dst, witness):
     for x in range(pm_src.base.n):
         if x == pm_src.base.identity:
             continue
-        i = witness.map[pm_src.pair_index(x)]
+        i = witness.map[pm_src.pairs[x]]
         if pm_dst.sizes[i] != 2:
             bad.append(f"x={x} -> {format_subset(pm_dst.masks[i])} (size {pm_dst.sizes[i]})")
     return CheckResult("two_to_two", f"{pm_src.base.name} -> {pm_dst.base.name}",
@@ -296,7 +288,7 @@ def extract_pullback(pm_src, pm_dst, witness):
     h, k = pm_src.base, pm_dst.base
     kbit = 1 << k.identity
     mapping = tuple(k.identity if x == h.identity else
-                    (pm_dst.masks[witness.map[pm_src.pair_index(x)]] & ~kbit).bit_length() - 1
+                    (pm_dst.masks[witness.map[pm_src.pairs[x]]] & ~kbit).bit_length() - 1
                     for x in range(h.n))
     ok = sorted(mapping) == list(range(k.n))
     return (CheckResult("pullback_extraction", f"{h.name} -> {k.name}", "pass" if ok else "fail",

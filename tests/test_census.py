@@ -6,10 +6,10 @@ from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
-from powmon.census import (CensusEntry, canonical_key, census_monoids,
+from powmon.census import (CensusEntry, _classify, canonical_key, census_monoids,
                            enumerate_monoids, groups_catalog, power_classes,
                            power_iso_facts, power_isomorphism, power_isomorphisms,
-                           run_experiment)
+                           power_pair, run_experiment)
 from powmon.errors import SizeLimitExceeded
 from powmon.iso import (DEFAULT_BUDGET, IsoWitness, element_invariants, enumerate_isomorphisms,
                         find_isomorphism)
@@ -412,16 +412,29 @@ def test_classes_give_a_member_its_representative_search_witness(entries):
     # member m, so the pair (r, m) gets the map that searching it alone with
     # the batch's coloring finds, and a pair sweep reads that very witness
     pms, classes = power_classes(entries(), DEFAULT_BUDGET)
-    reps = {}
     members = 0
     for m, c in enumerate(classes.of):
-        r = reps.setdefault(c, m)
+        r = classes.reps[c]
         if r != m:
             want = find_isomorphism(pms[r].carrier, pms[m].carrier, DEFAULT_BUDGET,
                                     classes.coloring)
-            assert list(classes.composed(r, m)) == list(want.map), (r, m)
+            assert list(power_pair(classes, pms, r, m).witness.map) == list(want.map), (r, m)
             members += 1
     assert members
+
+
+@pytest.mark.parametrize("monoids", [
+    lambda: [reduced_power_monoid(e.monoid).carrier for e in census_monoids(4)],
+    lambda: [e.monoid for e in groups_catalog(8)]], ids=["census-4-carriers", "catalog-8-bases"])
+def test_classes_keep_each_class_first_member_as_its_representative(monoids):
+    # reps[c] is where class c was founded: its first member, mapped onto
+    # itself by the identity
+    monoids = monoids()
+    classes = _classify(monoids, DEFAULT_BUDGET)
+    assert sorted(set(classes.of)) == list(range(len(classes.reps)))
+    for c, r in enumerate(classes.reps):
+        assert r == classes.of.index(c) and classes.of[r] == c
+        assert classes.maps[r] == range(monoids[r].n)
 
 
 def test_experiment_budget_exceeded_reported():

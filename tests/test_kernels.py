@@ -84,6 +84,20 @@ def test_pack_table_types():
         assert _pure.pack_table(packed, n) is packed
 
 
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(0, 1 << 20), max_size=8))
+def test_unions_match_brute_or(values):
+    # entry A is the OR of values[i] over the bits i of A, the empty A's 0
+    want = []
+    for a in range(1 << len(values)):
+        acc = 0
+        for i, v in enumerate(values):
+            if a >> i & 1:
+                acc |= v
+        want.append(acc)
+    assert kernels.unions(values) == want
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_assoc_witness_parity(core, data):

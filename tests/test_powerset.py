@@ -243,8 +243,7 @@ def test_index_of_is_the_position_in_masks(base):
     pm = reduced_power_monoid(base)
     n, e = base.n, base.identity
     assert [pm.index_of(mask) for mask in pm.masks] == list(range(len(pm)))
-    for x in range(n):
-        assert pm.pair_index(x) == pm.masks.index((1 << e) | (1 << x))
+    assert pm.pairs == tuple(pm.masks.index((1 << e) | (1 << x)) for x in range(n))
     carrier = set(pm.masks)
     for mask in range(1 << (n + 1)):
         if mask not in carrier:

@@ -328,7 +328,8 @@ def test_pullback_rejects_corrupted_witness(zoo):
     pm = reduced_power_monoid(zoo["z4"])
     # duck-typed fake mapping the pair {1,x} to a 3-element subset
     bad = list(range(len(pm)))
-    i = pm.pair_index(1)
+    i = pm.pairs[1]
+    assert i == pm.masks.index(1 | 1 << 1)
     j = pm.index_of(mask_of([0, 1, 2], 4))
     bad[i], bad[j] = bad[j], bad[i]
     fake = types.SimpleNamespace(map=tuple(bad))
