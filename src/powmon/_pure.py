@@ -358,8 +358,6 @@ def enumerate_tables(n):
     class yields exactly its least labelling in cell order, and the tables
     come out as a list of flat tuples in increasing cell order.
     """
-    if n == 1:
-        return [(0,)]
     t = [-1] * (n * n)
     for i in range(n):
         t[i] = i

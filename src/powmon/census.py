@@ -10,7 +10,7 @@ isomorphic duplicates kept as positive controls for the experiments.
 """
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations, product
 from types import MappingProxyType
@@ -272,16 +272,19 @@ def power_pair(classes, pms, i, j):
 
 
 def power_isomorphisms(classes, pms, budget=DEFAULT_BUDGET):
-    """The function (i, j) -> the "iso" result of every isomorphism from
-    carrier i onto carrier j of a power_classes batch, or one
-    "budget-exceeded" result.  A pair the classes prove non-isomorphic
-    gets no result, without a search.  Aut(P(rep)) of each class's
-    representative is listed once, with the classes' Coloring, when one
-    of its pairs first asks; an in-class pair (i, j) gets the maps
-    f_j o s o f_i^-1 for s in Aut(P(rep)), f_i and f_j the classes'
-    validated maps from rep onto i and j, each re-validated by
-    IsoWitness, and the representative's self-pair the listed maps as
-    they are.
+    """Yield the "iso" result of every isomorphism from carrier i onto
+    carrier j of a power_classes batch, for every pair i <= j in pair
+    order that the classes leave open, or one "budget-exceeded" result
+    for a pair whose listing hit the budget.  A pair the classes prove
+    non-isomorphic yields nothing, without a search.
+
+    Aut(P(rep)) of each class's representative is listed once, with the
+    classes' Coloring, at the class's first pair (rep, rep).  An in-class
+    pair (i, j) gets the maps f_j o s o f_i^-1 for s in Aut(P(rep)), f_i
+    and f_j the classes' validated maps from rep onto i and j, each
+    re-validated by IsoWitness, and the representative's self-pair the
+    listed maps as they are.  f_i^-1 and the search order of carrier i's
+    colors are computed once per member i that has such a composed pair.
 
     These are the maps, in the order, of enumerate_isomorphisms(i, j,
     budget, coloring) on the pair alone.  The maps: an isomorphism
@@ -302,52 +305,45 @@ def power_isomorphisms(classes, pms, budget=DEFAULT_BUDGET):
     that a budget hit left unresolved has no composed maps, so it is
     listed on its own.
 
-    A class of k members has k(k+1)/2 in-class pairs (i, j) with i <= j,
-    self-pairs included.  Its list is dropped once that many in-class
-    pairs have been answered, so a sweep over i <= j keeps a class's list
-    only while some of its pairs are still to come.  A pair asked again
-    after that is listed again.
+    A class's last pair is (last, last), last its last member, so its
+    list is dropped once that pair is answered: the sweep keeps a class's
+    list only while some of its pairs are still to come.
     """
-    pending = {c: k * (k + 1) // 2 for c, k in Counter(classes.of).items()}   # pairs left
-    auts = {}       # class -> the IsoWitnesses of Aut(P(rep)), or None after a budget hit
-
     def listed(m1, m2):
         try:
             return enumerate_isomorphisms(m1, m2, budget, classes.coloring)
         except SearchBudgetExceeded:
             return None
 
-    def composed(i, j):
+    last = {c: i for i, c in enumerate(classes.of)}     # class -> its last member
+    auts = {}       # class -> the IsoWitnesses of Aut(P(rep)), or None after a budget hit
+    for i, pm_src in enumerate(pms):
         c = classes.of[i]
-        if c in auts:
-            aut = auts.pop(c)
-        else:
-            rep = pms[classes.reps[c]].carrier
-            aut = listed(rep, rep)
-        pending[c] -= 1
-        if pending[c] > 0:
-            auts[c] = aut
-        if aut is None or i == j == classes.reps[c]:
-            return aut
-        src, dst = pms[i].carrier, pms[j].carrier
-        inv, fj = inverse_map(classes.maps[i]), classes.maps[j]
-        order = search_order(classes.coloring.colors_of(src))
-        maps = sorted(([fj[s[x]] for x in inv] for s in (w.map for w in aut)),
-                      key=lambda mp: [mp[a] for a in order])
-        return [IsoWitness(src, dst, mp) for mp in maps]
-
-    def results(i, j):
-        pm_src, pm_dst = pms[i], pms[j]
-        status = classes.status(i, j)
-        if status == "no":
-            return []
-        witnesses = (composed(i, j) if status == "yes"
-                     else listed(pm_src.carrier, pm_dst.carrier))
-        if witnesses is None:
-            return [PowerIsoResult("budget-exceeded", pm_src=pm_src, pm_dst=pm_dst)]
-        return [power_iso_facts(pm_src, pm_dst, w) for w in witnesses]
-
-    return results
+        rep, src = classes.reps[c], pm_src.carrier
+        if i == rep:
+            auts[c] = listed(src, src)
+        if auts[c] is not None and last[c] != rep:      # i has a composed pair
+            inv = inverse_map(classes.maps[i])
+            order = search_order(classes.coloring.colors_of(src))
+        for j in range(i, len(pms)):
+            pm_dst, status = pms[j], classes.status(i, j)
+            if status == "no":
+                continue
+            if status == "budget-exceeded":
+                witnesses = listed(src, pm_dst.carrier)
+            elif auts[c] is None or i == j == rep:
+                witnesses = auts[c]
+            else:
+                fj = classes.maps[j]
+                maps = sorted(([fj[s[x]] for x in inv] for s in (w.map for w in auts[c])),
+                              key=lambda mp: [mp[a] for a in order])
+                witnesses = [IsoWitness(src, pm_dst.carrier, mp) for mp in maps]
+            if i == j == last[c]:
+                del auts[c]
+            if witnesses is None:
+                yield PowerIsoResult("budget-exceeded", pm_src=pm_src, pm_dst=pm_dst)
+            else:
+                yield from (power_iso_facts(pm_src, pm_dst, w) for w in witnesses)
 
 
 class ExperimentRecord(namedtuple("ExperimentRecord", "pair names base_iso power_iso pullback_ok "

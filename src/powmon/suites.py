@@ -150,13 +150,14 @@ def suite_thm32(max_order=4, group_max=6, budget=DEFAULT_BUDGET):
     exhaustive enumeration, one witness (and its inverse) per catalog pair.
 
     Both halves class their carriers (power_classes).  The census half
-    lists every pair its classes do not prove non-isomorphic
-    (power_isomorphisms): an in-class pair composes its class
-    representative's automorphisms, listed once per class, with the
-    classes' maps, in the order a listing of the pair alone gives, and a
-    pair across two classes that a budget hit left unresolved is listed
-    on its own.  The catalog half reads each witness from the catalog's
-    classes (power_pair), which it shares with section4
+    is one sweep of power_isomorphisms, which yields the results of every
+    pair its classes do not prove non-isomorphic, in pair order: an
+    in-class pair composes its class representative's automorphisms,
+    listed once per class and dropped after the class's last pair, with
+    the classes' maps, in the order a listing of the pair alone gives,
+    and a pair across two classes that a budget hit left unresolved is
+    listed on its own.  The catalog half reads each witness from the
+    catalog's classes (power_pair), which it shares with section4
     (catalog_power_classes), so a self-pair is decided by its identity
     map, even under a budget below its order.
     Every extracted pullback also gets a full property report (its order
@@ -166,10 +167,8 @@ def suite_thm32(max_order=4, group_max=6, budget=DEFAULT_BUDGET):
     """
     preserving = Counter()
     pms, classes = power_classes(census_monoids(max_order), budget)
-    isomorphisms = power_isomorphisms(classes, pms, budget)
-    for i, j in combinations_with_replacement(range(len(pms)), 2):
-        for res in isomorphisms(i, j):
-            yield from _thm32_records(res, preserving)
+    for res in power_isomorphisms(classes, pms, budget):
+        yield from _thm32_records(res, preserving)
     pms, classes = catalog_power_classes(group_max, budget)
     for i, j in combinations_with_replacement(range(len(pms)), 2):
         res = power_pair(classes, pms, i, j)

@@ -1,6 +1,9 @@
 """Monoid enumeration, canonical keys, the group catalog, experiments."""
 
+import gc
 import random
+import weakref
+from collections import Counter
 from itertools import combinations_with_replacement
 from types import MappingProxyType, SimpleNamespace
 
@@ -555,24 +558,57 @@ def test_class_listing_order_holds_for_any_kept_maps():
     assert len(_listed_as_alone(pms, classes._replace(maps=kept))) == 116
 
 
+def _by_pair(pms, results):
+    # the results grouped by their pair (i, j), asserting that each pair's
+    # results come together and the pairs in increasing order
+    index = {id(pm): k for k, pm in enumerate(pms)}
+    grouped = {}
+    for r in results:
+        pair = index[id(r.pm_src)], index[id(r.pm_dst)]
+        assert pair >= max(grouped, default=pair), pair
+        grouped.setdefault(pair, []).append(r)
+    return grouped
+
+
 def _listed_as_alone(pms, classes):
-    # asserts that power_isomorphisms gives each pair the maps of listing
-    # it alone, in that order, and no result to a pair proven "no"; returns
-    # the listed pairs' list lengths
-    isomorphisms = power_isomorphisms(classes, pms)
+    # asserts that power_isomorphisms yields for each pair the maps of
+    # listing it alone, in that order, and nothing for a pair proven "no";
+    # returns the listed pairs' list lengths
+    got = _by_pair(pms, power_isomorphisms(classes, pms))
+    assert all(classes.status(i, j) != "no" for i, j in got)
     listed = []
     for i, j in combinations_with_replacement(range(len(pms)), 2):
         if classes.status(i, j) != "no":
             want = enumerate_isomorphisms(pms[i].carrier, pms[j].carrier, DEFAULT_BUDGET,
                                           classes.coloring)
-            got = isomorphisms(i, j)
-            assert [r.witness.map for r in got] == [w.map for w in want], (i, j)
-            assert all(r.status == "iso" and r.pm_src is pms[i] and r.pm_dst is pms[j]
-                       for r in got)
-            listed.append(len(got))
-        else:
-            assert isomorphisms(i, j) == []
+            results = got.get((i, j), [])
+            assert [r.witness.map for r in results] == [w.map for w in want], (i, j)
+            assert all(r.status == "iso" for r in results)
+            listed.append(len(results))
     return listed
+
+
+@pytest.mark.parametrize("entries", [lambda: census_monoids(4), lambda: _relabelled_census(4, 7)],
+                         ids=["census-4", "relabelled-census-4"])
+def test_class_listing_computes_each_member_fact_once(monkeypatch, entries):
+    # f_i^-1 and carrier i's search order depend on i alone: one of each
+    # for every member i with a composed pair, that is every member of a
+    # class of two or more, where a count per pair would make one for each
+    # in-class pair but the representative's self-pair
+    from powmon import census
+
+    pms, classes = power_classes(entries(), DEFAULT_BUDGET)
+    calls = Counter()
+    for name in ("inverse_map", "search_order"):
+        def counting(arg, real=getattr(census, name), name=name):
+            calls[name] += 1
+            return real(arg)
+        monkeypatch.setattr(census, name, counting)
+    sizes = Counter(classes.of)
+    members = sum(k for k in sizes.values() if k > 1)
+    assert members < sum(k * (k + 1) // 2 - 1 for k in sizes.values() if k > 1)
+    assert len(_listed_as_alone(pms, classes)) > 0
+    assert calls == {"inverse_map": members, "search_order": members}
 
 
 def _count_listings(monkeypatch):
@@ -595,27 +631,47 @@ def test_class_listing_budget_hit_fails_every_in_class_pair(monkeypatch):
     pms, classes = power_classes(census_monoids(2), DEFAULT_BUDGET)
     assert classes.of[1] == classes.of[2] != classes.of[0]
     calls = _count_listings(monkeypatch)
-    isomorphisms = power_isomorphisms(classes, pms, budget=1)
+    got = _by_pair(pms, power_isomorphisms(classes, pms, budget=1))
     for i, j in ((1, 1), (1, 2), (2, 2)):
-        assert [(r.status, r.pm_src, r.pm_dst, r.failed) for r in isomorphisms(i, j)] == \
+        assert [(r.status, r.pm_src, r.pm_dst, r.failed) for r in got[i, j]] == \
             [("budget-exceeded", pms[i], pms[j], True)]
-    assert calls == [(pms[1].carrier.name, pms[1].carrier.name)]
     # the trivial carrier's one automorphism fits in the budget
-    assert [r.status for r in isomorphisms(0, 0)] == ["iso"]
+    assert [r.status for r in got[0, 0]] == ["iso"]
+    assert list(got) == [(0, 0), (1, 1), (1, 2), (2, 2)]
+    assert calls == [(pm.carrier.name, pm.carrier.name) for pm in pms[:2]]
 
 
 def test_class_listing_drops_a_class_list_after_its_last_pair(monkeypatch):
-    # z2's and idem2's carriers make a class of two, so three in-class pairs:
-    # its automorphisms are listed once for all three, then dropped, and a
-    # pair asked again is listed again, with the same maps
-    pms, classes = power_classes(census_monoids(2), DEFAULT_BUDGET)
-    calls = _count_listings(monkeypatch)
-    isomorphisms = power_isomorphisms(classes, pms)
-    first = [[r.witness.map for r in isomorphisms(i, j)] for i, j in ((1, 1), (1, 2), (2, 2))]
-    rep = (pms[1].carrier.name, pms[1].carrier.name)
-    assert calls == [rep]
-    assert [r.witness.map for r in isomorphisms(1, 2)] == first[1] != []
-    assert calls == [rep, rep]
+    # census <= 3 carriers 3, 5, 6 and 7 make a class with two automorphisms,
+    # and carrier 9 is the batch's last: the class's automorphisms are
+    # listed once, stay alive while its pairs are to come, and none is alive
+    # once a result after its last pair (7, 7) is out, with no result kept
+    from powmon import census
+
+    pms, classes = power_classes(census_monoids(3), DEFAULT_BUDGET)
+    members = [i for i, c in enumerate(classes.of) if c == classes.of[3]]
+    rep, last = members[0], members[-1]
+    assert members == [3, 5, 6, 7] and len(pms) == 10
+    aut = []
+    enumerate_real = census.enumerate_isomorphisms
+
+    def keeping_refs(m1, m2, *args, **kwargs):
+        found = enumerate_real(m1, m2, *args, **kwargs)
+        if m1 is m2 is pms[rep].carrier:
+            aut.append([weakref.ref(w) for w in found])
+        return found
+    monkeypatch.setattr(census, "enumerate_isomorphisms", keeping_refs)
+    index = {id(pm): k for k, pm in enumerate(pms)}
+    alive = []
+    for res in power_isomorphisms(classes, pms):
+        pair = index[id(res.pm_src)], index[id(res.pm_dst)]
+        del res
+        gc.collect()
+        alive.append((pair, sum(ref() is not None for ref in aut[0]) if aut else None))
+    (refs,) = aut
+    assert len(refs) == 2
+    assert {n for pair, n in alive if (rep, rep) <= pair < (last, last)} == {len(refs)}
+    assert {n for pair, n in alive if pair > (last, last)} == {0}
 
 
 def test_class_listing_lists_a_pair_across_unresolved_classes_alone(monkeypatch):
@@ -625,16 +681,17 @@ def test_class_listing_lists_a_pair_across_unresolved_classes_alone(monkeypatch)
     assert [classes.status(*p) for p in ((0, 1), (0, 2), (1, 2))] == \
         ["budget-exceeded", "yes", "budget-exceeded"]
     calls = _count_listings(monkeypatch)
-    isomorphisms = power_isomorphisms(classes, pms)
+    got = _by_pair(pms, power_isomorphisms(classes, pms))
     for i, j in ((0, 1), (1, 2)):
         want = enumerate_isomorphisms(pms[i].carrier, pms[j].carrier, DEFAULT_BUDGET,
                                       classes.coloring)
-        assert [r.witness.map for r in isomorphisms(i, j)] == [w.map for w in want] != []
-    assert calls == [(pms[0].carrier.name, pms[1].carrier.name),
-                     (pms[1].carrier.name, pms[2].carrier.name)]
+        assert [r.witness.map for r in got[i, j]] == [w.map for w in want] != []
+    names = [pm.carrier.name for pm in pms]
+    assert calls == [(names[0], names[0]), (names[0], names[1]), (names[1], names[1]),
+                     (names[1], names[2])]
     # a budget hit of a pair's own listing is its budget-exceeded result
-    assert [r.status for r in power_isomorphisms(classes, pms, budget=10)(0, 1)] == \
-        ["budget-exceeded"]
+    got = _by_pair(pms, power_isomorphisms(classes, pms, budget=10))
+    assert [r.status for r in got[0, 1]] == ["budget-exceeded"]
 
 
 def test_experiment_groups_order8():

@@ -4,10 +4,13 @@ import functools
 import hashlib
 import importlib.util
 import inspect
+import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import sysconfig
 import types
 from pathlib import Path
 
@@ -506,6 +509,47 @@ def test_report_body_digest(capsys, argv, digest):
     body = "".join(l for l in out.splitlines(keepends=True)
                    if not l.startswith(("# generated:", "# config:")))
     assert code == 0 and hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+# runs each argv of test_report_body_digest in one process and prints the
+# backend and, per argv, the exit code and the body digest, as JSON
+_DIGESTS_CHILD = """
+import contextlib, hashlib, io, json, sys
+from powmon import kernels
+from powmon.cli import main
+
+out = []
+for argv in json.loads(sys.argv[1]):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = main(argv)
+    body = "".join(l for l in sink.getvalue().splitlines(keepends=True)
+                   if not l.startswith(("# generated:", "# config:")))
+    out.append([code, hashlib.sha256(body.encode()).hexdigest()])
+print(json.dumps({"backend": kernels.backend, "file": kernels.__file__, "runs": out}))
+"""
+
+
+def test_report_body_digest_on_compiled_backend(core, tmp_path):
+    # the same bodies from a copy of the package with the `core` fixture's
+    # build beside it as powmon/_core, so the compiled kernels are the
+    # active backend
+    pkg = tmp_path / "powmon"
+    shutil.copytree(Path(powmon.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__", "_core.*.so", "_core.*.pyd"))
+    shutil.copy(core.__file__, pkg / f"_core{sysconfig.get_config_var('EXT_SUFFIX')}")
+    (mark,) = [m for m in test_report_body_digest.pytestmark if m.name == "parametrize"]
+    cases = mark.args[1]
+    env = {k: v for k, v in os.environ.items() if k != "POWMON_PURE"}
+    env["PYTHONPATH"] = str(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", _DIGESTS_CHILD,
+                           json.dumps([list(argv) for argv, _ in cases])],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["backend"] == "compiled"
+    assert Path(got["file"]).parent == pkg
+    assert got["runs"] == [[0, digest] for _, digest in cases]
 
 
 def test_order6_script_hashes_the_report_body(capsys):
