@@ -9,13 +9,19 @@ point where the compiled builder stops winning: the 228 order-5 census
 carriers of `experiment monoids` (16 elements each), where it is about
 4x faster, one 32-element carrier, where the two are about even, and one
 64-element carrier, where the pure one is about 4x faster.  The
-assoc_witness rows time the same check at 16, 32, 128 and 256 elements:
-the compiled one is about 3x faster on the census carriers and 1.6x at
-32 elements, and from 128 elements on the two are about even.  The
-256-element rows sit at the largest table of the pure bytes pass of
-assoc_witness.  --full adds the order-10 cases (a 512-element carrier),
-where the pure assoc_witness takes the numpy pass (about 0.5 s on 2 vCPU)
-or, without numpy, the plain triple loop (about 8 s).  The last rows time
+assoc_witness rows time the same check on the 273 census bases of order
+<= 5, where the pure kernel's bookkeeping of the rows it skips costs
+more than it saves (the compiled one is about 10x faster), and at 16,
+32, 128 and 256 elements: the compiled one is about 2x faster on the
+census carriers and even at 32 elements; from 128 elements on the pure
+one is faster, since it checks only the rows that are no product of two
+earlier rows: 2x on the Q8 carrier (59 of 128 rows), 1.4x on the Z2^3
+carrier (92 rows, the most of the order-8 groups) and 3.5x at 256
+elements.  The 256-element rows sit at the largest table of the pure
+bytes pass of assoc_witness.  --full adds the order-10 cases (a
+512-element carrier), where the pure assoc_witness takes the numpy pass
+(about 0.15 s on 2 vCPU, against 0.13 s compiled) or, without numpy,
+the plain triple loop (about 7 s).  The last rows time
 the census enumeration of orders 5 and 6, which has no compiled twin.
 Before it is timed, each pure result is checked against the compiled
 one; without the compiled backend, each pure power_table is checked
@@ -98,12 +104,20 @@ def bench_cases(full):
     z7 = cyclic_group(7)
     masks64 = _reduced_masks(z7)
 
+    z2 = cyclic_group(2)
+    z2cubed = reduced_power_monoid(direct_product(z2, direct_product(z2, z2))).carrier
+
     z9 = cyclic_group(9)
     pm256 = reduced_power_monoid(z9)
+
+    # the census bases of orders 1 to 5, each validated as the census is built
+    bases5 = [e.monoid for n in range(1, 6) for e in enumerate_monoids(n)]
 
     cases = [
         ("power_table, 228 order-5 census carriers (16)",
          lambda k: [k.power_table(flat, 5, masks) for flat, masks in census5]),
+        ("assoc_witness, 273 census bases of order <= 5",
+         lambda k: [k.assoc_witness(m.flat, m.n) for m in bases5]),
         ("assoc_witness, 228 order-5 census carriers (16)",
          lambda k: [k.assoc_witness(flat, 16) for flat in carriers16]),
         ("power_table, cyclic 6 base (carrier 32)",
@@ -112,8 +126,10 @@ def bench_cases(full):
          lambda k: k.assoc_witness(t1, 32)),
         ("power_table, cyclic 7 base (carrier 64)",
          lambda k: k.power_table(z7.flat, 7, masks64)),
-        ("assoc_witness, 128-element carrier",
+        ("assoc_witness, Q8 carrier (128, 59 rows)",
          lambda k: k.assoc_witness(carrier.flat, 128)),
+        ("assoc_witness, Z2^3 carrier (128, 92 rows)",
+         lambda k: k.assoc_witness(z2cubed.flat, 128)),
         ("power_table, quaternion base (carrier 128)",
          lambda k: k.power_table(q8.flat, 8, masks128)),
         ("assoc_witness, 256-element carrier",

@@ -66,8 +66,10 @@ class FiniteMonoid:
     flat[a*n:a*n+n] and column a is flat[a::n].  The table property
     slices the rows afresh on each access, for format_table and for
     callers that want rows.  Construction validates all three structural
-    invariants: entries in range, associativity (with a witness triple on
-    failure), and a unique two-sided identity.  Powers are computed once
+    invariants: entries in range, associativity (kernels.assoc_witness,
+    with the first failing triple as witness; the pure kernel checks only
+    the rows that are no product of two earlier rows, which gives the same
+    answer), and a unique two-sided identity.  Powers are computed once
     per element: the first call for a builds its power cycle, and
     power(a, k) for any k is then an index computation.  subset_cycles
     maps a subset bitmask to its power cycle under setwise product (filled

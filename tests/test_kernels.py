@@ -26,8 +26,8 @@ from powmon.census import canonical_key, census_monoids, enumerate_monoids
 from powmon.iso import refine_colors
 from powmon.monoid import FiniteMonoid, cyclic_group, cyclic_monoid, quaternion_group
 
-from oracles import (brute_least_labelling, brute_setwise, brute_valid_tables,
-                     growing_square_cells)
+from oracles import (brute_assoc_failure, brute_least_labelling, brute_setwise,
+                     brute_valid_tables, growing_square_cells)
 
 try:
     from powmon import _core      # only when the package itself ships a built _core
@@ -226,6 +226,80 @@ def test_assoc_witness_parity_above_256(core, monkeypatch, numpy_blocked):
     assert 0 <= got < 2 * n * n
     for t in _tables(bad):                  # a list and array('H')
         assert _pure.assoc_witness(t, n) == core.assoc_witness(t, n) == got
+
+
+def _brute_witness(flat, n):
+    """assoc_witness's encoding of the triple-loop oracle's first failure."""
+    rows = [list(flat[a * n:(a + 1) * n]) for a in range(n)]
+    triple = brute_assoc_failure(rows)
+    return -1 if triple is None else (triple[0] * n + triple[1]) * n + triple[2]
+
+
+def _skipped_rows(flat, n):
+    """The rows assoc_witness skips: each a that is some y*z with z <= y < a."""
+    seen = set()
+    skipped = []
+    for a in range(n):
+        if a in seen:
+            skipped.append(a)
+        seen.update(flat[a * n:a * n + a + 1])
+    return skipped
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_assoc_witness_matches_triple_loop(data):
+    # a random table, or a census monoid of order <= 5 or a group of order
+    # 6 or 7 with one cell changed: those keep most rows good, so that the
+    # first failing row comes after skipped ones
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(1, 7))
+        flat = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    else:
+        bases = [e.monoid for e in census_monoids(5)] + [cyclic_group(6), cyclic_group(7)]
+        m = data.draw(st.sampled_from(bases))
+        n = m.n
+        flat = list(m.flat)
+        cell = data.draw(st.integers(0, n * n - 1))
+        flat[cell] = data.draw(st.integers(0, n - 1))
+    want = _brute_witness(flat, n)
+    for t in _tables(flat):
+        assert _pure.assoc_witness(t, n) == want
+
+
+@pytest.mark.parametrize("base", [quaternion_group(), cyclic_group(9)], ids=["128", "256"])
+def test_assoc_witness_finds_a_fault_in_a_skipped_row(base):
+    # the changed cell lies in a row that is still skipped, so the first
+    # failing triple, which the triple loop finds, lies in a checked row
+    flat, n = _carrier_flat(base)
+    skipped = _skipped_rows(flat, n)
+    assert 0 < len(skipped) < n
+    for row in (skipped[0], skipped[len(skipped) // 2], skipped[-1]):
+        bad = _perturbed(flat, n, row)
+        assert row in _skipped_rows(bad, n)
+        got = _pure.assoc_witness(bad, n)
+        assert got >= 0 and got == _brute_witness(bad, n)
+        for t in _tables(bad):
+            assert _pure.assoc_witness(t, n) == got
+
+
+@pytest.mark.parametrize("numpy_blocked", [True, False], ids=["loop", "numpy"])
+def test_assoc_witness_finds_a_fault_in_a_skipped_row_above_256(monkeypatch, numpy_blocked):
+    if numpy_blocked:
+        monkeypatch.setitem(sys.modules, "numpy", None)     # import numpy fails
+    else:
+        pytest.importorskip("numpy")
+    flat, n = _carrier_flat(cyclic_group(10))
+    assert n == 512
+    if not numpy_blocked:                   # the loop takes seconds on a good table
+        assert _pure.assoc_witness(flat, n) == -1
+    skipped = _skipped_rows(flat, n)
+    bad = _perturbed(flat, n, skipped[0])
+    assert skipped[0] in _skipped_rows(bad, n)
+    got = _pure.assoc_witness(bad, n)
+    assert got >= 0 and got == _brute_witness(bad, n)
+    for t in _tables(bad):                  # a list and array('H')
+        assert _pure.assoc_witness(t, n) == got
 
 
 def _class_keys(tables, n):
