@@ -2,7 +2,7 @@
 """Pin the order-6 report bodies of the census runs, with time and peak memory.
 
 Usage:
-    python benchmarks/order6.py [RUN ...]
+    python benchmarks/order6.py [--json PATH] [RUN ...]
         RUN: lemma21 lemma22 lemma31 thm32 experiment (default: all)
 
 Each suite RUN is `powmon verify RUN --max-order 6`, and `experiment` is
@@ -15,15 +15,26 @@ body is every line, with its newline, but the `# generated:` and
 For each run this prints the body's sha256, the wall time and the child's
 peak resident memory (VmHWM), and exits 1 when a digest differs from its
 pin, a run exits non-zero, or a peak exceeds its bound.  It is not part of
-the test suite: thm32 alone takes minutes.  The experiment keeps all its
-records until the summary is written, so its peak grows with the pair
-count; its bound is about 10 % above the peak of that design, 834 MB on
-either backend.
+the test suite: thm32 alone takes minutes.
+
+With --json PATH it also writes {"records": [...]} to PATH, one record per
+run: the run, the kernel backend the child loaded, its exit code, the
+body digest and whether it matches the pin, wall_s, peak_mb, the printed
+verdict, the Python version, nproc and the sha256 of src/powmon (its
+files but bytecode and built extensions, as perfbench's src_sha256).  A
+child that failed has null in the fields it could not report.
+
+The experiment keeps all its records until the summary is written, so
+its peak grows with the pair count; its bound is about 10 % above the
+peak of that design, 834 MB on either backend.
 """
 
+import argparse
 import contextlib
 import hashlib
 import json
+import os
+import platform
 import subprocess
 import sys
 import time
@@ -39,6 +50,7 @@ PINS = {
 }
 
 SKIPPED = ("# generated:", "# config:")
+PKG = Path(__file__).resolve().parents[1] / "src" / "powmon"
 
 
 def argv_of(run):
@@ -87,29 +99,43 @@ def peak_rss_mb():
     return kb / 1024
 
 
+def package_digest(pkg):
+    h = hashlib.sha256()
+    for path in sorted(pkg.rglob("*")):
+        if (path.is_file() and "__pycache__" not in path.parts
+                and path.suffix not in (".so", ".pyc", ".pyd")):
+            h.update(str(path.relative_to(pkg)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def child(run):
     """Make one run at order 6 and print its result as one JSON line."""
-    from powmon import census
+    from powmon import census, kernels
 
     census.ENUMERATION_LIMIT = 6
     t0 = time.perf_counter()
     code, digest = body_digest(argv_of(run))
     wall = time.perf_counter() - t0
-    print(json.dumps({"code": code, "digest": digest, "wall_s": wall, "peak_mb": peak_rss_mb()}))
+    print(json.dumps({"backend": kernels.backend, "code": code, "digest": digest, "wall_s": wall,
+                      "peak_mb": peak_rss_mb()}))
 
 
-def main(runs):
+def main(runs, json_path=None):
     unknown = [r for r in runs if r not in PINS]
     if unknown:
         sys.exit(f"unknown run {', '.join(unknown)}: choose from {' '.join(PINS)}")
-    bad = 0
+    host = {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
+            "src_sha256": package_digest(PKG)}
+    records = []
     print("run\texit\tdigest\twall_s\tpeak_mb\tverdict")
     for run in runs or PINS:
         proc = subprocess.run([sys.executable, __file__, "--child", run],
                               capture_output=True, text=True)
         if proc.returncode != 0:
-            print(f"{run}\tchild failed ({proc.returncode}): {proc.stderr.strip()}")
-            bad += 1
+            verdict = f"child failed ({proc.returncode}): {proc.stderr.strip()}"
+            print(f"{run}\t{verdict}")
+            res = dict.fromkeys(("backend", "code", "digest", "wall_s", "peak_mb"))
+            records.append({"run": run, **res, "digest_ok": False, "verdict": verdict, **host})
             continue
         res = json.loads(proc.stdout)
         digest, bound = PINS[run]
@@ -117,15 +143,25 @@ def main(runs):
                                               (res["digest"] != digest, "digest differs"),
                                               (res["peak_mb"] > bound, f"peak above {bound} MB"))
                     if failed]
-        bad += bool(problems)
+        verdict = "; ".join(problems) or "ok"
+        records.append({"run": run, **res, "digest_ok": res["digest"] == digest,
+                        "verdict": verdict, **host})
         print(f"{run}\t{res['code']}\t{res['digest']}\t{res['wall_s']:.1f}\t"
-              f"{res['peak_mb']:.0f}\t{'; '.join(problems) or 'ok'}")
-    return 1 if bad else 0
+              f"{res['peak_mb']:.0f}\t{verdict}")
+    if json_path is not None:
+        with open(json_path, "w") as fh:
+            json.dump({"records": records}, fh, indent=1)
+            fh.write("\n")
+    return 1 if any(r["verdict"] != "ok" for r in records) else 0
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.path.insert(0, str(PKG.parent))
     if sys.argv[1:2] == ["--child"]:
         child(sys.argv[2])
     else:
-        sys.exit(main(sys.argv[1:]))
+        parser = argparse.ArgumentParser(description="Pin the order-6 report bodies.")
+        parser.add_argument("runs", nargs="*", metavar="RUN", help=" ".join(PINS))
+        parser.add_argument("--json", metavar="PATH", help="also write one record per run to PATH")
+        args = parser.parse_args()
+        sys.exit(main(args.runs, args.json))

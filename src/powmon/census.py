@@ -424,8 +424,10 @@ def _classify(monoids, budget):
     rep -> monoid; it then joins that class and keeps the witness.
     Otherwise it becomes the representative of a new class, without a
     search when no representative shares its key, so a monoid alone in
-    its bucket is never refined.  A search that hits the budget leaves the
-    pair of classes of the monoid and that representative unresolved.
+    its bucket is never refined, and one alone in its order profile never
+    has its element invariants computed either.  A search that hits the
+    budget leaves the pair of classes of the monoid and that
+    representative unresolved.
 
     Two monoids of different classes are non-isomorphic unless their
     classes are unresolved.  Let i ~ a and j ~ b, for representatives a

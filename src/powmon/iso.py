@@ -6,10 +6,12 @@ classes, and every assignment propagates the products it forces.  Classes
 start from per-element invariants (order, idempotency, row and column
 image sizes) and are refined by the coloring of row and column patterns,
 so most non-isomorphic pairs are rejected before any search.  A batch of
-monoids is split into buckets by order and invariant multiset, and each
-bucket is refined once, when a member first needs colors (Coloring);
-each pair is then decided from its class keys and its slices of that
-coloring.
+monoids is split into buckets by size and multiset of element orders,
+and a group of two or more that share those is split again by invariant
+multiset, so a monoid alone in its order profile never has its element
+invariants computed for its key.  Each bucket is refined once, when a
+member first needs colors (Coloring); each pair is then decided from its
+class keys and its slices of that coloring.
 
 "Proven absent" and "budget exceeded" are distinct outcomes: absence is
 only reported after an exhausted search (or an invariant mismatch, which
@@ -144,10 +146,15 @@ class Coloring:
     """The stable coloring of a batch of monoids, refined bucket by bucket.
 
     The monoids are grouped into buckets by their order and the multiset
-    of their element_invariants, the round-0 colors of refine_colors.  A
-    bucket is refined with refine_colors the first time a member needs
-    colors or, in a bucket of two or more, a class key, so its color ids
-    are comparable only within the bucket.
+    of their element_invariants, the round-0 colors of refine_colors.  The
+    key has two levels: the monoids are first grouped by (n, sorted
+    element orders), and only a group of two or more is split by (n,
+    sorted invariants).  The order is the first invariant, so these are
+    the buckets of the second key alone, but a monoid alone in its order
+    profile has invariants_of computed only once it needs colors, never
+    for its key.  A bucket is refined with refine_colors the first time a
+    member needs colors or, in a bucket of two or more, a class key, so
+    its color ids are comparable only within the bucket.
 
     Refinement only splits classes, so two monoids in different buckets
     have different final profiles (color multisets) and are proven
@@ -166,13 +173,17 @@ class Coloring:
     """
 
     def __init__(self, monoids):
-        self._bucket = {}       # id(m) -> the members of m's bucket
-        buckets = {}
+        groups = {}             # order profile -> {id(m): m}, in batch order
         for m in monoids:
-            if id(m) not in self._bucket:
-                key = (m.n, tuple(sorted(invariants_of(m))))
-                self._bucket[id(m)] = buckets.setdefault(key, [])
-                self._bucket[id(m)].append(m)   # also keeps the ids valid
+            groups.setdefault((m.n, tuple(sorted(m.orders()))), {})[id(m)] = m
+        self._bucket = {}       # id(m) -> the members of m's bucket
+        for group in groups.values():
+            buckets = {}        # invariant multiset -> members; a lone member needs none
+            for m in group.values():
+                key = tuple(sorted(invariants_of(m))) if len(group) > 1 else None
+                bucket = buckets.setdefault(key, [])
+                bucket.append(m)    # also keeps the ids valid
+                self._bucket[id(m)] = bucket
         self._colors = {}       # id(m) -> colors, for the members of refined buckets
         self._profiles = {}
 

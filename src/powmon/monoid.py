@@ -204,6 +204,8 @@ def cyclic_monoid(index, period, name=None):
 
 
 def cyclic_group(n):
+    if n < 1:
+        raise ValueError(f"cyclic group order must be at least 1, got {n}")
     return cyclic_monoid(0, n, name=f"cyclic {n}")
 
 
@@ -223,7 +225,7 @@ def dihedral_group(n):
     Index f*n + r encodes the map x -> (-1)^f x + r; rotations come first.
     """
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ValueError(f"dihedral group degree must be at least 1, got {n}")
     def mul(a, b):
         f1, r1 = divmod(a, n)
         f2, r2 = divmod(b, n)

@@ -335,6 +335,24 @@ def test_group_experiment_refines_few_elements(monkeypatch):
     assert sum(m.n for batch in batches for m in batch) <= 100
 
 
+def test_group_experiment_computes_invariants_only_where_order_profiles_collide(monkeypatch):
+    # in the catalog <= 8 only z6 and its control z2xz3 share an order
+    # profile, as bases and as carriers; every other monoid is alone in its
+    # bucket, and neither keying nor a self-pair needs its invariants
+    from powmon import iso
+
+    seen = []
+    invariants = iso.element_invariants
+
+    def counting(m):
+        seen.append(m.name)
+        return invariants(m)
+    monkeypatch.setattr(iso, "element_invariants", counting)
+    run_experiment(groups_catalog.__wrapped__(8))
+    assert sorted(seen) == ["(cyclic 2 x cyclic 3)", "cyclic 6",
+                            "reduced power((cyclic 2 x cyclic 3))", "reduced power(cyclic 6)"]
+
+
 def test_experiment_tiny_groups():
     records, summary = run_experiment(groups_catalog(2))
     assert summary.pairs == 3

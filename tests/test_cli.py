@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import json
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import powmon
-from powmon import census
+from powmon import census, kernels
 from powmon.cli import VERIFY_FLAGS, _params, main, parse_monoid_spec
 from powmon.monoid import TABLE_FILE_LIMIT, cyclic_group, direct_product
 from powmon.suites import CASES, SUITES
@@ -53,8 +54,12 @@ def test_parse_monoid_spec():
     assert nested.name == "(cyclic 2 x (cyclic 2 x cyclic 2))"
     assert nested.n == 8 and sorted(nested.orders()) == [1] + [2] * 7
     assert nested == direct_product(cyclic_group(2), direct_product(cyclic_group(2), cyclic_group(2)))
-    for bad in ("wat", "z0", "d0", "zx", "z2x", "xz2", "dx", "cmon2", "cmon.2", "cmon2.x", "z2xwat"):
+    for bad in ("wat", "zx", "z2x", "xz2", "dx", "cmon2", "cmon.2", "cmon2.x", "z2xwat"):
         with pytest.raises(ValueError):
+            parse_monoid_spec(bad)
+    for bad, family in (("z0", "cyclic group order"), ("z2xz0", "cyclic group order"),
+                        ("d0", "dihedral group degree")):
+        with pytest.raises(ValueError, match=f"{family} must be at least 1, got 0"):
             parse_monoid_spec(bad)
 
 
@@ -103,6 +108,16 @@ def test_construct_table_with_trailing_row_is_input_error(tmp_path, capsys):
     p.write_text("2\n0 1\n1 0\n0 1 2\n")
     code, out, err = run_cli(capsys, "construct", "table", str(p))
     assert code == 2 and out == "" and "line 4: unexpected content" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("z0", "cyclic group order must be at least 1, got 0"),
+    ("z2xz0", "cyclic group order must be at least 1, got 0"),
+    ("d0", "dihedral group degree must be at least 1, got 0"),
+])
+def test_construct_empty_group_names_its_family(capsys, spec, message):
+    code, out, err = run_cli(capsys, "construct", spec)
+    assert code == 2 and out == "" and message in err
 
 
 def test_construct_nonassociative_table_is_input_error(tmp_path, capsys):
@@ -565,6 +580,28 @@ def test_order6_script_hashes_the_report_body(capsys):
     body = "".join(l for l in out.splitlines(keepends=True)
                    if not l.startswith(("# generated:", "# config:")))
     assert code == 0 and digest == hashlib.sha256(body.encode()).hexdigest()
+
+
+def test_order6_script_writes_one_json_record_per_run(tmp_path):
+    # the record repeats the printed row and adds the host and the sources
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "order6.py"
+    target = tmp_path / "bench.json"
+    proc = subprocess.run([sys.executable, str(script), "--json", str(target), "lemma21"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header == "run\texit\tdigest\twall_s\tpeak_mb\tverdict"
+    (record,) = json.loads(target.read_text())["records"]
+    assert set(record) == {"run", "backend", "code", "digest", "digest_ok", "wall_s", "peak_mb",
+                           "verdict", "python", "nproc", "src_sha256"}
+    assert row.split("\t") == ["lemma21", "0", record["digest"], f"{record['wall_s']:.1f}",
+                               f"{record['peak_mb']:.0f}", "ok"]
+    assert (record["run"], record["code"], record["digest_ok"], record["verdict"]) == \
+        ("lemma21", 0, True, "ok")
+    assert record["backend"] == kernels.backend
+    assert record["python"] == platform.python_version()
+    assert record["nproc"] >= 1 and len(record["src_sha256"]) == 64
+    assert 0 < record["wall_s"] and 0 < record["peak_mb"]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -5,6 +5,7 @@ from itertools import chain, combinations_with_replacement
 
 import pytest
 
+from powmon import iso
 from powmon.census import census_monoids, groups_catalog
 from powmon.errors import SearchBudgetExceeded
 from powmon.iso import (Coloring, IsoWitness, _search, element_invariants,
@@ -129,6 +130,31 @@ def test_batch_coloring_restricts_to_pairwise_refinement():
         assert (batch.class_key(m1) == batch.class_key(m2)) == (Counter(c1) == Counter(c2))
         if bucket[id(m1)] == bucket[id(m2)]:
             assert _same_partition(batch.colors_of(m1) + batch.colors_of(m2), c1 + c2)
+
+
+@pytest.mark.parametrize("batch", [
+    lambda: _census_bases_and_carriers(5),
+    lambda: [e.monoid for e in groups_catalog(8)] + _carriers(groups_catalog(8)),
+], ids=["census5-bases-and-carriers", "catalog8-bases-and-carriers"])
+def test_buckets_are_those_of_the_invariant_multiset(batch):
+    # grouped by order profile first, split by invariants only on a tie:
+    # two monoids share a bucket iff they share n and invariant multiset
+    monoids = batch()
+    coloring = Coloring(monoids)
+    assert _same_partition([coloring.class_key(m)[0] for m in monoids],
+                           [(m.n, tuple(sorted(element_invariants(m)))) for m in monoids])
+
+
+def test_order_profile_tie_is_split_without_refinement(monkeypatch, zoo):
+    # Z2 and idem2, the paper's counterexample pair, share the order profile
+    # (1, 2) but not their invariants: the buckets alone tell them apart
+    def refuse(monoids):
+        raise AssertionError(f"refined {[m.name for m in monoids]}")
+    monkeypatch.setattr(iso, "refine_colors", refuse)
+    z2, idem2 = zoo["z2"], zoo["idem2"]
+    assert sorted(z2.orders()) == sorted(idem2.orders()) == [1, 2]
+    coloring = Coloring([z2, idem2])
+    assert coloring.class_key(z2)[0] != coloring.class_key(idem2)[0]
 
 
 def test_batch_coloring_gives_the_pairwise_witnesses():

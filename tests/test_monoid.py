@@ -227,8 +227,10 @@ def test_standard_group_names(zoo):
 
 
 def test_standard_group_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cyclic group order must be at least 1, got 0"):
         parse_monoid_spec("z0")
+    with pytest.raises(ValueError, match="dihedral group degree must be at least 1, got 0"):
+        parse_monoid_spec("d0")
     # unknown names, malformed products and the retired long-form names
     for bad in ("frobnitz", "dx", "z2x", "cyclic 2",
                 "direct_product(cyclic 2, cyclic 3)"):
