@@ -2,7 +2,7 @@
 """Pin the order-6 report bodies of the census runs, with time and peak memory.
 
 Usage:
-    python benchmarks/order6.py [--json PATH] [RUN ...]
+    python benchmarks/order6.py [--json PATH] [--against DIR [--rounds N]] [RUN ...]
         RUN: lemma21 lemma22 lemma31 thm32 experiment (default: all)
 
 Each suite RUN is `powmon verify RUN --max-order 6`, and `experiment` is
@@ -24,6 +24,19 @@ verdict, the Python version, nproc and the sha256 of src/powmon (its
 files but bytecode and built extensions, as perfbench's src_sha256).  A
 child that failed has null in the fields it could not report.
 
+With --against DIR it also runs the checkout in DIR, a tree with the
+same layout (say a `git archive` of the parent commit), through this
+script's harness: each of N rounds (--rounds, default 1) makes every RUN
+once on each side, DIR first in odd rounds and this checkout first in
+even ones, so that drift of the host falls on both.  Each row then starts
+with its side (`against` or `this`) and round, and one row per run and
+side, its round `median`, ends the table with the median wall_s and
+peak_mb.  The JSON records carry
+the same two fields, and the file adds "against", "rounds" and
+"medians" ({run: {side: {"wall_s", "peak_mb"}}}).  Both sides load the
+kernel backend their own tree provides, built or not, under the same
+POWMON_PURE; the records name it.
+
 The experiment keeps all its records until the summary is written, so
 its peak grows with the pair count; its bound is about 10 % above the
 peak of that design, 834 MB on either backend.
@@ -35,6 +48,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -120,48 +134,102 @@ def child(run):
                       "peak_mb": peak_rss_mb()}))
 
 
-def main(runs, json_path=None):
+def run_child(run, src):
+    """The record of one run in a child process that imports powmon from src."""
+    proc = subprocess.run([sys.executable, __file__, "--child", run, str(src)],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        res = dict.fromkeys(("backend", "code", "digest", "wall_s", "peak_mb"))
+        verdict = f"child failed ({proc.returncode}): {proc.stderr.strip()}"
+        return {"run": run, **res, "digest_ok": False, "verdict": verdict}
+    res = json.loads(proc.stdout)
+    digest, bound = PINS[run]
+    problems = [text for failed, text in ((res["code"] != 0, f"exit {res['code']}"),
+                                          (res["digest"] != digest, "digest differs"),
+                                          (res["peak_mb"] > bound, f"peak above {bound} MB"))
+                if failed]
+    return {"run": run, **res, "digest_ok": res["digest"] == digest,
+            "verdict": "; ".join(problems) or "ok"}
+
+
+def print_row(record, prefix=""):
+    if record["code"] is None:
+        print(f"{prefix}{record['run']}\t{record['verdict']}")
+    else:
+        print(f"{prefix}{record['run']}\t{record['code']}\t{record['digest']}\t"
+              f"{record['wall_s']:.1f}\t{record['peak_mb']:.0f}\t{record['verdict']}")
+
+
+def medians(records):
+    """{run: {side: {"wall_s", "peak_mb"}}} over the records that have both."""
+    out = {}
+    for r in records:
+        if r["wall_s"] is not None:
+            out.setdefault(r["run"], {}).setdefault(r["side"], []).append(r)
+    return {run: {side: {key: statistics.median(r[key] for r in rs)
+                         for key in ("wall_s", "peak_mb")}
+                  for side, rs in sides.items()}
+            for run, sides in out.items()}
+
+
+def host_of(pkg):
+    return {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
+            "src_sha256": package_digest(pkg)}
+
+
+def main(runs, json_path=None, against=None, rounds=1):
     unknown = [r for r in runs if r not in PINS]
     if unknown:
         sys.exit(f"unknown run {', '.join(unknown)}: choose from {' '.join(PINS)}")
-    host = {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
-            "src_sha256": package_digest(PKG)}
+    runs = runs or list(PINS)
+    header = "run\texit\tdigest\twall_s\tpeak_mb\tverdict"
     records = []
-    print("run\texit\tdigest\twall_s\tpeak_mb\tverdict")
-    for run in runs or PINS:
-        proc = subprocess.run([sys.executable, __file__, "--child", run],
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            verdict = f"child failed ({proc.returncode}): {proc.stderr.strip()}"
-            print(f"{run}\t{verdict}")
-            res = dict.fromkeys(("backend", "code", "digest", "wall_s", "peak_mb"))
-            records.append({"run": run, **res, "digest_ok": False, "verdict": verdict, **host})
-            continue
-        res = json.loads(proc.stdout)
-        digest, bound = PINS[run]
-        problems = [text for failed, text in ((res["code"] != 0, f"exit {res['code']}"),
-                                              (res["digest"] != digest, "digest differs"),
-                                              (res["peak_mb"] > bound, f"peak above {bound} MB"))
-                    if failed]
-        verdict = "; ".join(problems) or "ok"
-        records.append({"run": run, **res, "digest_ok": res["digest"] == digest,
-                        "verdict": verdict, **host})
-        print(f"{run}\t{res['code']}\t{res['digest']}\t{res['wall_s']:.1f}\t"
-              f"{res['peak_mb']:.0f}\t{verdict}")
+    if against is None:
+        host = host_of(PKG)
+        print(header)
+        for run in runs:
+            records.append({**run_child(run, PKG.parent), **host})
+            print_row(records[-1])
+        doc = {"records": records}
+    else:
+        sides = {"against": Path(against).resolve() / "src", "this": PKG.parent}
+        hosts = {side: host_of(src / "powmon") for side, src in sides.items()}
+        print("side\tround\t" + header)
+        for rnd in range(1, rounds + 1):
+            order = ("against", "this") if rnd % 2 else ("this", "against")
+            for run in runs:
+                for side in order:
+                    record = {"side": side, "round": rnd, **run_child(run, sides[side]),
+                              **hosts[side]}
+                    records.append(record)
+                    print_row(record, f"{side}\t{rnd}\t")
+        doc = {"against": str(Path(against).resolve()), "rounds": rounds,
+               "records": records, "medians": medians(records)}
+        for run, by_side in doc["medians"].items():
+            for side, med in by_side.items():
+                print(f"{side}\tmedian\t{run}\t\t\t{med['wall_s']:.1f}\t{med['peak_mb']:.0f}")
     if json_path is not None:
         with open(json_path, "w") as fh:
-            json.dump({"records": records}, fh, indent=1)
+            json.dump(doc, fh, indent=1)
             fh.write("\n")
     return 1 if any(r["verdict"] != "ok" for r in records) else 0
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(PKG.parent))
     if sys.argv[1:2] == ["--child"]:
+        sys.path.insert(0, sys.argv[3])
         child(sys.argv[2])
     else:
         parser = argparse.ArgumentParser(description="Pin the order-6 report bodies.")
         parser.add_argument("runs", nargs="*", metavar="RUN", help=" ".join(PINS))
         parser.add_argument("--json", metavar="PATH", help="also write one record per run to PATH")
+        parser.add_argument("--against", metavar="DIR",
+                            help="also run the checkout in DIR, alternating with this one")
+        parser.add_argument("--rounds", type=int, default=1, metavar="N",
+                            help="rounds of runs on each side with --against (default 1)")
         args = parser.parse_args()
-        sys.exit(main(args.runs, args.json))
+        if args.rounds < 1:
+            parser.error(f"--rounds must be at least 1, got {args.rounds}")
+        if args.rounds != 1 and args.against is None:
+            parser.error("--rounds needs --against")
+        sys.exit(main(args.runs, args.json, args.against, args.rounds))

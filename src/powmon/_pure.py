@@ -14,9 +14,10 @@ indices.  Everything here is standard library up to tables of 256
 elements, the reduced carriers of bases up to order 9; only
 assoc_witness on larger tables imports numpy, and falls back to a plain
 loop without it.  assoc_witness checks only the rows that are no product
-of two earlier rows (Light's test): the rows that pass are closed under
-the product, so the first failing row is never a product of two earlier
-ones and is always checked.
+of two earlier rows (Light's test, light_rows): the rows that pass are
+closed under the product, so the first failing row is never a product of
+two earlier ones and is always checked.  iso._check_isomorphism reads
+the same rows for the same reason.
 """
 
 from array import array
@@ -40,13 +41,37 @@ def _listed(cells):
     return cells if isinstance(cells, list) else list(cells)
 
 
-def unions(values):
-    """The OR of values[i] over the bits i of A, for every A < 2^len(values),
-    as a list indexed by A (entry 0 is 0): the sets with top bit i follow
-    those below i, and each is the one without i ORed with values[i]."""
-    out = [0]
+def unions(values, first=0):
+    """first ORed with values[i] over the bits i of A, for every
+    A < 2^len(values), as a list indexed by A (entry 0 is first): the sets
+    with top bit i follow those below i, and each is the one without i
+    ORed with values[i]."""
+    out = [first]
     for v in values:
         out += [u | v for u in out]
+    return out
+
+
+def light_rows(rows):
+    """The indices of the rows that Light's test checks, in order: row a is
+    skipped when a is in seen, the products y*z with z <= y < a, which each
+    row y feeds in as its prefix rows[y][:y + 1] once it is passed.  rows
+    is the table's rows, any sequences of ints that slice.
+
+    Associativity (assoc_witness) and homomorphism
+    (iso._check_isomorphism) checks have the same shape: the rows that pass
+    are closed under the product.  So every row before the first failing
+    row passes, and so does every product of two of them; the first
+    failing row is never skipped, and checking only these rows finds it.
+    A product y*z with y < z is not fed, so a row may be kept that a
+    rule fed both orders would skip: sound, only not minimal.
+    """
+    seen = set()
+    out = []
+    for a, row in enumerate(rows):
+        if a not in seen:
+            out.append(a)
+        seen.update(row[:a + 1])
     return out
 
 
@@ -65,8 +90,9 @@ def assoc_witness(table, n):
     good by then, so it holds no failing triple, and the first failing
     row is never skipped.  So the result is that of checking every row:
     the same -1, or the same lexicographically first failing triple, on
-    any table.  In the reduced carriers of the groups of order 8 the rows
-    left are {1} and the indecomposables, 45 to 92 of 128.
+    any table.  light_rows lists the rows it keeps; in the reduced
+    carriers of the groups of order 8 they are {1} and the
+    indecomposables, 45 to 92 of 128.
 
     Up to 256 elements the table is one bytes object (pack_table, which
     returns a FiniteMonoid's flat as it is), and for each row a checked
@@ -75,22 +101,20 @@ def assoc_witness(table, n):
     through row a with bytes.translate.  The first differing cell is the
     lexicographically first failing triple.  Larger tables use a
     vectorized numpy pass when numpy is importable; the plain triple loop
-    is the semantic reference and the last fallback.  All three skip the
-    same rows.
+    is the semantic reference and the last fallback.  All three check the
+    rows of light_rows.
     """
-    seen = set()
     if n <= 256:
         flat = pack_table(table, n)
         rows = [flat[x * n:(x + 1) * n] for x in range(n)]
         pad = bytes(256 - n)
-        for a, row_a in enumerate(rows):
-            if a not in seen:
-                lhs = b"".join(map(rows.__getitem__, row_a))
-                rhs = flat.translate(row_a + pad)
-                if lhs != rhs:
-                    i = next(i for i, (p, q) in enumerate(zip(lhs, rhs)) if p != q)
-                    return a * n * n + i
-            seen.update(row_a[:a + 1])
+        for a in light_rows(rows):
+            row_a = rows[a]
+            lhs = b"".join(map(rows.__getitem__, row_a))
+            rhs = flat.translate(row_a + pad)
+            if lhs != rhs:
+                i = next(i for i, (p, q) in enumerate(zip(lhs, rhs)) if p != q)
+                return a * n * n + i
         return -1
     try:
         import numpy as np
@@ -98,25 +122,21 @@ def assoc_witness(table, n):
         pass
     else:
         t = np.asarray(table, dtype=np.int64).reshape(n, n)
-        for a in range(n):
-            if a not in seen:
-                lhs = t[t[a], :]     # (a*b)*c indexed by (b, c)
-                rhs = t[a, t]        # a*(b*c) indexed by (b, c)
-                if not np.array_equal(lhs, rhs):
-                    b, c = map(int, np.argwhere(lhs != rhs)[0])
-                    return (a * n + b) * n + c
-            seen.update(t[a, :a + 1].tolist())
+        for a in light_rows(t.tolist()):
+            lhs = t[t[a], :]     # (a*b)*c indexed by (b, c)
+            rhs = t[a, t]        # a*(b*c) indexed by (b, c)
+            if not np.array_equal(lhs, rhs):
+                b, c = map(int, np.argwhere(lhs != rhs)[0])
+                return (a * n + b) * n + c
         return -1
-    for a in range(n):
+    for a in light_rows([table[x * n:(x + 1) * n] for x in range(n)]):
         an = a * n
-        if a not in seen:
-            for b in range(n):
-                abn = table[an + b] * n
-                bn = b * n
-                for c in range(n):
-                    if table[abn + c] != table[an + table[bn + c]]:
-                        return (an + b) * n + c
-        seen.update(table[an:an + a + 1])
+        for b in range(n):
+            abn = table[an + b] * n
+            bn = b * n
+            for c in range(n):
+                if table[abn + c] != table[an + table[bn + c]]:
+                    return (an + b) * n + c
     return -1
 
 
@@ -137,55 +157,78 @@ def setwise_product(table, n, x, y):
 
 
 def power_table(table, n, masks):
-    """Carrier table over the given subset masks, flat row-major, as
-    pack_table gives it: bytes up to 256 masks, array('H') above.
+    """Carrier table of a power monoid of the n-element base with this flat
+    table, flat row-major over masks, as pack_table gives it: bytes up to
+    256 masks, array('H') above.
 
-    Entry (i, j) is the position in masks of masks[i]*masks[j]; masks must
-    be closed under setwise product.  A row is one int holding one cell
-    per mask, cell j the product mask with masks[j]: a byte while 2^n <=
-    256, two bytes above that (n <= 16).  The translate row of a base
-    element x holds the cells x*masks[j], read off x*Y for every subset Y
-    of the base, which unions gives from the bits of the x*y.  The row
-    of X is then the row of X minus its top element x ORed with the
-    translate row of x, one int OR; rows are memoized by mask, and the
-    intermediate masks need not be in masks.  The rows are joined as
-    bytes, and product masks become positions through one bytes.translate
-    for byte cells, or a list indexed by mask for two-byte cells.  On 2 vCPU
-    (benchmarks/bench_kernels.py --repeat 5 --full) the 228 16-element
-    carriers of the order-5 census take 6-10 ms, where the compiled twin
-    takes 2 ms; at 32 elements the two are about even; from 64 elements on
-    this one is faster: 0.1 against 0.5 ms at 64 elements, 0.2-0.3 against
-    2.4-3.3 ms at 128, 3-4 against 12-15 ms at 256 and 16-17 against 62-63
-    ms at 512.
+    masks is one of two families, in increasing order: the reduced kind,
+    the 2^(n-1) subsets holding the identity e, masks[0] = {e}; or the full
+    kind, the 2^n - 1 non-empty subsets.  Any other family raises
+    ValueError.  Entry (i, j) is the position in masks of
+    masks[i]*masks[j].
+
+    Each family is a doubling (unions): a start set ORed with every subset
+    of the free elements, {e} with the non-identity elements or the empty
+    set with all of them, the empty set itself dropped.  A row is one int
+    holding one cell per mask, cell j the product mask with masks[j]: a
+    byte while 2^n <= 256, two bytes above that (n <= 16).  The translate
+    row of a base element x, the cells x*masks[j], is built by the same
+    doubling on the packed int: from the cell x*start, adding a free y
+    ORs 1 << x*y into a copy of every cell so far, one multiply, OR and
+    shift per y.  The row of X with y is the row of X ORed with the
+    translate row of y, so the carrier rows are the doubling of the start
+    set's row (e's translate row, or 0) over the translate rows of the
+    free elements, one int OR per mask, with no memo and no walk over the
+    bits of each mask.  The rows are joined as bytes, and product masks
+    become positions through one bytes.translate for byte cells, or a
+    list indexed by mask for two-byte cells.
+
+    Best of 3 on 2 vCPU, in one process beside the row-memo builder this
+    replaced and the compiled twin: the 228 16-element carriers of the
+    order-5 census take 6.3-6.4 ms (11.2-11.5; compiled 2.5-2.7), one of
+    32 elements 0.04 ms (0.09; compiled 0.09), of 128 elements 0.12-0.13
+    ms (0.32-0.35; compiled 3.2-3.3), and the full kind over 255 masks
+    0.26-0.31 ms (0.52-0.63).  At 256 and 512 elements, 3.7-4.0 and 20-22
+    ms, the list that maps two-byte cells to positions dominates and the
+    two builders are about even; the compiled twin takes 13-14 and 76-82
+    ms.
     """
+    reduced = len(masks) != (1 << n) - 1
+    skip = 0 if reduced else 1                      # the full family drops the empty set
+    start = masks[0] if reduced and masks else 0    # {e}, or the empty set
+    e = start.bit_length() - 1
+    free = [y for y in range(n) if y != e]
+    family = unions([1 << y for y in free], start)[skip:]
+    if (list(masks) != family
+            or reduced and not (start.bit_count() == 1
+                                and list(table[e * n:e * n + n]) == list(range(n))
+                                == list(table[e::n]))):
+        raise ValueError("masks must be the full subset family, or the reduced one "
+                         "around the identity, in increasing order")
     width = 1 if n <= 8 else 2
-    cells = bytes if width == 1 else lambda row: array("H", row).tobytes()
+    bits = 8 * width
+    steps = []          # (shift, a 1 in each of the 2^k cells so far), k = 0, 1, ...
+    ones = 1
+    for k in range(len(free)):
+        steps.append((bits << k, ones))
+        ones |= ones << (bits << k)
     trans = []
     for x in range(n):
-        tx = unions([1 << v for v in table[x * n:(x + 1) * n]])
-        trans.append(int.from_bytes(cells(map(tx.__getitem__, masks)), "little"))
-    rows = {1 << x: tx for x, tx in enumerate(trans)}
-    out = []
-    for mask in masks:
-        tops = []
-        rest = mask
-        while rest not in rows:
-            top = rest.bit_length() - 1
-            tops.append(top)
-            rest ^= 1 << top
-        row = rows[rest]
-        for top in tops:
-            rest |= 1 << top
-            row = rows[rest] = row | trans[top]
-        out.append(row)
-    size = len(masks) * width
+        row = table[x * n:(x + 1) * n]
+        tx = start and 1 << x       # x*start
+        for (shift, ones), y in zip(steps, free):
+            tx |= (tx | (1 << row[y]) * ones) << shift
+        trans.append(tx >> bits * skip)
+    # the start set's row first: e*Y = Y, or the empty set's
+    out = unions([trans[y] for y in free], trans[e] if start else 0)[skip:]
+    size = len(family) * width
     joined = b"".join([row.to_bytes(size, "little") for row in out])
     positions = bytearray(256) if width == 1 else [0] * (1 << n)
-    for i, mask in enumerate(masks):
+    for i, mask in enumerate(family):
         positions[mask] = i
     if width == 1:
         return joined.translate(positions)
-    return pack_table(list(map(positions.__getitem__, array("H", joined))), len(masks))
+    return pack_table(list(map(positions.__getitem__, array("H", joined))), len(family))
 
 
 def iso_search(t1, t2, n, c1, c2, var_order, budget, max_results):

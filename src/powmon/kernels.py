@@ -6,8 +6,8 @@ POWMON_PURE=1 forces the fallback.  Four kernels are backend-selected,
 with identical semantics on both; tests/test_kernels.py holds them to
 that.  power_table returns a packed table (_pure.pack_table) on both:
 the compiled twin returns a list, which is packed once here.
-pack_table and unions do not depend on the backend and are the pure
-ones on both.  Monoid enumeration is always the pure one, which yields
+pack_table, unions and light_rows do not depend on the backend and are
+the pure ones on both.  Monoid enumeration is always the pure one, which yields
 one table per isomorphism class.  _core.enumerate_tables still lists
 every raw labelling and stays unbound until _core.c is regenerated from
 _core.pyx.
@@ -34,6 +34,7 @@ iso_search = _impl.iso_search
 enumerate_tables = _pure.enumerate_tables
 pack_table = _pure.pack_table
 unions = _pure.unions
+light_rows = _pure.light_rows
 
 if _impl is _pure:
     power_table = _pure.power_table

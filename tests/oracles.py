@@ -21,6 +21,25 @@ def brute_assoc_failure(table):
     return None
 
 
+def brute_homomorphism_failure(t1, t2, mapping):
+    """First (a, b) in row-major order with mapping[a*b] != mapping[a]*mapping[b]
+    between two row-of-rows tables, or None."""
+    n = len(t1)
+    for a in range(n):
+        for b in range(n):
+            if mapping[t1[a][b]] != t2[mapping[a]][mapping[b]]:
+                return (a, b)
+    return None
+
+
+def brute_light_rows(table):
+    """The rows a of a row-of-rows table that are no product y*z with
+    z <= y < a: the rows Light's test checks."""
+    n = len(table)
+    return [a for a in range(n)
+            if all(table[y][z] != a for y in range(a) for z in range(y + 1))]
+
+
 def brute_element_order(table, identity, a):
     seen = {identity}
     x = a

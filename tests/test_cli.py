@@ -9,6 +9,7 @@ import os
 import platform
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 import sysconfig
@@ -114,6 +115,8 @@ def test_construct_table_with_trailing_row_is_input_error(tmp_path, capsys):
     ("z0", "cyclic group order must be at least 1, got 0"),
     ("z2xz0", "cyclic group order must be at least 1, got 0"),
     ("d0", "dihedral group degree must be at least 1, got 0"),
+    ("cmon1.0", "cyclic monoid period must be at least 1, got 0"),
+    ("cmon0.0", "cyclic monoid period must be at least 1, got 0"),
 ])
 def test_construct_empty_group_names_its_family(capsys, spec, message):
     code, out, err = run_cli(capsys, "construct", spec)
@@ -602,6 +605,35 @@ def test_order6_script_writes_one_json_record_per_run(tmp_path):
     assert record["python"] == platform.python_version()
     assert record["nproc"] >= 1 and len(record["src_sha256"]) == 64
     assert 0 < record["wall_s"] and 0 < record["peak_mb"]
+
+
+def test_order6_script_alternates_two_checkouts(tmp_path):
+    # --against with this very tree: both sides pin the same body, the
+    # rounds alternate which side goes first, and the medians cover both
+    root = Path(__file__).resolve().parents[1]
+    target = tmp_path / "ab.json"
+    proc = subprocess.run([sys.executable, str(root / "benchmarks" / "order6.py"), "--json",
+                           str(target), "--against", str(root), "--rounds", "2", "lemma21"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(target.read_text())
+    assert (doc["against"], doc["rounds"]) == (str(root), 2)
+    records = doc["records"]
+    assert [(r["side"], r["round"]) for r in records] == [
+        ("against", 1), ("this", 1), ("this", 2), ("against", 2)]
+    assert all(r["run"] == "lemma21" and r["verdict"] == "ok" and r["digest_ok"]
+               and r["backend"] == kernels.backend for r in records)
+    assert len({r["src_sha256"] for r in records}) == 1
+    rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert rows[0] == ["side", "round", "run", "exit", "digest", "wall_s", "peak_mb", "verdict"]
+    assert [row[:3] for row in rows[1:]] == [
+        ["against", "1", "lemma21"], ["this", "1", "lemma21"], ["this", "2", "lemma21"],
+        ["against", "2", "lemma21"], ["against", "median", "lemma21"],
+        ["this", "median", "lemma21"]]
+    for side in ("against", "this"):
+        mine = [r for r in records if r["side"] == side]
+        assert doc["medians"]["lemma21"][side] == {
+            key: statistics.median(r[key] for r in mine) for key in ("wall_s", "peak_mb")}
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -1,19 +1,24 @@
 """Isomorphism search against the permutation-scan oracle."""
 
 from collections import Counter
+from functools import lru_cache
 from itertools import chain, combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powmon import iso
-from powmon.census import census_monoids, groups_catalog
+from powmon.census import catalog_power_classes, census_monoids, groups_catalog, power_classes
 from powmon.errors import SearchBudgetExceeded
-from powmon.iso import (Coloring, IsoWitness, _search, element_invariants,
+from powmon.iso import (DEFAULT_BUDGET, Coloring, IsoWitness, _search, element_invariants,
                         enumerate_isomorphisms, find_isomorphism, refine_colors)
 from powmon.monoid import cyclic_group
-from powmon.powerset import reduced_power_monoid
+from powmon.powerset import augment, reduced_power_monoid
 
-from oracles import brute_element_invariants, brute_isomorphisms, brute_refine_colors
+from oracles import (brute_element_invariants, brute_homomorphism_failure, brute_isomorphisms,
+                     brute_light_rows, brute_refine_colors)
 
 
 def test_self_isomorphism_is_found(zoo):
@@ -98,6 +103,88 @@ def test_identity_witness_needs_no_product_check(zoo, monkeypatch):
     with pytest.raises(ValueError, match="not a homomorphism"):
         IsoWitness(z6, z6, [0, 2, 1, 3, 4, 5])
     assert len(checked) == 2
+
+
+def _carrier_witnesses(pms, classes):
+    """(source, target, map) of each member's witness from its class's
+    representative, and of each base automorphism lifted to the carriers."""
+    out = []
+    for i, pm in enumerate(pms):
+        rep = pms[classes.reps[classes.of[i]]]
+        out.append((rep.carrier, pm.carrier, tuple(classes.maps[i])))
+        for aut in enumerate_isomorphisms(pm.base, pm.base):
+            out.append((pm.carrier, pm.carrier, augment(aut, pm, pm).map))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _witness_pools():
+    """Valid witnesses on the census <= 5 carriers, the catalog <= 8
+    carriers, the trivial monoid and the 512-element carrier of Z10, whose
+    table is an array('H')."""
+    trivial = cyclic_group(1)
+    z10 = reduced_power_monoid(cyclic_group(10))
+    return {
+        "census5": _carrier_witnesses(*power_classes(census_monoids(5), DEFAULT_BUDGET)),
+        "catalog8": _carrier_witnesses(*catalog_power_classes(8, DEFAULT_BUDGET)),
+        "trivial": [(trivial, trivial, (0,))],
+        "z10": [(z10.carrier, z10.carrier, augment(w, z10, z10).map)
+                for w in enumerate_isomorphisms(z10.base, z10.base)],
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_witness_check_matches_the_cell_loop(data):
+    # a valid witness with two images swapped, or kept: the row check raises
+    # the cell loop's first failure, or accepts exactly when it finds none
+    pool = data.draw(st.sampled_from(("census5", "catalog8", "trivial", "z10")))
+    source, target, mapping = data.draw(st.sampled_from(_witness_pools()[pool]))
+    n = source.n
+    mapping = list(mapping)
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        mapping[i], mapping[j] = mapping[j], mapping[i]
+    if mapping[source.identity] != target.identity:
+        want = "witness does not map identity to identity"
+    else:
+        failure = brute_homomorphism_failure(source.table, target.table, mapping)
+        want = failure and "witness is not a homomorphism at (%d, %d)" % failure
+    if want is None:
+        assert IsoWitness(source, target, mapping).map == tuple(mapping)
+    else:
+        with pytest.raises(ValueError) as exc:
+            IsoWitness(source, target, mapping)
+        assert str(exc.value) == want
+
+
+class _RowLog(bytes):
+    """A bytes table that logs the row index of each row sliced from it."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.log.append(key.start // self.n)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("entries", [lambda: census_monoids(5), lambda: groups_catalog(8)],
+                         ids=["census5-carriers", "catalog8-carriers"])
+def test_witness_check_compares_only_the_light_rows(entries):
+    # the rows compared are row 0, the carrier's identity {1}, and the rows
+    # a that are no product y*z with z <= y < a.  Row a is compared with
+    # the target row map[a], so the target rows sliced name them.
+    for e in entries():
+        pm = reduced_power_monoid(e.monoid)
+        c = pm.carrier
+        rows = brute_light_rows(c.table)
+        assert rows[0] == c.identity == 0
+        aut = enumerate_isomorphisms(e.monoid, e.monoid)[-1]
+        for mapping in (tuple(range(c.n)), augment(aut, pm, pm).map):
+            flat = _RowLog(c.flat)
+            flat.n, flat.log = c.n, []
+            target = SimpleNamespace(n=c.n, identity=c.identity, flat=flat)
+            iso._check_isomorphism(c, target, mapping)
+            assert flat.log == [mapping[a] for a in rows]
 
 
 def test_witness_inverse_roundtrip(zoo):

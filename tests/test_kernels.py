@@ -172,17 +172,48 @@ def test_power_table_parity_at_materialize_limit(core, base):
 @pytest.mark.parametrize("kind", ["reduced", "full"])
 @pytest.mark.parametrize("name,identity_to", [("z5", 4), ("d3", 5), ("d3", 2), ("cm22", 3)])
 def test_power_table_relabelled_identity(core, zoo, name, identity_to, kind):
-    # the identity at the top or in the middle: for the reduced kind the row
-    # of X minus its top element is then often outside the carrier
+    # the identity at the top or in the middle: the reduced family then
+    # doubles {e} over elements on both sides of e
     m = _relabelled(zoo[name], identity_to)
     assert m.identity == identity_to
     masks = _carrier_masks(m, kind)
     got = list(_pure.power_table(m.flat, m.n, masks))
     for t in _tables(m.flat):
         assert list(_pure.power_table(t, m.n, masks)) == got == core.power_table(t, m.n, masks)
+
+
+@pytest.mark.parametrize("kind", ["reduced", "full"])
+@pytest.mark.parametrize("name,identity_to", [("z5", 0), ("cm22", 0), ("d3", 2), ("d3", 5),
+                                              ("z5", 4), ("cm22", 3), ("q8", 3), ("q8", 7)])
+def test_power_table_matches_setwise_oracle(zoo, name, identity_to, kind):
+    # the identity at 0, in the middle and at the top, for both kinds;
+    # q8 gives 128 and 255 masks, a full carrier past a byte of positions
+    m = _relabelled(zoo[name], identity_to)
+    assert m.identity == identity_to
+    masks = _carrier_masks(m, kind)
     sets = [frozenset(i for i in range(m.n) if x >> i & 1) for x in masks]
     index = {s: i for i, s in enumerate(sets)}
-    assert got == [index[brute_setwise(m.table, xs, ys)] for xs in sets for ys in sets]
+    want = [index[brute_setwise(m.table, xs, ys)] for xs in sets for ys in sets]
+    for t in _tables(m.flat):
+        assert list(_pure.power_table(t, m.n, masks)) == want
+
+
+@pytest.mark.parametrize("masks", [
+    (), (2,), (2, 3, 6), (2, 6, 3, 7), (1, 3, 5, 7), (2, 3, 6, 7, 9), (3, 7), (3, 3, 7, 7),
+    tuple(range(1, 8)) + (8,), tuple(range(0, 8)), tuple(range(2, 9)), (2, 3, 5, 7),
+    tuple(range(7, 0, -1)),
+], ids=["empty", "too-few", "subset-missing", "unsorted", "around-a-non-identity",
+        "extra-mask", "two-bit-start", "duplicated-masks", "full-plus-outside",
+        "with-empty-set", "shifted", "one-mask-without-identity", "full-descending"])
+def test_power_table_rejects_other_mask_families(masks):
+    # Z3 with its identity at 1: the reduced family is (2, 3, 6, 7) and the
+    # full one 1..7; anything else is refused, also the subsets around 0,
+    # which are not closed under the product
+    z3 = _relabelled(cyclic_group(3), 1).flat
+    for good in ((2, 3, 6, 7), tuple(range(1, 8))):
+        _pure.power_table(z3, 3, good)
+    with pytest.raises(ValueError, match="the full subset family, or the reduced one around the identity"):
+        _pure.power_table(z3, 3, masks)
 
 
 def _carrier_flat(base):

@@ -6,8 +6,9 @@ import pytest
 
 from powmon.census import census_monoids, groups_catalog
 from powmon.errors import NoIdentity, NotAssociative
-from powmon.monoid import (FiniteMonoid, cyclic_monoid, direct_product,
-                           format_table, parse_monoid_spec, parse_table_text)
+from powmon.monoid import (FiniteMonoid, cyclic_group, cyclic_monoid, direct_product,
+                           format_table, parse_monoid_spec, parse_table_text, quaternion_group,
+                           table_orders)
 from powmon.powerset import reduced_power_monoid
 
 from oracles import (brute_assoc_failure, brute_cancellative_elements, brute_element_order,
@@ -159,6 +160,31 @@ def test_power_matches_plain_loop():
         monoids[-1].power(1, -1)
 
 
+def _relabelled(m, perm):
+    """m with each element a renamed perm[a]."""
+    table = [[0] * m.n for _ in range(m.n)]
+    for a in range(m.n):
+        for b in range(m.n):
+            table[perm[a]][perm[b]] = perm[m.table[a][b]]
+    return FiniteMonoid(table)
+
+
+@pytest.mark.parametrize("monoids", [
+    lambda: [reduced_power_monoid(e.monoid).carrier for e in census_monoids(4)],
+    lambda: [reduced_power_monoid(quaternion_group()).carrier],
+    # the identity at the top and in the middle
+    lambda: [_relabelled(cyclic_monoid(2, 3), [4, 3, 2, 1, 0]),
+             _relabelled(quaternion_group(), [3, 1, 2, 0, 4, 5, 6, 7])],
+    lambda: [reduced_power_monoid(cyclic_group(10)).carrier],
+], ids=["census4-carriers", "q8-carrier-128", "relabelled-identity", "z10-carrier-512"])
+def test_table_orders_match_oracle(monoids):
+    for m in monoids():
+        if m.n > 256:
+            assert m.flat.typecode == "H"
+        assert table_orders(m.n, m.flat, m.identity) == tuple(
+            brute_element_order(m.table, m.identity, a) for a in range(m.n))
+
+
 def test_order_one_iff_identity(zoo):
     for m in zoo.values():
         for a in range(m.n):
@@ -236,6 +262,17 @@ def test_standard_group_unknown():
                 "direct_product(cyclic 2, cyclic 3)"):
         with pytest.raises(ValueError, match="unrecognized monoid spec"):
             parse_monoid_spec(bad)
+
+
+def test_cyclic_monoid_bounds_name_the_family():
+    # the CLI cannot pass a negative index (cmon-1.2 is no spec), the API can
+    with pytest.raises(ValueError, match="cyclic monoid index must be at least 0, got -1"):
+        cyclic_monoid(-1, 2)
+    for index in (0, 1):
+        with pytest.raises(ValueError, match="cyclic monoid period must be at least 1, got 0"):
+            cyclic_monoid(index, 0)
+    with pytest.raises(ValueError, match="cyclic monoid period must be at least 1, got 0"):
+        parse_monoid_spec("cmon1.0")
 
 
 def test_constructor_invariants_revalidate(zoo):
