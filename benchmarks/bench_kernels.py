@@ -7,8 +7,11 @@ Usage:
 The power_table rows at 16, 32 and 64 elements are the sizes around the
 point where the compiled builder stops winning: the 228 order-5 census
 carriers of `experiment monoids` (16 elements each), where it is about
-4x faster, one 32-element carrier, where the two are about even, and one
-64-element carrier, where the pure one is about 4x faster.  The
+2x faster, one 32-element carrier, where the pure one is about 2.5x
+faster, and one 64-element carrier, where it is about 13x faster.  At
+256 and 512 elements (bases of order 9 and, with --full, 10) the pure
+builder writes carrier positions into its cells from the start and takes
+0.13 and 0.63 ms against 11 and 58 ms compiled (2 vCPU, best of 5).  The
 assoc_witness rows time the same check on the 273 census bases of order
 <= 5, where the pure kernel's bookkeeping of the rows it skips costs
 more than it saves (the compiled one is about 10x faster), and at 16,
@@ -20,9 +23,9 @@ carrier (92 rows, the most of the order-8 groups) and 3.5x at 256
 elements.  The 256-element rows sit at the largest table of the pure
 bytes pass of assoc_witness.  --full adds the order-10 cases (a
 512-element carrier), where the pure assoc_witness takes the numpy pass
-(about 0.15 s on 2 vCPU, against 0.13 s compiled) or, without numpy,
-the plain triple loop (about 7 s).  The last rows time
-the census enumeration of orders 5 and 6, which has no compiled twin.
+(about 0.15 s on 2 vCPU, against 0.13 s compiled) or, without numpy, the
+plain triple loop (about 7 s).  The last rows time the census enumeration
+of orders 5 and 6, which has no compiled twin.
 Before it is timed, each pure result is checked against the compiled
 one; without the compiled backend, each pure power_table is checked
 against setwise products instead.

@@ -20,6 +20,7 @@ two earlier ones and is always checked.  iso._check_isomorphism reads
 the same rows for the same reason.
 """
 
+import sys
 from array import array
 from itertools import permutations
 
@@ -157,55 +158,44 @@ def setwise_product(table, n, x, y):
 
 
 def power_table(table, n, masks):
-    """Carrier table of a power monoid of the n-element base with this flat
-    table, flat row-major over masks, as pack_table gives it: bytes up to
-    256 masks, array('H') above.
+    """Carrier table of the reduced power monoid of the n-element base with
+    this flat table, flat row-major over masks: bytes up to 256 masks
+    (n <= 9), array('H') above, as pack_table gives it.
 
-    masks is one of two families, in increasing order: the reduced kind,
-    the 2^(n-1) subsets holding the identity e, masks[0] = {e}; or the full
-    kind, the 2^n - 1 non-empty subsets.  Any other family raises
-    ValueError.  Entry (i, j) is the position in masks of
-    masks[i]*masks[j].
+    masks must be the 2^(n-1) subsets holding the table's identity e, in
+    increasing order, masks[0] = {e}; any other family raises ValueError.
+    Entry (i, j) is the position in masks of masks[i]*masks[j].
 
-    Each family is a doubling (unions): a start set ORed with every subset
-    of the free elements, {e} with the non-identity elements or the empty
-    set with all of them, the empty set itself dropped.  A row is one int
-    holding one cell per mask, cell j the product mask with masks[j]: a
-    byte while 2^n <= 256, two bytes above that (n <= 16).  The translate
-    row of a base element x, the cells x*masks[j], is built by the same
-    doubling on the packed int: from the cell x*start, adding a free y
-    ORs 1 << x*y into a copy of every cell so far, one multiply, OR and
-    shift per y.  The row of X with y is the row of X ORed with the
-    translate row of y, so the carrier rows are the doubling of the start
-    set's row (e's translate row, or 0) over the translate rows of the
-    free elements, one int OR per mask, with no memo and no walk over the
-    bits of each mask.  The rows are joined as bytes, and product masks
-    become positions through one bytes.translate for byte cells, or a
-    list indexed by mask for two-byte cells.
+    The position of a mask is the mask with e's bit deleted, and deleting
+    a bit distributes over OR.  So each base element v stands for its
+    position bit, bit[v] (0 for e), and a cell ORs the bits of the
+    product's elements.  A row is one int holding one cell per mask, cell
+    j the product with masks[j], a byte while 2^(n-1) <= 256 and two bytes
+    above.  masks is the doubling (unions) of {e} over the free elements,
+    those other than e.  The translate row of a base element x, the cells
+    x*masks[j], is built by the same doubling on the packed int: from the
+    cell bit[x] of x*{e}, adding a free y ORs bit[x*y] into a copy of every
+    cell so far, one multiply, OR and shift per y.  The row of X with y is
+    the row of X ORed with the translate row of y, so the carrier rows are
+    the doubling of e's translate row over those of the free elements, one
+    int OR per mask, and the rows joined as bytes are the table.  Two-byte
+    cells are joined little-endian and swapped on a big-endian host.
 
-    Best of 3 on 2 vCPU, in one process beside the row-memo builder this
-    replaced and the compiled twin: the 228 16-element carriers of the
-    order-5 census take 6.3-6.4 ms (11.2-11.5; compiled 2.5-2.7), one of
-    32 elements 0.04 ms (0.09; compiled 0.09), of 128 elements 0.12-0.13
-    ms (0.32-0.35; compiled 3.2-3.3), and the full kind over 255 masks
-    0.26-0.31 ms (0.52-0.63).  At 256 and 512 elements, 3.7-4.0 and 20-22
-    ms, the list that maps two-byte cells to positions dominates and the
-    two builders are about even; the compiled twin takes 13-14 and 76-82
-    ms.
+    Best of 5 on 2 vCPU, in one process beside the compiled twin: the 228
+    16-element carriers of the order-5 census take 2.9-3.0 ms (compiled
+    1.5), one of 128 elements 0.05 ms (2.2), of 256 elements 0.12-0.14 ms
+    (11) and of 512 elements 0.6-0.7 ms (58-61).
     """
-    reduced = len(masks) != (1 << n) - 1
-    skip = 0 if reduced else 1                      # the full family drops the empty set
-    start = masks[0] if reduced and masks else 0    # {e}, or the empty set
+    start = masks[0] if masks else 0
     e = start.bit_length() - 1
     free = [y for y in range(n) if y != e]
-    family = unions([1 << y for y in free], start)[skip:]
-    if (list(masks) != family
-            or reduced and not (start.bit_count() == 1
-                                and list(table[e * n:e * n + n]) == list(range(n))
-                                == list(table[e::n]))):
-        raise ValueError("masks must be the full subset family, or the reduced one "
-                         "around the identity, in increasing order")
-    width = 1 if n <= 8 else 2
+    if not (start.bit_count() == 1
+            and list(masks) == unions([1 << y for y in free], start)
+            and list(table[e * n:e * n + n]) == list(range(n)) == list(table[e::n])):
+        raise ValueError("masks must be the reduced family, the subsets that hold "
+                         "the identity, in increasing order")
+    bit = [0 if v == e else 1 << v - (v > e) for v in range(n)]
+    width = 1 if n <= 9 else 2
     bits = 8 * width
     steps = []          # (shift, a 1 in each of the 2^k cells so far), k = 0, 1, ...
     ones = 1
@@ -215,20 +205,19 @@ def power_table(table, n, masks):
     trans = []
     for x in range(n):
         row = table[x * n:(x + 1) * n]
-        tx = start and 1 << x       # x*start
+        tx = bit[x]                 # x*{e}
         for (shift, ones), y in zip(steps, free):
-            tx |= (tx | (1 << row[y]) * ones) << shift
-        trans.append(tx >> bits * skip)
-    # the start set's row first: e*Y = Y, or the empty set's
-    out = unions([trans[y] for y in free], trans[e] if start else 0)[skip:]
-    size = len(family) * width
-    joined = b"".join([row.to_bytes(size, "little") for row in out])
-    positions = bytearray(256) if width == 1 else [0] * (1 << n)
-    for i, mask in enumerate(family):
-        positions[mask] = i
+            tx |= (tx | bit[row[y]] * ones) << shift
+        trans.append(tx)
+    size = len(masks) * width
+    joined = b"".join([row.to_bytes(size, "little")
+                       for row in unions([trans[y] for y in free], trans[e])])
     if width == 1:
-        return joined.translate(positions)
-    return pack_table(list(map(positions.__getitem__, array("H", joined))), len(family))
+        return joined
+    out = array("H", joined)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
 
 
 def iso_search(t1, t2, n, c1, c2, var_order, budget, max_results):

@@ -4,8 +4,9 @@ The hot loops live in powmon._pure (always available) and, when built, in
 the compiled twin powmon._core.  The compiled backend is preferred unless
 POWMON_PURE=1 forces the fallback.  Four kernels are backend-selected,
 with identical semantics on both; tests/test_kernels.py holds them to
-that.  power_table returns a packed table (_pure.pack_table) on both:
-the compiled twin returns a list, which is packed once here.
+that.  power_table returns a packed table, bytes up to 256 elements and
+array('H') above, on both: the pure builder writes its cells that way,
+and the compiled twin returns a list, which pack_table packs once here.
 pack_table, unions and light_rows do not depend on the backend and are
 the pure ones on both.  Monoid enumeration is always the pure one, which yields
 one table per isomorphism class.  _core.enumerate_tables still lists
