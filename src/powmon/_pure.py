@@ -10,14 +10,14 @@ row-major, n*n cells with cell a*n + b holding a*b; the kernels read it
 by index, so any sequence of ints will do.  The tables they return, and
 the one a FiniteMonoid keeps, take one byte per cell up to 256 elements
 and two above (pack_table).  Subsets are int bitmasks over element
-indices.  Everything here is standard library up to tables of 256
-elements, the reduced carriers of bases up to order 9; only
-assoc_witness on larger tables imports numpy, and falls back to a plain
-loop without it.  assoc_witness checks only the rows that are no product
-of two earlier rows (Light's test, light_rows): the rows that pass are
-closed under the product, so the first failing row is never a product of
-two earlier ones and is always checked.  iso._check_isomorphism reads
-the same rows for the same reason.
+indices.  Everything here is standard library.  assoc_witness checks
+only the rows that are no product of two earlier rows (Light's test,
+light_rows): the rows that pass are closed under the product, so the
+first failing row is never a product of two earlier ones and is always
+checked.  iso._check_isomorphism reads the same rows for the same
+reason.  A reduced carrier is not put through Light's test: the setwise
+product of an associative base is associative, so is_power_table proves
+instead that the table is that product.
 """
 
 import sys
@@ -100,10 +100,9 @@ def assoc_witness(table, n):
     the n*n cells (b, c) of (a*b)*c and of a*(b*c) are built as two byte
     strings: (a*b)*c joins the rows a*b, and a*(b*c) maps the whole table
     through row a with bytes.translate.  The first differing cell is the
-    lexicographically first failing triple.  Larger tables use a
-    vectorized numpy pass when numpy is importable; the plain triple loop
-    is the semantic reference and the last fallback.  All three check the
-    rows of light_rows.
+    lexicographically first failing triple.  Larger tables take the plain
+    triple loop, the semantic reference, over the same rows; powmon
+    validates no table that large, since carriers take is_power_table.
     """
     if n <= 256:
         flat = pack_table(table, n)
@@ -116,19 +115,6 @@ def assoc_witness(table, n):
             if lhs != rhs:
                 i = next(i for i, (p, q) in enumerate(zip(lhs, rhs)) if p != q)
                 return a * n * n + i
-        return -1
-    try:
-        import numpy as np
-    except ImportError:
-        pass
-    else:
-        t = np.asarray(table, dtype=np.int64).reshape(n, n)
-        for a in light_rows(t.tolist()):
-            lhs = t[t[a], :]     # (a*b)*c indexed by (b, c)
-            rhs = t[a, t]        # a*(b*c) indexed by (b, c)
-            if not np.array_equal(lhs, rhs):
-                b, c = map(int, np.argwhere(lhs != rhs)[0])
-                return (a * n + b) * n + c
         return -1
     for a in light_rows([table[x * n:(x + 1) * n] for x in range(n)]):
         an = a * n
@@ -155,6 +141,23 @@ def setwise_product(table, n, x, y):
             yi ^= lsb
             out |= 1 << table[an + lsb.bit_length() - 1]
     return out
+
+
+def check_reduced_family(table, n, masks):
+    """The identity e of the n-element flat table, when masks is the
+    reduced family around it: the 2^(n-1) subsets holding e, in increasing
+    order, masks[0] = {e}.  Any other family, or a table whose row and
+    column e are not the identity's, raises ValueError.  Both power_table
+    builders take only this family (kernels.power_table checks it for the
+    compiled one, which reads its cells through it unchecked)."""
+    start = masks[0] if masks else 0
+    e = start.bit_length() - 1
+    if not (start.bit_count() == 1
+            and list(masks) == unions([1 << y for y in range(n) if y != e], start)
+            and list(table[e * n:e * n + n]) == list(range(n)) == list(table[e::n])):
+        raise ValueError("masks must be the reduced family, the subsets that hold "
+                         "the identity, in increasing order")
+    return e
 
 
 def power_table(table, n, masks):
@@ -186,14 +189,8 @@ def power_table(table, n, masks):
     1.5), one of 128 elements 0.05 ms (2.2), of 256 elements 0.12-0.14 ms
     (11) and of 512 elements 0.6-0.7 ms (58-61).
     """
-    start = masks[0] if masks else 0
-    e = start.bit_length() - 1
+    e = check_reduced_family(table, n, masks)
     free = [y for y in range(n) if y != e]
-    if not (start.bit_count() == 1
-            and list(masks) == unions([1 << y for y in free], start)
-            and list(table[e * n:e * n + n]) == list(range(n)) == list(table[e::n])):
-        raise ValueError("masks must be the reduced family, the subsets that hold "
-                         "the identity, in increasing order")
     bit = [0 if v == e else 1 << v - (v > e) for v in range(n)]
     width = 1 if n <= 9 else 2
     bits = 8 * width
@@ -218,6 +215,76 @@ def power_table(table, n, masks):
     if sys.byteorder == "big":
         out.byteswap()
     return out
+
+
+def is_power_table(table, n, e, carrier):
+    """Whether carrier is the reduced power table of the n-element monoid
+    with this flat table and identity e, packed as power_table returns it:
+    bytes up to 256 masks, array('H') above, cell (X, Y) at X*2^(n-1) + Y
+    holding the position of X*Y, positions as in power_table (the mask
+    with e's bit deleted).  The monoid must be a validated one, associative
+    with identity e.
+
+    Let P_x = {e, x}, and bit[v] the position bit of v (0 for e).  The
+    check reads each carrier row as one little-endian int, a cell per
+    column, and proves two things.
+    (A) Pair rows.  For every base element x, row bit[x], the position of
+    P_x, holds pos(Y u xY) = pos(P_x*Y) at every column Y.  The expected
+    row is one doubling of the cell bit[x] = pos(P_x*{e}) over the free
+    elements y (those other than e) on a packed int: adding y to Y ORs
+    bit[y] | bit[x*y] into a copy of every cell so far.  x = e gives the
+    identity row, row 0.
+    (B) Row unions.  For every free bit 2^k and every X < 2^k,
+    row(X + 2^k) = row(X) | row(2^k).
+    Together, by induction on X: row 0 and the rows 2^k are right by (A),
+    and row(X + 2^k) = pos(X*Y) | pos(P_y*Y) = pos((X u P_y)*Y), y the
+    free element of bit 2^k, since the product distributes over union and
+    X holds e.  So carrier[X][Y] = pos(X*Y) at every cell: the carrier is
+    the setwise product table, whatever built it.  The setwise product of
+    an associative monoid is associative, {e} at position 0 is its
+    identity, and every cell is a position of the family, so a table that
+    passes needs no Light's test.  The check shares no code with the
+    builders.  Best of 5 on 2 vCPU, against Light's test pure and
+    compiled: 3.0-3.1 ms for the 228 16-element carriers of the order-5
+    census (3.7-3.8, 1.6-1.7), 0.07-0.11 ms at 128 elements (1.2-2.0,
+    2.5-4.0), 0.19-0.35 ms at 256 (6-8, 18-22) and 0.9 ms at 512
+    (6800-7400, 139-156).
+    """
+    m = 1 << n - 1
+    width = 1 if n <= 9 else 2
+    if len(carrier) != m * m or type(carrier) is not (bytes if width == 1 else array):
+        return False
+    if width == 2:
+        if carrier.typecode != "H":
+            return False
+        if sys.byteorder == "big":
+            carrier = array("H", carrier)
+            carrier.byteswap()
+        carrier = memoryview(carrier).cast("B")
+    size = m * width
+    rows = [int.from_bytes(carrier[r:r + size], "little") for r in range(0, m * size, size)]
+    bit = [0 if v == e else 1 << v - (v > e) for v in range(n)]
+    steps = []          # (y, a 1 in each of the 2^k cells so far, their width in bits)
+    ones, shift = 1, 8 * width
+    for y in range(n):
+        if y != e:
+            steps.append((y, ones, shift))
+            ones |= ones << shift
+            shift *= 2
+    for x in range(n):                                      # (A)
+        row = table[x * n:(x + 1) * n]
+        want = bit[x]
+        for y, ones, shift in steps:
+            want |= (want | (bit[y] | bit[row[y]]) * ones) << shift
+        if rows[bit[x]] != want:
+            return False
+    half = 1                                                # (B), 2^k = half
+    while half < m:
+        top = rows[half]
+        if rows[half:2 * half] != [r | top for r in rows[:half]]:
+            return False
+        half *= 2
+    return True
 
 
 def iso_search(t1, t2, n, c1, c2, var_order, budget, max_results):

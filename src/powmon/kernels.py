@@ -7,7 +7,11 @@ with identical semantics on both; tests/test_kernels.py holds them to
 that.  power_table returns a packed table, bytes up to 256 elements and
 array('H') above, on both: the pure builder writes its cells that way,
 and the compiled twin returns a list, which pack_table packs once here.
-pack_table, unions and light_rows do not depend on the backend and are
+Both take only the reduced family of masks: the compiled twin reads its
+cells through the family unchecked, so check_reduced_family refuses any
+other here first, with the pure builder's ValueError.  pack_table,
+unions, light_rows and is_power_table, the certificate that a carrier is
+the setwise product of its base, do not depend on the backend and are
 the pure ones on both.  Monoid enumeration is always the pure one, which yields
 one table per isomorphism class.  _core.enumerate_tables still lists
 every raw labelling and stays unbound until _core.c is regenerated from
@@ -36,9 +40,12 @@ enumerate_tables = _pure.enumerate_tables
 pack_table = _pure.pack_table
 unions = _pure.unions
 light_rows = _pure.light_rows
+is_power_table = _pure.is_power_table
 
-if _impl is _pure:
-    power_table = _pure.power_table
-else:
-    def power_table(table, n, masks):
-        return pack_table(_impl.power_table(table, n, masks), len(masks))
+
+def _compiled_power_table(table, n, masks):
+    _pure.check_reduced_family(table, n, masks)
+    return pack_table(_impl.power_table(table, n, masks), len(masks))
+
+
+power_table = _pure.power_table if _impl is _pure else _compiled_power_table

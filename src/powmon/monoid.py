@@ -86,7 +86,11 @@ class FiniteMonoid:
     invariants: entries in range, associativity (kernels.assoc_witness,
     with the first failing triple as witness; the pure kernel checks only
     the rows that are no product of two earlier rows, which gives the same
-    answer), and a unique two-sided identity.  Powers are computed once
+    answer), and a unique two-sided identity.  The one exception is a
+    reduced carrier, which powerset.PowerMonoid builds through the private
+    _certified: kernels.is_power_table has proved its table the setwise
+    product of a validated base, so all three invariants hold, with the
+    identity {e} at 0, and none is checked again.  Powers are computed once
     per element: the first call for a builds its power cycle, and
     power(a, k) for any k is then an index computation.  subset_cycles
     maps a subset bitmask to its power cycle under setwise product (filled
@@ -130,9 +134,22 @@ class FiniteMonoid:
             c = w % n
             ab = w // n
             raise NotAssociative(ab // n, ab % n, c)
+        self._keep(n, flat, identities[0], name)
+
+    @classmethod
+    def _certified(cls, flat, n, name):
+        """The monoid of a packed n-element table already proved to be a
+        monoid's with its identity at 0, validated no further: only
+        powerset.PowerMonoid calls it, on a table kernels.is_power_table
+        has certified."""
+        m = cls.__new__(cls)
+        m._keep(n, flat, 0, name)
+        return m
+
+    def _keep(self, n, flat, identity, name):
         self.n = n
         self.flat = flat
-        self.identity = identities[0]
+        self.identity = identity
         self.name = name or f"monoid[{n}]"
         self._orders = None
         self._units = None

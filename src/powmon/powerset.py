@@ -84,9 +84,13 @@ class PowerMonoid:
     """The reduced power monoid of a base monoid, itself a finite monoid.
 
     It carries the 2^(n-1) subsets containing the identity.  The carrier is
-    a validated FiniteMonoid whose element i is masks[i], built at
-    construction from the one flat table kernels.power_table returns;
-    bases above MATERIALIZE_LIMIT raise SizeLimitExceeded.  masks is
+    a FiniteMonoid whose element i is masks[i], built at construction from
+    the one flat table kernels.power_table returns; bases above
+    MATERIALIZE_LIMIT raise SizeLimitExceeded.  The carrier is not put
+    through Light's test: kernels.is_power_table proves the table the
+    setwise product of the base, which is validated, so the carrier is
+    associative with the identity {identity} at 0, whichever backend built
+    it.  A table that fails raises AssertionError.  masks is
     increasing, so index_of finds a mask by bisection.  sizes[i] is the
     number of base elements in masks[i], and pairs[x] the index of
     {identity, x}, found once here: pairs[identity] is that of {identity}.
@@ -106,9 +110,10 @@ class PowerMonoid:
         self.sizes = [mask.bit_count() for mask in masks]
         self.pairs = tuple(bisect_left(masks, ebit | 1 << x) for x in range(n))
         flat = kernels.power_table(base.flat, n, masks)
-        self.carrier = FiniteMonoid(flat, name=f"reduced power({base.name})")
-        if self.masks[self.carrier.identity] != ebit:
-            raise AssertionError("carrier identity is not the singleton {identity}")
+        if not kernels.is_power_table(base.flat, n, base.identity, flat):
+            raise AssertionError("carrier is not the setwise product of its base")
+        self.carrier = FiniteMonoid._certified(flat, len(masks),
+                                               name=f"reduced power({base.name})")
 
     def __len__(self):
         return len(self.masks)

@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powmon
-from powmon import _pure
+from powmon import _pure, kernels
 from powmon.census import census_monoids, groups_catalog
 from powmon.errors import SizeLimitExceeded
 from powmon.iso import find_isomorphism
-from powmon.monoid import FiniteMonoid, cyclic_group, cyclic_monoid, idempotent_monoid2
+from powmon.monoid import (FiniteMonoid, cyclic_group, cyclic_monoid, dihedral_group,
+                           direct_product, idempotent_monoid2, quaternion_group)
 from powmon.powerset import (MATERIALIZE_LIMIT, augment, elements_of, format_subset,
                              mask_of, parse_subset, reduced_power_monoid, setwise_product,
                              subset_power)
@@ -308,15 +309,19 @@ def test_kept_carrier_memory(zoo):
 
 
 def test_group_carriers_build_without_numpy():
-    # the pure kernels check carriers of up to 256 elements without numpy,
-    # which would add about 14 MB of resident memory to a catalog run
+    # the pure kernels build and certify carriers without numpy, which
+    # would add about 14 MB of resident memory to a catalog run: those of
+    # the catalog up to 128 elements, and of Z10 and D5 at 512
     code = ("import sys\n"
             "from powmon import kernels\n"
             "from powmon.census import groups_catalog\n"
+            "from powmon.monoid import cyclic_group, dihedral_group\n"
             "from powmon.powerset import reduced_power_monoid\n"
             "assert kernels.backend == 'pure'\n"
             "sizes = [len(reduced_power_monoid(e.monoid)) for e in groups_catalog(8)]\n"
             "assert max(sizes) == 128, sizes\n"
+            "for base in (cyclic_group(10), dihedral_group(5)):\n"
+            "    assert len(reduced_power_monoid(base)) == 512\n"
             "assert 'numpy' not in sys.modules\n")
     src = str(Path(powmon.__file__).resolve().parents[1])
     env = dict(os.environ, POWMON_PURE="1",
@@ -324,6 +329,59 @@ def test_group_carriers_build_without_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _logged_assoc_witness(monkeypatch, limit=None):
+    """Patch kernels.assoc_witness to log the order of each table it is
+    called on, and to fail on tables above limit elements; the log is
+    returned."""
+    orders = []
+    check = kernels.assoc_witness
+
+    def logged(table, n):
+        if limit is not None and n > limit:
+            raise AssertionError(f"assoc_witness called on {n} elements")
+        orders.append(n)
+        return check(table, n)
+    monkeypatch.setattr(kernels, "assoc_witness", logged)
+    return orders
+
+
+def test_carriers_skip_light_test_bases_keep_it(monkeypatch):
+    # a base is validated by Light's test, its carrier only by the certificate
+    orders = _logged_assoc_witness(monkeypatch)
+    for build, n in ((quaternion_group, 8), (lambda: cyclic_monoid(2, 3), 5)):
+        base = build()
+        assert orders == [n]
+        assert reduced_power_monoid(base).carrier.n == 1 << n - 1
+        assert orders == [n]
+        orders.clear()
+
+
+def test_no_table_above_256_elements_is_validated(monkeypatch):
+    # the order-9 and order-10 bases and their 256- and 512-element carriers
+    orders = _logged_assoc_witness(monkeypatch, limit=256)
+    z3 = cyclic_group(3)
+    for base in (cyclic_group(9), direct_product(z3, z3), cyclic_group(10), dihedral_group(5)):
+        assert reduced_power_monoid(base).carrier.n == 1 << base.n - 1
+    assert orders and max(orders) <= 10
+
+
+def test_corrupted_carrier_is_refused(monkeypatch):
+    # one cell of the built table changed: the certificate refuses it,
+    # with either packing
+    build = kernels.power_table
+    for base in (cyclic_group(4), quaternion_group(), cyclic_group(10)):
+        def corrupted(table, n, masks):
+            flat = build(table, n, masks)
+            bad = bytearray(flat) if type(flat) is bytes else array("H", flat)
+            bad[len(masks) + 1] ^= 1
+            return bytes(bad) if type(flat) is bytes else bad
+        monkeypatch.setattr(kernels, "power_table", corrupted)
+        with pytest.raises(AssertionError, match="carrier is not the setwise product of its base"):
+            reduced_power_monoid(base)
+        monkeypatch.setattr(kernels, "power_table", build)
+        reduced_power_monoid(base)
 
 
 def test_large_base_defaults_to_ondemand():
